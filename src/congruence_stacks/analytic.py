@@ -8,6 +8,9 @@ Conventions, fixed once for the whole module:
     F(tau) = 1 / ((q^r; q^m)_inf (q^{m-r}; q^m)_inf)  for validated (r, m);
     f_{a,b}(tau) = sum_{n>=1} (-1)^n q^{(a n^2 + b n)/2},  a > 0.
 
+A non-integer power q^x always means e^{2 pi i tau x}: going through the
+principal log of q would be wrong outside -1/2 < Re(tau) <= 1/2.
+
 Every function takes a decimal working precision `dps` and performs the whole
 computation inside a single mpmath context with guard digits, including the
 construction of derived points like -1/tau.  Truncation cutoffs are derived
@@ -25,11 +28,11 @@ from typing import Callable, Sequence
 
 import mpmath as mp
 
-from .asymptotics import ArcContext
+from .asymptotics import ArcContext, false_theta_coeffs
+from .bigfloat import DEFAULT_DPS
 from .params import StackParams
 from .qseries import false_theta_gf
 
-DEFAULT_DPS = 50
 GUARD = 15
 
 
@@ -82,7 +85,7 @@ def theta_product(w, tau, dps: int = DEFAULT_DPS, trunc: int | None = None) -> m
         for _ in range(1, trunc + 1):
             qk *= q
             prod *= (1 - qk) * (1 - zp * qk) * (1 - zm * qk)
-        return -1j * mp.power(q, mp.mpf(1) / 8) * mp.exp(-mp.pi * 1j * w) * prod
+        return -1j * mp.exp(mp.pi * 1j * (tau / 4 - w)) * prod
 
 
 def theta_transform_residual(w, tau, dps: int = DEFAULT_DPS) -> mp.mpf:
@@ -253,21 +256,18 @@ def false_theta(a: int, b: int, tau, dps: int = DEFAULT_DPS) -> mp.mpc:
         target = (dps + GUARD) * mp.log(10)
         disc = b * b + 4 * a * target / (mp.pi * y)
         n_max = int(mp.ceil((-b + mp.sqrt(disc)) / (2 * a))) + 2
-        q = mp.exp(2 * mp.pi * 1j * tau)
+        pi_i_tau = mp.pi * 1j * tau
         total = mp.mpc(0)
         for n in range(1, n_max + 1):
-            total += (-1) ** n * mp.power(q, mp.mpf(a * n * n + b * n) / 2)
+            total += (-1) ** n * mp.exp(pi_i_tau * (a * n * n + b * n))
         return total
 
 
 def cubic_model(a: int, b: int, z) -> mp.mpc:
     """Small-z cubic approximation of f_{a,b} with z = -2 pi i tau."""
     z = mp.mpc(z)
-    return (
-        -mp.mpf(1) / 2
-        + mp.mpf(b) / 8 * z
-        + mp.mpf(a * b) / 32 * z ** 2
-        + mp.mpf(b * (6 * a * a - b * b)) / 384 * z ** 3
+    return sum(
+        mp.mpf(c.numerator) / c.denominator * z ** k for k, c in enumerate(false_theta_coeffs(a, b, 3))
     )
 
 

@@ -25,17 +25,18 @@ quickly; relative errors are ordinary mpf values.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 import mpmath as mp
 
-from .bigfloat import LogValue10
+from .bigfloat import DEFAULT_DPS, LogValue10
 from .params import StackParams
 from .qseries import stack_gf
 
-DEFAULT_DPS = 50
+MAX_EXPANSION_TERMS = 16
 
 
 def _saddle_radicand(params: StackParams, n: int) -> Fraction:
@@ -220,57 +221,55 @@ def refined_main_term(params: StackParams, n: int, dps: int = DEFAULT_DPS) -> Re
         )
 
 
-def auluck_main_term(n: int, dps: int = DEFAULT_DPS) -> LogValue10:
-    """Classical leading asymptotic for plain (unrestricted) stacks."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    with mp.workdps(dps):
-        ln = (
-            2 * mp.pi * mp.sqrt(mp.mpf(n) / 3)
-            - mp.log(8 * mp.power(3, mp.mpf(3) / 4))
-            - mp.mpf(5) / 4 * mp.log(n)
-        )
-        return LogValue10.from_ln(ln)
+def false_theta_coeffs(a: int, b: int, max_order: int) -> tuple[Fraction, ...]:
+    """Exact c_0 .. c_max_order of f_{a,b}(e^{-z}) ~ sum_k c_k z^k as z -> 0+.
 
+    Expanding each term (-1)^n e^{-z (a n^2 + b n)/2} in z and Abel-summing the
+    alternating power sums, sum_{n>=1} (-1)^n n^s = -eta(-s), gives
 
-_EXP_COEFFS = (Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-1, 6))
+        c_k = ((-1/2)^k / k!) sum_j C(k, j) a^j b^(k-j) (-eta(-(k+j)))
+
+    with the Dirichlet eta values eta(0) = 1/2 and
+    eta(-s) = (2^(s+1) - 1) B_(s+1) / (s+1) (Lawrence-Zagier 1999).
+    """
+    if max_order < 0:
+        raise ValueError("max_order must be nonnegative")
+    top = 2 * max_order + 1
+    bernoulli = [Fraction(1)]  # sum_{j<=s} C(s+1, j) B_j = 0 for s >= 1
+    for s in range(1, top + 1):
+        bernoulli.append(-sum(math.comb(s + 1, j) * bernoulli[j] for j in range(s)) / (s + 1))
+    eta = [Fraction(1, 2)] + [(2 ** (s + 1) - 1) * bernoulli[s + 1] / (s + 1) for s in range(1, top)]
+    return tuple(
+        -Fraction(-1, 2) ** k / math.factorial(k)
+        * sum(math.comb(k, j) * a ** j * b ** (k - j) * eta[k + j] for j in range(k + 1))
+        for k in range(max_order + 1)
+    )
 
 
 def singular_expansion_coeffs(params: StackParams, max_order: int = 3) -> tuple[Fraction, ...]:
-    """Exact Taylor coefficients alpha_s of L(e^{-z}) at z = 0, s <= 3.
+    """Exact Taylor coefficients alpha_0 .. alpha_max_order of L(e^{-z}) at z = 0.
 
-    Derived by composing the cubic small-z expansion of the false theta series
-    f_{a,b} (a = m, b = -(m+4r)) with the exponential shift e^{-2rz}:
-    L(e^{-z}) = -e^{-2rz} f_{m,-(m+4r)}(e^{-z}).  Only four coefficients of
-    the cubic are available, hence max_order <= 3.
+    L(q) = 1 + f_{m, m-4r}(q), so these are the false theta coefficients with
+    1 added to the constant one; max_order < MAX_EXPANSION_TERMS.
     """
-    if not 0 <= max_order <= 3:
-        raise ValueError("max_order must be between 0 and 3")
-    r, m = params.r, params.m
-    a, b = m, -(m + 4 * r)
-    minus_f = (
-        Fraction(1, 2),
-        -Fraction(b, 8),
-        -Fraction(a * b, 32),
-        -Fraction(b * (6 * a * a - b * b), 384),
-    )
-    shift = tuple(_EXP_COEFFS[i] * (2 * r) ** i for i in range(4))  # e^{-2rz}
-    out = []
-    for s in range(max_order + 1):
-        out.append(sum(shift[i] * minus_f[s - i] for i in range(s + 1)))
-    return tuple(out)
+    if not 0 <= max_order < MAX_EXPANSION_TERMS:
+        raise ValueError(f"max_order must be between 0 and {MAX_EXPANSION_TERMS - 1}")
+    coeffs = false_theta_coeffs(params.m, params.m - 4 * params.r, max_order)
+    return (coeffs[0] + 1,) + coeffs[1:]
 
 
 def asymptotic_sum(
     params: StackParams, n: int, terms: int = 4, dps: int = DEFAULT_DPS
 ) -> LogValue10:
-    """Sum of the first `terms` Bessel-weighted expansion terms.
+    """Sum of the first `terms` Bessel-weighted expansion terms, 1 <= terms <= 16.
 
-    sum_{s < terms} alpha_s (csc(pi r/m)/2) kappa^(s+1) I_{s+1}(2N); with
-    terms = 4 this tracks exact counts to relative O(kappa^4).
+    sum_{s < terms} alpha_s (csc(pi r/m)/2) kappa^(s+1) I_{s+1}(2N).  The
+    expansion is asymptotic: for (1, 3) its relative error at n = 10^4 falls
+    from 2.6e-3 (one term) to 7.6e-24 (sixteen), while at n = 100 it stalls
+    near 4e-5 from five terms on.
     """
-    if not 1 <= terms <= 4:
-        raise ValueError("terms must be between 1 and 4")
+    if not 1 <= terms <= MAX_EXPANSION_TERMS:
+        raise ValueError(f"terms must be between 1 and {MAX_EXPANSION_TERMS}, got {terms}")
     alphas = singular_expansion_coeffs(params, max_order=terms - 1)
     kappa = saddle_point(params, n, dps=dps)
     scale = growth_scale(params, n, dps=dps)

@@ -6,6 +6,8 @@ Subcommands:
     table    exact counts against the asymptotic main term over a range of sizes
     asym     asymptotic estimates (main term, refined term, full expansion) for one size
     verify   numerical verification suites for the analytic machinery
+    profile  integrand magnitude around the saddle circle: major arc and root-of-unity peaks
+    decay    fitted decay rate of the closed-form residual of F, per modulus
 
 Exit codes: 0 success, 1 a verification check failed, 2 invalid input.
 """
@@ -34,6 +36,7 @@ from .analytic import (
     theta_transform_residual,
 )
 from .asymptotics import (
+    MAX_EXPANSION_TERMS,
     ArcContext,
     asymptotic_sum,
     bessel_i,
@@ -46,6 +49,7 @@ from .asymptotics import (
     saddle_point,
     singular_expansion_coeffs,
 )
+from .bigfloat import DEFAULT_DPS
 from .oracle import ENUMERATION_CAP, count_stacks, enumerate_stacks, witnesses_to_json
 from .params import StackParams, Variant
 from .qseries import stack_gf, verify_decomposition
@@ -60,7 +64,7 @@ VERIFY_TARGETS = frozenset(
 def _default_precision() -> int:
     env = os.environ.get("CSTACKS_PRECISION")
     if env is None:
-        return 50
+        return DEFAULT_DPS
     try:
         return int(env)
     except ValueError:
@@ -88,8 +92,16 @@ def _emit(text: str, args: argparse.Namespace) -> None:
         print(text)
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_residue(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("-r", "--r", type=int, default=1, help="residue class of left parts and peak (default 1)")
+
+
+def _add_output(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--output", help="write the result to this file instead of stdout")
+
+
+def _add_common(parser: argparse.ArgumentParser, precision: bool = True) -> None:
+    _add_residue(parser)
     parser.add_argument("-m", "--m", type=int, default=3, help="modulus (default 3)")
     parser.add_argument(
         "--variant",
@@ -97,14 +109,16 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         default="auto",
         help="series variant; auto infers it from whether 2r < m",
     )
-    parser.add_argument(
-        "-P",
-        "--precision",
-        type=int,
-        default=None,
-        help=f"working decimal precision (default env CSTACKS_PRECISION or 50, minimum {MIN_PRECISION})",
-    )
-    parser.add_argument("--output", help="write the result to this file instead of stdout")
+    if precision:
+        parser.add_argument(
+            "-P",
+            "--precision",
+            type=int,
+            default=None,
+            help=f"working decimal precision (default env CSTACKS_PRECISION or {DEFAULT_DPS}, "
+            f"minimum {MIN_PRECISION})",
+        )
+    _add_output(parser)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -144,7 +158,12 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="include the refined term and the multi-term expansion",
     )
-    p_asym.add_argument("--terms", type=int, default=4, help="terms in the full expansion (default 4)")
+    p_asym.add_argument(
+        "--terms",
+        type=int,
+        default=4,
+        help=f"terms in the full expansion (default 4, at most {MAX_EXPANSION_TERMS})",
+    )
     p_asym.add_argument("--exact", action="store_true", help="also compute the exact count for comparison")
     p_asym.add_argument("--format", choices=["text", "json"], default="text")
     p_asym.set_defaults(func=cmd_asym)
@@ -162,6 +181,27 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--rho", type=float, default=0.9, help="major arc fraction for the contour check")
     p_verify.add_argument("--seed", type=int, default=DEFAULT_SEED, help="seed for sampled test points")
     p_verify.set_defaults(func=cmd_verify)
+
+    p_profile = sub.add_parser(
+        "profile", help="integrand magnitude around the saddle circle (runs at 12 digits)"
+    )
+    _add_common(p_profile, precision=False)
+    p_profile.add_argument("-n", "--size", type=int, default=500, help="coefficient index (default 500)")
+    p_profile.add_argument("--rho", type=float, default=0.5, help="major arc half-width in units of kappa (default 0.5)")
+    p_profile.add_argument("--grid", type=int, default=720, help="angular sample count, even (default 720)")
+    p_profile.add_argument("--format", choices=["text", "csv"], default="text", help="csv lists every sample")
+    p_profile.set_defaults(func=cmd_profile)
+
+    p_decay = sub.add_parser("decay", help="decay rate of the closed-form residual of F per modulus")
+    _add_residue(p_decay)
+    p_decay.add_argument("--moduli", default="3,4,5,6,7", help="comma separated moduli (default 3,4,5,6,7)")
+    p_decay.add_argument(
+        "--z-values",
+        default="0.30,0.25,0.20,0.16,0.13,0.10",
+        help="points z of the ray q = e^{-z}; the smallest sets the precision",
+    )
+    _add_output(p_decay)
+    p_decay.set_defaults(func=cmd_decay)
 
     return parser
 
@@ -229,6 +269,8 @@ def cmd_asym(args: argparse.Namespace) -> int:
     n = args.size
     if n < 1:
         raise ValueError("size must be positive")
+    if not 1 <= args.terms <= MAX_EXPANSION_TERMS:
+        raise ValueError(f"--terms must be between 1 and {MAX_EXPANSION_TERMS}, got {args.terms}")
     x = main_term(params, n, dps=dps)
     rows: list[tuple[str, str]] = [("main term", x.format(6))]
     data: dict[str, object] = {
@@ -442,6 +484,53 @@ def cmd_verify(args: argparse.Namespace) -> int:
     text = "\n".join(suite.lines + [f"{suite.failures} failure(s)" if suite.failures else "all checks passed"])
     _emit(text, args)
     return 1 if suite.failures else 0
+
+
+def cmd_profile(args: argparse.Namespace) -> int:
+    params = _resolve_params(args)
+    ctx = ArcContext.build(params, args.size, rho=args.rho, dps=12)
+    profile = circle_profile(ctx, grid=args.grid)
+    if args.format == "csv":
+        _emit(profile.to_csv(), args)
+        return 0
+    kappa = float(ctx.kappa)
+    lines = [
+        f"family {params}, n = {args.size}, kappa = {kappa:.6f}",
+        f"maximum at nu = {profile.argmax_nu:+.4f} "
+        f"(major arc |nu| <= {args.rho * kappa:.4f}: "
+        f"{'inside' if profile.major_arc_contains_max else 'OUTSIDE'})",
+        f"principal log magnitude {profile.principal_log:.3f}",
+    ]
+    for ell, (nu, height) in sorted(profile.root_of_unity_peaks().items()):
+        lines.append(
+            f"  peak near 2 pi {ell}/{params.m}: nu = {nu:+.4f}, "
+            f"log magnitude {height:.3f} ({profile.principal_log - height:.3f} below)"
+        )
+    _emit("\n".join(lines), args)
+    return 0
+
+
+def cmd_decay(args: argparse.Namespace) -> int:
+    try:
+        moduli = [int(v) for v in args.moduli.split(",") if v.strip()]
+        zs = tuple(float(v) for v in args.z_values.split(",") if v.strip())
+    except ValueError:
+        raise ValueError("--moduli and --z-values must be comma separated numbers")
+    lines = [f"{'family':>18}  {'fitted':>10}  {'generic':>10}  {'ratio':>7}  {'points':>6}"]
+    for m in moduli:
+        label = f"(r={args.r}, m={m})"
+        try:
+            params = StackParams.from_residue(args.r, m)
+        except ValueError as exc:
+            lines.append(f"{label:>18}  skipped: {exc}")
+            continue
+        fit = product_decay_fit(params, z_values=zs)
+        lines.append(
+            f"{label:>18}  {fit.slope:>10.4f}  {fit.expected:>10.4f}  "
+            f"{fit.slope / fit.expected:>7.4f}  {len(fit.points):>6}"
+        )
+    _emit("\n".join(lines), args)
+    return 0
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -164,10 +164,3 @@ def witnesses_to_json(witnesses: list[StackWitness]) -> str:
             for w in witnesses
         ]
     )
-
-
-def witnesses_from_json(text: str) -> list[StackWitness]:
-    return [
-        StackWitness(tuple(d["left"]), int(d["peak"]), tuple(d["right"]))
-        for d in json.loads(text)
-    ]

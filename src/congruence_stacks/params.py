@@ -33,8 +33,9 @@ class StackParams:
     variant: Variant = Variant.STANDARD
 
     def __post_init__(self) -> None:
-        if not isinstance(self.r, int) or not isinstance(self.m, int):
-            raise ValueError("r and m must be integers")
+        # bool subclasses int, but True and False are not residues or moduli
+        if not all(isinstance(v, int) and not isinstance(v, bool) for v in (self.r, self.m)):
+            raise ValueError(f"r and m must be integers (not bool), got r={self.r!r}, m={self.m!r}")
         if self.m <= 1:
             raise ValueError(f"modulus m must exceed 1, got m={self.m}")
         if not 0 < self.r < self.m:
@@ -65,10 +66,6 @@ class StackParams:
     def peak(self, k: int) -> int:
         """k-th admissible peak value, k >= 0."""
         return k * self.m + self.r
-
-    def complement(self) -> "StackParams":
-        """The family with the complementary residue m - r (variant flips)."""
-        return StackParams.from_residue(self.m - self.r, self.m)
 
     def __str__(self) -> str:
         return f"(r={self.r}, m={self.m}, {self.variant.value})"

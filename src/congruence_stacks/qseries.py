@@ -19,7 +19,6 @@ residual honestly for any parameters.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -71,17 +70,6 @@ class TruncatedSeries:
         return ((i, c) for i, c in enumerate(self.coeffs) if c != 0)
 
 
-def one(order: int) -> TruncatedSeries:
-    return TruncatedSeries((1,) + (0,) * order)
-
-
-def monomial(exponent: int, order: int, coeff: int = 1) -> TruncatedSeries:
-    c = [0] * (order + 1)
-    if 0 <= exponent <= order:
-        c[exponent] = coeff
-    return TruncatedSeries(tuple(c))
-
-
 def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     """Cauchy product truncated to min(a.order, b.order)."""
     order = min(a.order, b.order)
@@ -92,15 +80,6 @@ def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
                 if bj:
                     out[i + j] += ai * bj
     return TruncatedSeries(tuple(out))
-
-
-def mul_inv_one_minus(a: TruncatedSeries, d: int) -> TruncatedSeries:
-    """Multiply by 1/(1 - q^d) via the running-sum recurrence c[i] += c[i-d]."""
-    if d <= 0:
-        raise ValueError(f"exponent d must be positive, got {d}")
-    c = list(a.coeffs)
-    _inv_one_minus_inplace(c, d, a.order)
-    return TruncatedSeries(tuple(c))
 
 
 def _inv_one_minus_inplace(c: list[int], d: int, hi: int) -> None:
@@ -200,23 +179,6 @@ def _correction_terms(params: StackParams, order: int) -> Iterator[tuple[int, in
         j += 1
 
 
-def correction_support(params: StackParams, order: int) -> tuple[tuple[int, int], ...]:
-    """Sorted (exponent, sign) support of the correction series.
-
-    Exponents where the two term families would collide to a coefficient of
-    absolute value >= 2 raise ValueError; exact cancellations are dropped.
-    """
-    support: dict[int, int] = {}
-    for e, sign in _correction_terms(params, order):
-        support[e] = support.get(e, 0) + sign
-    for e, v in support.items():
-        if abs(v) >= 2:
-            raise ValueError(
-                f"correction terms collide at exponent {e} with coefficient {v} for {params}"
-            )
-    return tuple((e, v) for e, v in sorted(support.items()) if v != 0)
-
-
 @dataclass(frozen=True)
 class DecompositionReport:
     """Residual of S - (F*L + R) through a given order."""
@@ -241,30 +203,6 @@ def verify_decomposition(params: StackParams, order: int) -> DecompositionReport
     mismatches = tuple(i for i, c in residual.nonzero_terms())
     max_abs = max((abs(c) for _, c in residual.nonzero_terms()), default=0)
     return DecompositionReport(params, order, mismatches, max_abs)
-
-
-def series_to_json(params: StackParams, series: TruncatedSeries) -> str:
-    """Serialize with coefficients as decimal strings (arbitrary size)."""
-    payload = {
-        "r": params.r,
-        "m": params.m,
-        "variant": params.variant.value,
-        "order": series.order,
-        "coeffs": [str(c) for c in series.coeffs],
-    }
-    return json.dumps(payload)
-
-
-def series_from_json(text: str) -> tuple[StackParams, TruncatedSeries]:
-    payload = json.loads(text)
-    params = StackParams(int(payload["r"]), int(payload["m"]), Variant(payload["variant"]))
-    coeffs = tuple(int(c) for c in payload["coeffs"])
-    series = TruncatedSeries(coeffs)
-    if series.order != int(payload["order"]):
-        raise ValueError(
-            f"declared order {payload['order']} does not match {len(coeffs) - 1} coefficients"
-        )
-    return params, series
 
 
 def evaluate(series: TruncatedSeries, q):

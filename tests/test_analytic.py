@@ -39,6 +39,12 @@ taus = st.builds(
     st.floats(-0.45, 0.45).map(lambda v: mp.mpf(repr(v))),
     st.floats(0.09, 0.7).map(lambda v: mp.mpf(repr(v))),
 )
+# the whole documented domain: every real part, not only the principal strip
+wide_taus = st.builds(
+    mp.mpc,
+    st.floats(-3, 3).map(lambda v: mp.mpf(repr(v))),
+    st.floats(0.09, 0.7).map(lambda v: mp.mpf(repr(v))),
+)
 ws = st.builds(
     mp.mpc,
     st.floats(-0.5, 0.5).map(lambda v: mp.mpf(repr(v))),
@@ -72,6 +78,20 @@ class TestTheta:
     @settings(max_examples=12, deadline=None)
     def test_oddness_randomized(self, w, tau):
         assert abs(theta_sum(-w, tau, 40) + theta_sum(w, tau, 40)) < mp.mpf("1e-35")
+
+    @given(ws, wide_taus)
+    @settings(max_examples=12, deadline=None)
+    def test_sum_matches_triple_product_off_the_principal_strip(self, w, tau):
+        assert abs(theta_sum(w, tau, 40) - theta_product(w, tau, 40)) < mp.mpf("1e-35")
+
+    @given(ws, wide_taus)
+    @settings(max_examples=12, deadline=None)
+    def test_translation_law(self, w, tau):
+        # theta(w; tau + 1) = e^{pi i/4} theta(w; tau), on both routes
+        with mp.workdps(55):
+            phase = mp.exp(mp.pi * 1j / 4)
+            for theta in (theta_sum, theta_product):
+                assert abs(theta(w, tau + 1, 40) - phase * theta(w, tau, 40)) < mp.mpf("1e-35")
 
 
 class TestEta:
@@ -135,6 +155,21 @@ class TestFalseTheta:
             q = mp.exp(2 * mp.pi * 1j * tau)
             direct = sum((-1) ** n * q ** ((3 * n * n - 7 * n) // 2) for n in range(1, 60))
             assert abs(false_theta(3, -7, tau, 50) - direct) < mp.mpf("1e-40")
+
+    @given(wide_taus)
+    @settings(max_examples=12, deadline=None)
+    def test_theta_four_off_the_principal_strip(self, tau):
+        # f_{1,0}(tau) = (theta_4(0 | e^{pi i tau}) - 1)/2, nome built from tau itself
+        with mp.workdps(55):
+            expected = (mp.jtheta(4, 0, mp.exp(mp.pi * 1j * tau)) - 1) / 2
+            assert abs(false_theta(1, 0, tau, 40) - expected) < mp.mpf("1e-35")
+
+    @given(st.sampled_from([(3, -7), (4, -8), (1, 0), (5, -9)]), wide_taus)
+    @settings(max_examples=12, deadline=None)
+    def test_period_two(self, ab, tau):
+        a, b = ab
+        with mp.workdps(55):
+            assert abs(false_theta(a, b, tau + 2, 40) - false_theta(a, b, tau, 40)) < mp.mpf("1e-35")
 
     def test_nonpositive_first_index_rejected(self):
         with pytest.raises(ValueError):

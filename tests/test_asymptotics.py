@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from congruence_stacks.analytic import false_theta
 from congruence_stacks.asymptotics import (
+    MAX_EXPANSION_TERMS,
     ArcContext,
     asymptotic_sum,
-    auluck_main_term,
     bessel_i,
     comparison_table,
+    false_theta_coeffs,
     growth_scale,
     main_term,
     records_to_csv,
@@ -19,7 +21,6 @@ from congruence_stacks.asymptotics import (
     saddle_point,
     singular_expansion_coeffs,
 )
-from congruence_stacks.oracle import count_stacks
 from congruence_stacks.params import StackParams
 from congruence_stacks.qseries import stack_gf
 
@@ -151,11 +152,30 @@ class TestRefined:
             refined_main_term(P13, 1)
 
 
-class TestAuluck:
-    def test_within_ten_percent_at_2000(self):
-        exact = count_stacks(2000)
-        rel = abs(auluck_main_term(2000).relative_error_against(exact))
-        assert rel < mp.mpf("0.1")
+class TestFalseThetaCoefficients:
+    @pytest.mark.parametrize("a,b", [(3, -7), (4, -8), (5, -9), (7, -19), (3, -1)])
+    def test_first_four_match_closed_forms(self, a, b):
+        assert false_theta_coeffs(a, b, 3) == (
+            Fraction(-1, 2),
+            Fraction(b, 8),
+            Fraction(a * b, 32),
+            Fraction(b * (6 * a * a - b * b), 384),
+        )
+
+    @pytest.mark.parametrize("order", [3, 5, 7])
+    def test_truncation_error_has_the_next_order(self, order):
+        # halving z must divide the error of the order-K model by about 2^(K+1)
+        coeffs = false_theta_coeffs(3, -7, order)
+        errors = []
+        with mp.workdps(60):
+            for z in (mp.mpf("0.02"), mp.mpf("0.01")):
+                model = sum(mp.mpf(c.numerator) / c.denominator * z ** k for k, c in enumerate(coeffs))
+                errors.append(abs(false_theta(3, -7, 1j * z / (2 * mp.pi), 50) - model))
+        assert 2 ** order <= errors[0] / errors[1] <= 2 ** (order + 2)
+
+    def test_negative_order_rejected(self):
+        with pytest.raises(ValueError):
+            false_theta_coeffs(3, -7, -1)
 
 
 class TestExpansionCoefficients:
@@ -184,6 +204,9 @@ class TestExpansionCoefficients:
 
     def test_max_order_respected(self):
         assert len(singular_expansion_coeffs(P13, max_order=1)) == 2
+        assert len(singular_expansion_coeffs(P13, max_order=MAX_EXPANSION_TERMS - 1)) == MAX_EXPANSION_TERMS
+        with pytest.raises(ValueError):
+            singular_expansion_coeffs(P13, max_order=MAX_EXPANSION_TERMS)
 
 
 class TestAsymptoticSum:
@@ -208,8 +231,14 @@ class TestAsymptoticSum:
     def test_terms_validated(self):
         with pytest.raises(ValueError):
             asymptotic_sum(P13, 100, terms=0)
-        with pytest.raises(ValueError):
-            asymptotic_sum(P13, 100, terms=9)
+        with pytest.raises(ValueError, match="between 1 and 16"):
+            asymptotic_sum(P13, 100, terms=MAX_EXPANSION_TERMS + 1)
+
+    def test_error_falls_with_every_term_at_1000(self):
+        exact = stack_gf(P13, 1000)[1000]
+        errors = [abs(asymptotic_sum(P13, 1000, terms=k).relative_error_against(exact)) for k in range(1, 13)]
+        assert all(a > b for a, b in zip(errors, errors[1:]))
+        assert errors[-1] < mp.mpf("1e-13")
 
 
 class TestComparisonTable:

@@ -99,6 +99,14 @@ class TestAsym:
         assert payload["expansion_coefficients"] == ["1/2", "-1/8", "-3/32", "-53/384"]
         assert float(payload["expansion_relative_error"]) < 1e-5
 
+    def test_terms_bound(self, capsys):
+        code, _, err = run(capsys, "asym", "-n", "1000", "--full", "--terms", "17")
+        assert code == 2
+        assert "between 1 and 16" in err
+        code, out, _ = run(capsys, "asym", "-n", "1000", "--full", "--terms", "8")
+        assert code == 0
+        assert "expansion (8 terms)" in out
+
     def test_precision_floor_exit_2(self, capsys):
         code, _, err = run(capsys, "asym", "-n", "100", "-P", "10")
         assert code == 2
@@ -149,6 +157,60 @@ class TestVerify:
         code2, out2, _ = run(capsys, "verify", "theta", "--seed", "2")
         assert code1 == code2 == 0
         assert out1 != out2  # measured residuals move with the sample points
+
+
+class TestProfile:
+    def test_small_profile(self, capsys):
+        code, out, _ = run(capsys, "profile", "-n", "50", "--grid", "72")
+        assert code == 0
+        assert out.splitlines() == [
+            "family (r=1, m=3, standard), n = 50, kappa = 0.147973",
+            "maximum at nu = +0.0000 (major arc |nu| <= 0.0740: inside)",
+            "principal log magnitude 13.536",
+            "  peak near 2 pi 1/3: nu = +2.4435, log magnitude 7.852 (5.685 below)",
+            "  peak near 2 pi 2/3: nu = -2.4435, log magnitude 7.852 (5.685 below)",
+        ]
+
+    def test_csv(self, capsys):
+        code, out, _ = run(capsys, "profile", "-n", "50", "--grid", "72", "--format", "csv")
+        lines = out.strip().splitlines()
+        assert code == 0
+        assert lines[0] == "nu,log_magnitude"
+        assert len(lines) == 74
+
+    def test_odd_grid_exit_2(self, capsys):
+        code, _, err = run(capsys, "profile", "-n", "50", "--grid", "73")
+        assert code == 2
+        assert "grid must be even" in err
+
+    def test_takes_no_precision(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["profile", "-P", "40"])
+        assert exc.value.code == 2
+
+
+class TestDecay:
+    def test_default_moduli(self, capsys):
+        code, out, _ = run(capsys, "decay")
+        assert code == 0
+        assert out.splitlines() == [
+            "            family      fitted     generic    ratio  points",
+            "        (r=1, m=3)    -13.1595    -13.1595   1.0000       6",
+            "        (r=1, m=4)    -19.7392     -9.8696   2.0000       6",
+            "        (r=1, m=5)     -7.8957     -7.8957   1.0000       6",
+            "        (r=1, m=6)     -6.5797     -6.5797   1.0000       6",
+            "        (r=1, m=7)     -5.6398     -5.6398   1.0000       6",
+        ]
+
+    def test_invalid_modulus_skipped(self, capsys):
+        code, out, _ = run(capsys, "decay", "-r", "2", "--moduli", "3,4", "--z-values", "0.3,0.2")
+        assert code == 0
+        assert "(r=2, m=4)  skipped: r and m must be coprime" in out
+
+    def test_bad_list_exit_2(self, capsys):
+        code, _, err = run(capsys, "decay", "--moduli", "3,x")
+        assert code == 2
+        assert "comma separated" in err
 
 
 def test_version(capsys):

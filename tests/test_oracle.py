@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,7 +9,6 @@ from congruence_stacks.oracle import (
     StackWitness,
     count_stacks,
     enumerate_stacks,
-    witnesses_from_json,
     witnesses_to_json,
 )
 from congruence_stacks.params import StackParams, Variant
@@ -113,7 +114,8 @@ class TestEnumerationLimits:
 class TestWitnessSerialization:
     def test_roundtrip(self):
         ws = enumerate_stacks(9, P13)
-        assert witnesses_from_json(witnesses_to_json(ws)) == ws
+        rows = json.loads(witnesses_to_json(ws))
+        assert [StackWitness(tuple(d["left"]), d["peak"], tuple(d["right"])) for d in rows] == ws
 
 
 @given(st.integers(1, 18))

@@ -34,13 +34,6 @@ def test_peak_values():
     assert [g.peak(k) for k in range(3)] == [3, 7, 11]
 
 
-def test_complement_flips_variant():
-    p = StackParams(1, 3)
-    c = p.complement()
-    assert c.r == 2 and c.m == 3 and c.variant is Variant.GAP
-    assert c.complement() == p
-
-
 @pytest.mark.parametrize(
     "r,m",
     [(2, 4), (3, 6), (0, 3), (3, 3), (5, 3), (-1, 3), (1, 1), (1, 0), (1, 2)],
@@ -64,6 +57,15 @@ def test_non_integer_rejected():
         StackParams(1, "3")
 
 
+@pytest.mark.parametrize("r,m", [(True, 3), (1, True), (False, 3)])
+def test_bool_rejected(r, m):
+    # bool subclasses int, so True would otherwise pass as the residue 1
+    with pytest.raises(ValueError, match="not bool"):
+        StackParams(r, m)
+    with pytest.raises(ValueError, match="not bool"):
+        StackParams.from_residue(r, m)
+
+
 @given(st.integers(2, 60), st.integers(1, 59))
 def test_from_residue_consistency(m, r):
     # 2r = m occurs only at (1, 2) under coprimality and admits no variant
@@ -73,7 +75,4 @@ def test_from_residue_consistency(m, r):
         return
     p = StackParams.from_residue(r, m)
     assert p.variant is (Variant.STANDARD if 2 * r < m else Variant.GAP)
-    c = p.complement()
-    assert c.r + p.r == m
-    assert c.variant is not p.variant
     assert all(p.peak(k) % m == r % m for k in range(5))
