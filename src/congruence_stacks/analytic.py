@@ -41,6 +41,34 @@ def _require_upper_half(tau) -> None:
         raise ValueError(f"tau must lie in the upper half plane, got {tau}")
 
 
+def _pochhammer(a, q, count: int, acc=1):
+    """acc * prod_{k < count} (1 - a q^k): the one product loop of this module."""
+    for _ in range(count):
+        acc *= 1 - a
+        a *= q
+    return acc
+
+
+def _factor_count(y, digits: int, slack=0) -> int:
+    """Smallest K with e^slack |q|^K / (1 - |q|) <= 10^-digits, |q| = e^{-2 pi y}.
+
+    When the k-th factor of a product deviates from 1 by at most
+    e^slack |q|^k, the factors from K on move it by a relative 10^-digits at
+    most; the same bound caps the tail of a series with terms of size |q|^k.
+    """
+    t = 2 * mp.pi * y
+    return int(mp.ceil((digits * mp.log(10) + slack - mp.log(-mp.expm1(-t))) / t))
+
+
+def _reciprocal_f(params: StackParams, q, top: int):
+    """(q^r; q^m)(q^{m-r}; q^m) over the exponents up to top."""
+    qm = q ** params.m
+    prod = 1
+    for start in (params.r, params.m - params.r):
+        prod = _pochhammer(q ** start, qm, (top - start) // params.m + 1, prod)
+    return prod
+
+
 def theta_sum(w, tau, dps: int = DEFAULT_DPS) -> mp.mpc:
     """Jacobi theta as a half-integer index sum.
 
@@ -63,7 +91,7 @@ def theta_sum(w, tau, dps: int = DEFAULT_DPS) -> mp.mpc:
         return total
 
 
-def theta_product(w, tau, dps: int = DEFAULT_DPS, trunc: int | None = None) -> mp.mpc:
+def theta_product(w, tau, dps: int = DEFAULT_DPS) -> mp.mpc:
     """Jacobi theta via the triple product
 
     -i q^{1/8} e^{-pi i w} (q; q)_inf (e^{2 pi i w}; q)_inf (e^{-2 pi i w} q; q)_inf.
@@ -72,19 +100,13 @@ def theta_product(w, tau, dps: int = DEFAULT_DPS, trunc: int | None = None) -> m
         w = mp.mpc(w)
         tau = mp.mpc(tau)
         _require_upper_half(tau)
-        y = mp.im(tau)
-        if trunc is None:
-            # factor k deviates from 1 by at most e^{2 pi |Im w|} |q|^k
-            target = (dps + GUARD) * mp.log(10) + 2 * mp.pi * abs(mp.im(w)) - mp.log(1 - mp.exp(-2 * mp.pi * y))
-            trunc = int(mp.ceil(target / (2 * mp.pi * y))) + 2
+        # factor k deviates from 1 by at most e^{2 pi |Im w|} |q|^k
+        count = _factor_count(mp.im(tau), dps + GUARD, slack=2 * mp.pi * abs(mp.im(w)))
         q = mp.exp(2 * mp.pi * 1j * tau)
         zp = mp.exp(2 * mp.pi * 1j * w)
-        zm = mp.exp(-2 * mp.pi * 1j * w)
-        prod = 1 - zp
-        qk = mp.mpc(1)
-        for _ in range(1, trunc + 1):
-            qk *= q
-            prod *= (1 - qk) * (1 - zp * qk) * (1 - zm * qk)
+        prod = _pochhammer(q, q, count)
+        prod = _pochhammer(zp, q, count + 1, prod)
+        prod = _pochhammer(q / zp, q, count, prod)
         return -1j * mp.exp(mp.pi * 1j * (tau / 4 - w)) * prod
 
 
@@ -106,21 +128,12 @@ def theta_transform_residual(w, tau, dps: int = DEFAULT_DPS) -> mp.mpf:
         return diff / scale
 
 
-def dedekind_eta(tau, dps: int = DEFAULT_DPS, trunc: int | None = None) -> mp.mpc:
+def dedekind_eta(tau, dps: int = DEFAULT_DPS) -> mp.mpc:
     with mp.workdps(dps + GUARD):
         tau = mp.mpc(tau)
         _require_upper_half(tau)
-        y = mp.im(tau)
-        if trunc is None:
-            target = (dps + GUARD) * mp.log(10) - mp.log(1 - mp.exp(-2 * mp.pi * y))
-            trunc = int(mp.ceil(target / (2 * mp.pi * y))) + 2
         q = mp.exp(2 * mp.pi * 1j * tau)
-        prod = mp.mpc(1)
-        qk = mp.mpc(1)
-        for _ in range(1, trunc + 1):
-            qk *= q
-            prod *= 1 - qk
-        return mp.exp(mp.pi * 1j * tau / 12) * prod
+        return mp.exp(mp.pi * 1j * tau / 12) * _pochhammer(q, q, _factor_count(mp.im(tau), dps + GUARD))
 
 
 def eta_inversion_residual(tau, dps: int = DEFAULT_DPS) -> mp.mpf:
@@ -133,26 +146,13 @@ def eta_inversion_residual(tau, dps: int = DEFAULT_DPS) -> mp.mpf:
         return abs(lhs - rhs) / abs(rhs)
 
 
-def congruence_product(params: StackParams, tau, dps: int = DEFAULT_DPS, trunc: int | None = None) -> mp.mpc:
+def congruence_product(params: StackParams, tau, dps: int = DEFAULT_DPS) -> mp.mpc:
     """F(tau): inverse product over exponents congruent to r and m - r mod m."""
     with mp.workdps(dps + GUARD):
         tau = mp.mpc(tau)
         _require_upper_half(tau)
-        y = mp.im(tau)
-        if trunc is None:
-            target = (dps + GUARD) * mp.log(10) - mp.log(1 - mp.exp(-2 * mp.pi * y))
-            trunc = int(mp.ceil(target / (2 * mp.pi * y))) + params.m
         q = mp.exp(2 * mp.pi * 1j * tau)
-        prod = mp.mpc(1)
-        for start in (params.r, params.m - params.r):
-            e = start
-            qe = mp.power(q, start)
-            qm = mp.power(q, params.m)
-            while e <= trunc:
-                prod *= 1 - qe
-                qe *= qm
-                e += params.m
-        return 1 / prod
+        return 1 / _reciprocal_f(params, q, _factor_count(mp.im(tau), dps + GUARD))
 
 
 def congruence_product_main(params: StackParams, tau, dps: int = DEFAULT_DPS) -> mp.mpc:
@@ -321,9 +321,7 @@ def false_theta_series_residual(params: StackParams, tau, dps: int = DEFAULT_DPS
         via_false_theta = -mp.power(q, 2 * params.r) * false_theta(
             params.m, -(params.m + 4 * params.r), tau, dps=dps
         )
-        y = mp.im(tau)
-        order = int(mp.ceil((dps + GUARD) * mp.log(10) / (2 * mp.pi * y))) + 1
-        series = false_theta_gf(params, order)
+        series = false_theta_gf(params, _factor_count(mp.im(tau), dps + GUARD))
         direct = mp.mpc(0)
         for e, sign in series.nonzero_terms():
             direct += sign * mp.power(q, e)
@@ -458,22 +456,13 @@ def circle_profile(ctx: ArcContext, grid: int = 720) -> CircleProfile:
     params, n = ctx.params, ctx.n
     with mp.workdps(ctx.dps + 5):
         kappa = +ctx.kappa
-        cutoff = int((ctx.dps + 5) * mp.log(10) / kappa) + params.m
-        l_terms = list(false_theta_gf(params, cutoff + 1).nonzero_terms())
+        top = _factor_count(kappa / (2 * mp.pi), ctx.dps + 5)
+        l_terms = list(false_theta_gf(params, top).nonzero_terms())
         nus: list[float] = []
         logs: list[float] = []
         for j in range(grid + 1):
             nu = -mp.pi + 2 * mp.pi * j / grid
             q = mp.exp(mp.mpc(-kappa, nu))
-            log_f = mp.mpf(0)
-            for start in (params.r, params.m - params.r):
-                e = start
-                qe = mp.power(q, start)
-                qm = mp.power(q, params.m)
-                while e <= cutoff:
-                    log_f -= mp.log(abs(1 - qe))
-                    qe *= qm
-                    e += params.m
             l_val = mp.mpc(0)
             for e, sign in l_terms:
                 l_val += sign * mp.power(q, e)
@@ -481,7 +470,7 @@ def circle_profile(ctx: ArcContext, grid: int = 720) -> CircleProfile:
             if mag == 0:
                 logs.append(float("-inf"))
             else:
-                logs.append(float(log_f + mp.log(mag) + n * kappa))
+                logs.append(float(mp.log(mag / abs(_reciprocal_f(params, q, top))) + n * kappa))
             nus.append(float(nu))
     return CircleProfile(
         params=params,

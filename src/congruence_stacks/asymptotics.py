@@ -326,32 +326,21 @@ def comparison_table(
     return records
 
 
-CSV_HEADER = "n,exact,asymptotic_mantissa,asymptotic_exp10,relative_error"
+_RECORD_FIELDS = ("n", "exact", "asymptotic_mantissa", "asymptotic_exp10", "relative_error")
+
+
+def _record_row(rec: ComparisonRecord, digits: int) -> tuple:
+    """One record's values in _RECORD_FIELDS order."""
+    mant, e = rec.estimate.decompose()
+    return rec.n, str(rec.exact), mp.nstr(mant, digits, strip_zeros=False), e, mp.nstr(rec.relative_error, digits)
 
 
 def records_to_csv(records: Iterable[ComparisonRecord], digits: int = 10) -> str:
     """CSV rows with exact counts as decimal strings and a mantissa/exponent split."""
-    lines = [CSV_HEADER]
-    for rec in records:
-        mant, e = rec.estimate.decompose()
-        lines.append(
-            f"{rec.n},{rec.exact},{mp.nstr(mant, digits, strip_zeros=False)},{e},"
-            f"{mp.nstr(rec.relative_error, digits)}"
-        )
+    lines = [",".join(_RECORD_FIELDS)]
+    lines += [",".join(map(str, _record_row(rec, digits))) for rec in records]
     return "\n".join(lines) + "\n"
 
 
 def records_to_json(records: Iterable[ComparisonRecord], digits: int = 10) -> str:
-    rows = []
-    for rec in records:
-        mant, e = rec.estimate.decompose()
-        rows.append(
-            {
-                "n": rec.n,
-                "exact": str(rec.exact),
-                "asymptotic_mantissa": mp.nstr(mant, digits, strip_zeros=False),
-                "asymptotic_exp10": e,
-                "relative_error": mp.nstr(rec.relative_error, digits),
-            }
-        )
-    return json.dumps(rows)
+    return json.dumps([dict(zip(_RECORD_FIELDS, _record_row(rec, digits))) for rec in records])

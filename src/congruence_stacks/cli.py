@@ -24,6 +24,7 @@ import mpmath as mp
 
 from . import __version__
 from .analytic import (
+    GUARD,
     circle_profile,
     cubic_remainder_check,
     dedekind_eta,
@@ -400,7 +401,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         for _ in range(4):
             worst = max(worst, eta_inversion_residual(_sample_tau(rng), dps))
         suite.check("eta inversion (4 samples)", worst, tol)
-        with mp.workdps(dps + 15):
+        with mp.workdps(dps + GUARD):
             special = abs(
                 dedekind_eta(mp.mpc(0, 1), dps) - mp.gamma(mp.mpf(1) / 4) / (2 * mp.pi ** mp.mpf("0.75"))
             )
@@ -433,14 +434,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
         for order in range(4):
             for x in ("0.5", "3", "12", "30"):
                 xv = mp.mpf(x)
-                with mp.workdps(dps + 15):
+                with mp.workdps(dps + GUARD):
                     ref = mp.besseli(order, xv)
                     worst_series = max(worst_series, abs(bessel_i(order, xv, dps=dps) / ref - 1))
         suite.check("modified bessel series vs reference (orders 0..3)", worst_series, mp.mpf(10) ** (-(dps - 10)))
         worst_hankel = mp.mpf(0)
         for order in range(4):
             xv = mp.mpf(30)
-            with mp.workdps(dps + 15):
+            with mp.workdps(dps + GUARD):
                 a_val = bessel_i(order, xv, method="hankel", dps=dps)
                 s_val = bessel_i(order, xv, method="series", dps=dps)
                 worst_hankel = max(worst_hankel, abs(a_val / s_val - 1))
@@ -450,7 +451,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         ctx = ArcContext.build(params, args.size, rho=args.rho, dps=dps)
         h0 = major_arc_integral(ctx, s=0)
         refined = refined_main_term(params, args.size, dps=dps)
-        with mp.workdps(dps + 15):
+        with mp.workdps(dps + GUARD):
             bessel_value = mp.exp(refined.bessel_form.ln_value)
             gap = abs(h0 / bessel_value - 1)
         suite.check(

@@ -108,6 +108,16 @@ class TestEta:
     def test_inversion_randomized(self, tau):
         assert eta_inversion_residual(tau, 40) < mp.mpf("1e-35")
 
+    @pytest.mark.parametrize("tau", [mp.mpc(0, "0.01"), mp.mpc("0.37", "0.01")])
+    def test_truncation_near_the_real_axis(self, tau):
+        # the sampled tests stay at Im tau >= 0.08; here the product needs
+        # thousands of factors and the cutoff must still follow dps
+        low, high = dedekind_eta(tau, 30), dedekind_eta(tau, 60)
+        with mp.workdps(60):
+            assert abs(low / high - 1) < mp.mpf("1e-30")
+        # eta(-1/tau) lies far from the axis, an independent reference
+        assert eta_inversion_residual(tau, 60) < mp.mpf("1e-55")
+
 
 class TestCongruenceProduct:
     def test_matches_series_coefficients(self):
@@ -119,6 +129,15 @@ class TestCongruenceProduct:
             series = congruence_partition_gf(P13, 220)
             direct = evaluate(series, q)
             assert abs(congruence_product(P13, tau, 50) - direct) < mp.mpf("1e-40")
+
+    @pytest.mark.parametrize("params", [P13, P14, P15])
+    def test_truncation_near_the_real_axis(self, params):
+        for tau in (mp.mpc(0, "0.01"), mp.mpc("0.37", "0.01")):
+            low, high = congruence_product(params, tau, 30), congruence_product(params, tau, 60)
+            with mp.workdps(60):
+                assert abs(low / high - 1) < mp.mpf("1e-30")
+        # on the imaginary axis the closed form is within ~e^{-4 pi^2/(m z)} < 1e-54 of F
+        assert product_residual(params, mp.mpc(0, "0.01"), 60) < mp.mpf("1e-50")
 
     def test_residual_decays_along_imaginary_ray(self):
         with mp.workdps(80):
@@ -255,6 +274,18 @@ class TestCircleProfile:
         assert set(peaks) == {1, 2}
         for nu, height in peaks.values():
             assert height < profile.principal_log - 1
+
+    def test_log_magnitudes_match_the_mpmath_kernels(self):
+        # grid 72 puts nu = -pi, -pi/3 and 0 on index 0, 24 and 36; 7 is generic
+        n = 200
+        prof = circle_profile(ArcContext.build(P13, n, rho=0.5, dps=12), grid=72)
+        for j in (0, 24, 36, 7):
+            with mp.workdps(30):
+                tau = mp.mpc(prof.nus[j], prof.kappa) / (2 * mp.pi)
+                q = mp.exp(2 * mp.pi * 1j * tau)
+                l_val = -q ** (2 * P13.r) * false_theta(P13.m, -(P13.m + 4 * P13.r), tau, 30)
+                expected = mp.log(abs(congruence_product(P13, tau, 30) * l_val)) + n * mp.mpf(prof.kappa)
+            assert abs(prof.log_magnitudes[j] - expected) < 1e-9
 
     def test_csv_output(self, profile):
         lines = profile.to_csv().strip().splitlines()
