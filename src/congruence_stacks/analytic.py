@@ -16,11 +16,13 @@ computation inside a single mpmath context with guard digits, including the
 construction of derived points like -1/tau.  Truncation cutoffs are derived
 from the requested precision: Gaussian tail bounds for theta sums, geometric
 bounds for the products.  Residual checks return mpf values; fits and profile
-reports come back as small dataclasses.
+reports come back as small dataclasses.  The one exception is circle_profile,
+which wants a float log magnitude and computes it in doubles.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -34,6 +36,7 @@ from .params import StackParams
 from .qseries import false_theta_gf
 
 GUARD = 15
+PEAK_HALFWIDTH = 0.35  # half-width in nu of the window searched for each root-of-unity peak
 
 
 def _require_upper_half(tau) -> None:
@@ -58,15 +61,6 @@ def _factor_count(y, digits: int, slack=0) -> int:
     """
     t = 2 * mp.pi * y
     return int(mp.ceil((digits * mp.log(10) + slack - mp.log(-mp.expm1(-t))) / t))
-
-
-def _reciprocal_f(params: StackParams, q, top: int):
-    """(q^r; q^m)(q^{m-r}; q^m) over the exponents up to top."""
-    qm = q ** params.m
-    prod = 1
-    for start in (params.r, params.m - params.r):
-        prod = _pochhammer(q ** start, qm, (top - start) // params.m + 1, prod)
-    return prod
 
 
 def theta_sum(w, tau, dps: int = DEFAULT_DPS) -> mp.mpc:
@@ -152,7 +146,12 @@ def congruence_product(params: StackParams, tau, dps: int = DEFAULT_DPS) -> mp.m
         tau = mp.mpc(tau)
         _require_upper_half(tau)
         q = mp.exp(2 * mp.pi * 1j * tau)
-        return 1 / _reciprocal_f(params, q, _factor_count(mp.im(tau), dps + GUARD))
+        top = _factor_count(mp.im(tau), dps + GUARD)
+        qm = q ** params.m
+        prod = 1
+        for start in (params.r, params.m - params.r):
+            prod = _pochhammer(q ** start, qm, (top - start) // params.m + 1, prod)
+        return 1 / prod
 
 
 def congruence_product_main(params: StackParams, tau, dps: int = DEFAULT_DPS) -> mp.mpc:
@@ -416,25 +415,35 @@ class CircleProfile:
     def major_arc_contains_max(self) -> bool:
         return abs(self.argmax_nu) <= self.rho * self.kappa
 
+    def _window_argmax(self, center: float, halfwidth: float) -> int:
+        inside = [j for j, nu in enumerate(self.nus) if abs(nu - center) <= halfwidth]
+        if not inside:
+            raise ValueError(f"window around {center} contains no grid points")
+        return max(inside, key=self.log_magnitudes.__getitem__)
+
     def window_max(self, center: float, halfwidth: float) -> tuple[float, float]:
         """(nu, log magnitude) of the sampled maximum within the window."""
-        pairs = [
-            (nu, val)
-            for nu, val in zip(self.nus, self.log_magnitudes)
-            if abs(nu - center) <= halfwidth
-        ]
-        if not pairs:
-            raise ValueError(f"window around {center} contains no grid points")
-        return max(pairs, key=lambda t: t[1])
+        j = self._window_argmax(center, halfwidth)
+        return self.nus[j], self.log_magnitudes[j]
 
-    def root_of_unity_peaks(self, halfwidth: float = 0.35) -> dict[int, tuple[float, float]]:
-        """Sampled peak near nu = 2 pi l / m for each l = 1 .. m - 1."""
+    def root_of_unity_peaks(self, halfwidth: float = PEAK_HALFWIDTH) -> dict[int, tuple[float, float]]:
+        """Sampled peak near nu = 2 pi l / m for each l = 1 .. m - 1 that has one.
+
+        A window's maximum is a peak only when no grid neighbour, across the
+        seam nu = -pi = pi too, is higher; otherwise l is left out.
+        """
+        vals = self.log_magnitudes
+        last = len(vals) - 1
         out = {}
         for ell in range(1, self.params.m):
             center = 2 * math.pi * ell / self.params.m
             if center > math.pi:
                 center -= 2 * math.pi
-            out[ell] = self.window_max(center, halfwidth)
+            j = self._window_argmax(center, halfwidth)
+            left = vals[j - 1] if j > 0 else vals[last - 1]
+            right = vals[j + 1] if j < last else vals[1]
+            if vals[j] >= max(left, right):
+                out[ell] = (self.nus[j], vals[j])
         return out
 
     def to_csv(self) -> str:
@@ -445,38 +454,25 @@ class CircleProfile:
 
 
 def circle_profile(ctx: ArcContext, grid: int = 720) -> CircleProfile:
-    """Sample log |F L q^{-n}| at grid+1 angles nu = -pi + 2 pi j/grid.
+    """Sample log |F L q^{-n}| in doubles at grid+1 angles nu = pi (2j - grid)/grid.
 
-    grid must be even so nu = 0 is sampled exactly.  Work happens at
-    ctx.dps, which for profile purposes can sit well below the default
-    verification precision.
+    grid must be even so nu = 0 is sampled exactly.  The result does not
+    depend on ctx.dps.  log |F| is summed factor by factor, because |F|
+    itself leaves double range once n reaches a few 10^5.
     """
     if grid < 8 or grid % 2:
         raise ValueError("grid must be even and at least 8")
-    params, n = ctx.params, ctx.n
-    with mp.workdps(ctx.dps + 5):
-        kappa = +ctx.kappa
-        top = _factor_count(kappa / (2 * mp.pi), ctx.dps + 5)
-        l_terms = list(false_theta_gf(params, top).nonzero_terms())
-        nus: list[float] = []
-        logs: list[float] = []
-        for j in range(grid + 1):
-            nu = -mp.pi + 2 * mp.pi * j / grid
-            q = mp.exp(mp.mpc(-kappa, nu))
-            l_val = mp.mpc(0)
-            for e, sign in l_terms:
-                l_val += sign * mp.power(q, e)
-            mag = abs(l_val)
-            if mag == 0:
-                logs.append(float("-inf"))
-            else:
-                logs.append(float(mp.log(mag / abs(_reciprocal_f(params, q, top))) + n * kappa))
-            nus.append(float(nu))
-    return CircleProfile(
-        params=params,
-        n=n,
-        kappa=float(kappa),
-        rho=ctx.rho,
-        nus=tuple(nus),
-        log_magnitudes=tuple(logs),
-    )
+    params, n, kappa = ctx.params, ctx.n, float(ctx.kappa)
+    top = _factor_count(kappa / (2 * math.pi), 17)  # the dropped tail sits below a double's rounding
+    l_terms = list(false_theta_gf(params, top).nonzero_terms())
+    f_exponents = [e for start in (params.r, params.m - params.r) for e in range(start, top + 1, params.m)]
+    # |1 - e^{a + ib}| = hypot(expm1(a), 2 e^{a/2} sin(b/2)) keeps every digit near q = 1
+    f_factors = [(e, math.expm1(-e * kappa), 2 * math.exp(-e * kappa / 2)) for e in f_exponents]
+    nus = [math.pi * (2 * j - grid) / grid for j in range(grid + 1)]
+    logs = []
+    for nu in nus:
+        z = complex(-kappa, nu)
+        mag = abs(sum(sign * cmath.exp(e * z) for e, sign in l_terms))
+        log_f = -math.fsum(math.log(math.hypot(d, s * math.sin(e * nu / 2))) for e, d, s in f_factors)
+        logs.append(math.log(mag) + log_f + n * kappa if mag else -math.inf)
+    return CircleProfile(params, n, kappa, ctx.rho, tuple(nus), tuple(logs))

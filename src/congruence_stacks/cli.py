@@ -25,6 +25,7 @@ import mpmath as mp
 from . import __version__
 from .analytic import (
     GUARD,
+    PEAK_HALFWIDTH,
     circle_profile,
     cubic_remainder_check,
     dedekind_eta,
@@ -183,9 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--seed", type=int, default=DEFAULT_SEED, help="seed for sampled test points")
     p_verify.set_defaults(func=cmd_verify)
 
-    p_profile = sub.add_parser(
-        "profile", help="integrand magnitude around the saddle circle (runs at 12 digits)"
-    )
+    p_profile = sub.add_parser("profile", help="integrand magnitude around the saddle circle")
     _add_common(p_profile, precision=False)
     p_profile.add_argument("-n", "--size", type=int, default=500, help="coefficient index (default 500)")
     p_profile.add_argument("--rho", type=float, default=0.5, help="major arc half-width in units of kappa (default 0.5)")
@@ -212,10 +211,9 @@ def cmd_count(args: argparse.Namespace) -> int:
     n = args.size
     if n < 0:
         raise ValueError("size must be nonnegative")
+    # enumerate first: past ENUMERATION_CAP it refuses before the count is paid for
+    witnesses = enumerate_stacks(n, params) if args.witnesses else None
     count = count_stacks(n, params)
-    witnesses = None
-    if args.witnesses:
-        witnesses = enumerate_stacks(n, params)
     if args.format == "json":
         payload = {
             "r": params.r,
@@ -330,14 +328,10 @@ class _Suite:
         self.failures = 0
 
     def check(self, name: str, measured, tolerance, detail: str = "") -> None:
-        ok = measured <= tolerance
-        if not ok:
-            self.failures += 1
-        status = "PASS" if ok else "FAIL"
-        extra = f"  ({detail})" if detail else ""
-        self.lines.append(
-            f"{status}  {name}: measured {mp.nstr(mp.mpf(measured), 4)}"
-            f" vs tolerance {mp.nstr(mp.mpf(tolerance), 4)}{extra}"
+        self.check_flag(
+            f"{name}: measured {mp.nstr(mp.mpf(measured), 4)} vs tolerance {mp.nstr(mp.mpf(tolerance), 4)}",
+            measured <= tolerance,
+            detail,
         )
 
     def check_flag(self, name: str, ok: bool, detail: str = "") -> None:
@@ -459,7 +453,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             gap,
             mp.mpf("1e-3"),
         )
-        prof = circle_profile(ArcContext.build(params, args.size, rho=args.rho, dps=12), grid=720)
+        prof = circle_profile(ctx, grid=720)
         suite.check_flag(
             "integrand maximum lies on the major arc",
             prof.major_arc_contains_max,
@@ -489,7 +483,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_profile(args: argparse.Namespace) -> int:
     params = _resolve_params(args)
-    ctx = ArcContext.build(params, args.size, rho=args.rho, dps=12)
+    ctx = ArcContext.build(params, args.size, rho=args.rho)
     profile = circle_profile(ctx, grid=args.grid)
     if args.format == "csv":
         _emit(profile.to_csv(), args)
@@ -502,7 +496,12 @@ def cmd_profile(args: argparse.Namespace) -> int:
         f"{'inside' if profile.major_arc_contains_max else 'OUTSIDE'})",
         f"principal log magnitude {profile.principal_log:.3f}",
     ]
-    for ell, (nu, height) in sorted(profile.root_of_unity_peaks().items()):
+    peaks = profile.root_of_unity_peaks()
+    for ell in range(1, params.m):
+        if ell not in peaks:
+            lines.append(f"  no peak within {PEAK_HALFWIDTH} of 2 pi {ell}/{params.m}")
+            continue
+        nu, height = peaks[ell]
         lines.append(
             f"  peak near 2 pi {ell}/{params.m}: nu = {nu:+.4f}, "
             f"log magnitude {height:.3f} ({profile.principal_log - height:.3f} below)"

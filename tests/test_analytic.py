@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from congruence_stacks.analytic import (
+    CircleProfile,
     circle_profile,
     congruence_product,
     congruence_product_main,
@@ -276,16 +277,35 @@ class TestCircleProfile:
             assert height < profile.principal_log - 1
 
     def test_log_magnitudes_match_the_mpmath_kernels(self):
-        # grid 72 puts nu = -pi, -pi/3 and 0 on index 0, 24 and 36; 7 is generic
-        n = 200
-        prof = circle_profile(ArcContext.build(P13, n, rho=0.5, dps=12), grid=72)
-        for j in (0, 24, 36, 7):
-            with mp.workdps(30):
-                tau = mp.mpc(prof.nus[j], prof.kappa) / (2 * mp.pi)
-                q = mp.exp(2 * mp.pi * 1j * tau)
-                l_val = -q ** (2 * P13.r) * false_theta(P13.m, -(P13.m + 4 * P13.r), tau, 30)
-                expected = mp.log(abs(congruence_product(P13, tau, 30) * l_val)) + n * mp.mpf(prof.kappa)
-            assert abs(prof.log_magnitudes[j] - expected) < 1e-9
+        cases = [
+            # grid 72 puts nu = -pi, -pi/3 and 0 on index 0, 24 and 36; 7 is generic
+            (200, 72, (0, 24, 36, 7)),
+            # |1/F| at nu = 0 is beyond double range here (log |F| is about 1621)
+            (600_000, 8, (4, 1)),
+        ]
+        for n, grid, indices in cases:
+            prof = circle_profile(ArcContext.build(P13, n, rho=0.5, dps=12), grid=grid)
+            for j in indices:
+                with mp.workdps(30):
+                    tau = mp.mpc(prof.nus[j], prof.kappa) / (2 * mp.pi)
+                    q = mp.exp(2 * mp.pi * 1j * tau)
+                    l_val = -q ** (2 * P13.r) * false_theta(P13.m, -(P13.m + 4 * P13.r), tau, 30)
+                    expected = mp.log(abs(congruence_product(P13, tau, 30) * l_val)) + n * mp.mpf(prof.kappa)
+                assert abs(prof.log_magnitudes[j] - expected) < 1e-10, (n, j)
+
+    def test_peaks_see_across_the_seam_at_minus_one(self):
+        # nu = -pi (index 0) and nu = pi (index 8) are one point of the circle, so the
+        # sample beyond index 8 is index 1; m = 4 centres the window for l = 2 on pi
+        nus = tuple(math.pi * (2 * j - 8) / 8 for j in range(9))
+        vals = (2.0, 1.0, -1.0, -2.0, 5.0, -2.0, -1.0, 1.0, 2.0)
+        prof = CircleProfile(P14, n=1, kappa=1.0, rho=0.5, nus=nus, log_magnitudes=vals)
+        # l = 1 and 3 peak on a window edge with a higher sample beyond it
+        assert prof.root_of_unity_peaks(halfwidth=0.8) == {2: (math.pi, 2.0)}
+        vals = vals[:1] + (3.0,) + vals[2:]
+        prof = CircleProfile(P14, n=1, kappa=1.0, rho=0.5, nus=nus, log_magnitudes=vals)
+        # pi is now below index 1 beyond the seam; index 1 is the edge of the window
+        # for l = 3 but higher than both its neighbours
+        assert prof.root_of_unity_peaks(halfwidth=0.8) == {3: (nus[1], 3.0)}
 
     def test_csv_output(self, profile):
         lines = profile.to_csv().strip().splitlines()

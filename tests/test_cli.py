@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from congruence_stacks import cli
 from congruence_stacks.cli import main
+from congruence_stacks.oracle import ENUMERATION_CAP
 
 
 def run(capsys, *argv):
@@ -35,6 +37,16 @@ class TestCount:
         )
         payload = json.loads(out)
         assert len(payload["witnesses"]) == 7
+
+    def test_witnesses_above_the_cap_exit_2_before_counting(self, capsys, monkeypatch):
+        def count_stacks(n, params):
+            raise AssertionError("count_stacks ran although the listing is refused")
+
+        monkeypatch.setattr(cli, "count_stacks", count_stacks)
+        code, out, err = run(capsys, "count", "-n", "10000", "--witnesses")
+        assert code == 2
+        assert out == ""
+        assert f"n <= {ENUMERATION_CAP}" in err
 
     def test_gap_variant_auto(self, capsys):
         code, out, _ = run(capsys, "count", "--r", "3", "--m", "4", "-n", "7", "--format", "json")
@@ -167,9 +179,28 @@ class TestProfile:
             "family (r=1, m=3, standard), n = 50, kappa = 0.147973",
             "maximum at nu = +0.0000 (major arc |nu| <= 0.0740: inside)",
             "principal log magnitude 13.536",
-            "  peak near 2 pi 1/3: nu = +2.4435, log magnitude 7.852 (5.685 below)",
-            "  peak near 2 pi 2/3: nu = -2.4435, log magnitude 7.852 (5.685 below)",
+            # Was "peak near 2 pi 1/3: nu = +2.4435, log magnitude 7.852 (5.685 below)" and
+            # its mirror image.  The window around 2 pi/3 spans grid points 56..64; its
+            # maximum sits on the edge, j = 64 (nu = 2.4435, 7.8515), j = 65 beyond it is
+            # higher (7.9209) and nu = 2 pi/3 itself is a dip (5.3513): no peak there.
+            "  no peak within 0.35 of 2 pi 1/3",
+            "  no peak within 0.35 of 2 pi 2/3",
         ]
+
+    @pytest.mark.parametrize(
+        "argv, edges",
+        [
+            (["-n", "1"], ("+2.4435", "-2.4435")),
+            (["-n", "2", "-r", "2", "-m", "5"], ("+2.8623", "-2.8623")),
+        ],
+    )
+    def test_window_edges_are_not_peaks(self, capsys, argv, edges):
+        # the windows' edges, 2 pi l/m +- 0.35, that used to be printed as peaks
+        code, out, _ = run(capsys, "profile", *argv)
+        assert code == 0
+        for nu in edges:
+            assert f"nu = {nu}" not in out
+        assert "no peak within 0.35 of 2 pi 1/" in out
 
     def test_csv(self, capsys):
         code, out, _ = run(capsys, "profile", "-n", "50", "--grid", "72", "--format", "csv")
