@@ -37,6 +37,7 @@ from .qseries import false_theta_gf
 
 GUARD = 15
 PEAK_HALFWIDTH = 0.35  # half-width in nu of the window searched for each root-of-unity peak
+MIN_DOUBLINGS = 4  # Simpson levels run before a converged-looking pair is trusted
 
 
 def _require_upper_half(tau) -> None:
@@ -189,24 +190,21 @@ class DecayFit:
 
 
 def product_decay_fit(
-    params: StackParams,
-    z_values: Sequence = (0.30, 0.25, 0.20, 0.16, 0.13, 0.10),
-    dps: int | None = None,
+    params: StackParams, z_values: Sequence = (0.30, 0.25, 0.20, 0.16, 0.13, 0.10)
 ) -> DecayFit:
     """Fit the decay rate of the closed-form residual along the imaginary ray.
 
     The residual behaves like a power of e^{-4 pi^2/(m z)}, so log residual is
-    close to linear in 1/z.  Working precision must grow like 1/z_min; the
-    default is sized from the smallest z with a two-power margin so the m = 4
-    case (where the leading power vanishes) still clears the noise floor.
+    close to linear in 1/z.  Working precision must grow like 1/z_min; it is
+    sized from the smallest z with a two-power margin so the m = 4 case (where
+    the leading power vanishes) still clears the noise floor.
     """
     if len(z_values) < 2:
         raise ValueError("need at least two sample points to fit a slope")
     zmin = min(float(z) for z in z_values)
     if zmin <= 0:
         raise ValueError("z values must be positive")
-    if dps is None:
-        dps = int(8 * math.pi ** 2 / (params.m * zmin) / math.log(10)) + 40
+    dps = int(8 * math.pi ** 2 / (params.m * zmin) / math.log(10)) + 40
     xs: list[float] = []
     ys: list[float] = []
     excluded = 0
@@ -282,10 +280,6 @@ class RemainderCheck:
     def ok(self) -> bool:
         return self.delta < self.bound
 
-    @property
-    def margin(self) -> mp.mpf:
-        return self.bound / self.delta if self.delta > 0 else mp.inf
-
 
 def cubic_remainder_check(a: int, b: int, tau, dps: int = DEFAULT_DPS) -> RemainderCheck:
     """Check |f_{a,b}(tau) - cubic| < c y^4 with c = 105 pi^4 a^4 b^14 e^{pi sqrt(3) b^2/(32a)}.
@@ -332,14 +326,14 @@ def simpson_refine(
     a,
     b,
     rel_tol: float = 1e-10,
-    min_doublings: int = 4,
     max_doublings: int = 18,
 ) -> tuple[mp.mpf, tuple[mp.mpf, ...]]:
     """Composite Simpson with panel doubling until successive estimates agree.
 
-    Returns (value, history of estimates).  Raises when max_doublings panels
-    cannot reach rel_tol; the integrands used here are analytic, so failure
-    indicates a misconfigured interval rather than roughness.
+    Returns (value, history of estimates).  Estimates are compared from
+    MIN_DOUBLINGS on.  Raises when max_doublings panels cannot reach rel_tol;
+    the integrands used here are analytic, so failure indicates a
+    misconfigured interval rather than roughness.
     """
     a = mp.mpf(a)
     b = mp.mpf(b)
@@ -357,7 +351,7 @@ def simpson_refine(
             odd_sum += f(a + i * h)
         estimate = h / 3 * (fa + fb + 2 * even_sum + 4 * odd_sum)
         history.append(estimate)
-        if prev is not None and level >= min_doublings:
+        if prev is not None and level >= MIN_DOUBLINGS:
             if abs(estimate - prev) <= mp.mpf(rel_tol) * abs(estimate):
                 return estimate, tuple(history)
         prev = estimate
@@ -365,13 +359,13 @@ def simpson_refine(
     raise ValueError(f"Simpson refinement did not converge after {panels} panels")
 
 
-def major_arc_integral(ctx: ArcContext, s: int = 0, rel_tol: float = 1e-10) -> mp.mpf:
-    """Numeric contour piece h_s over the restricted arc |nu| <= rho kappa.
+def major_arc_integral(ctx: ArcContext) -> mp.mpf:
+    """Numeric leading contour piece h_0 over the restricted arc |nu| <= rho kappa.
 
-    Evaluates (csc(pi r/m)/(8 pi)) int (kappa + i nu)^s
-    e^{B (kappa + i nu) + A/(kappa + i nu)} d nu with A = pi^2/(3m) and
-    B = r(m-r)/(2m) - m/12 + n, whose full-circle limit is the Bessel form
-    (csc(pi r/m)/4) kappa^(s+1) I_{s+1}(2N).
+    Evaluates (csc(pi r/m)/(8 pi)) int e^{B (kappa + i nu) + A/(kappa + i nu)} d nu
+    with A = pi^2/(3m) and B = r(m-r)/(2m) - m/12 + n by Simpson refinement to
+    simpson_refine's default relative tolerance.  Its full-circle limit is the
+    Bessel form (csc(pi r/m)/4) kappa I_1(2N).
     """
     params, n = ctx.params, ctx.n
     r, m = params.r, params.m
@@ -384,10 +378,10 @@ def major_arc_integral(ctx: ArcContext, s: int = 0, rel_tol: float = 1e-10) -> m
 
         def integrand(nu):
             zz = mp.mpc(kappa, nu)
-            return mp.re(zz ** s * mp.exp(B * zz + A / zz))
+            return mp.re(mp.exp(B * zz + A / zz))
 
         # even in nu, so integrate the half arc
-        half, _ = simpson_refine(integrand, mp.mpf(0), ctx.rho * kappa, rel_tol=rel_tol)
+        half, _ = simpson_refine(integrand, mp.mpf(0), ctx.rho * kappa)
         return csc / (8 * mp.pi) * 2 * half
 
 
@@ -420,11 +414,6 @@ class CircleProfile:
         if not inside:
             raise ValueError(f"window around {center} contains no grid points")
         return max(inside, key=self.log_magnitudes.__getitem__)
-
-    def window_max(self, center: float, halfwidth: float) -> tuple[float, float]:
-        """(nu, log magnitude) of the sampled maximum within the window."""
-        j = self._window_argmax(center, halfwidth)
-        return self.nus[j], self.log_magnitudes[j]
 
     def root_of_unity_peaks(self, halfwidth: float = PEAK_HALFWIDTH) -> dict[int, tuple[float, float]]:
         """Sampled peak near nu = 2 pi l / m for each l = 1 .. m - 1 that has one.

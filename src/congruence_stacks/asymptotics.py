@@ -37,6 +37,7 @@ from .params import StackParams
 from .qseries import stack_gf
 
 MAX_EXPANSION_TERMS = 16
+HANKEL_RTOL = 1e-8  # bessel_i(method="hankel") refuses when its smallest term exceeds this
 
 
 def _saddle_radicand(params: StackParams, n: int) -> Fraction:
@@ -69,7 +70,6 @@ class ArcContext:
     params: StackParams
     n: int
     kappa: mp.mpf
-    scale: mp.mpf
     rho: float
     dps: int
 
@@ -87,26 +87,25 @@ class ArcContext:
             params=params,
             n=n,
             kappa=saddle_point(params, n, dps=dps),
-            scale=growth_scale(params, n, dps=dps),
             rho=float(rho),
             dps=dps,
         )
 
 
-def bessel_i(order: int, x, method: str = "series", dps: int = DEFAULT_DPS, hankel_rtol: float = 1e-8) -> mp.mpf:
+def bessel_i(order: int, x, method: str = "series", dps: int = DEFAULT_DPS) -> mp.mpf:
     """Modified Bessel function I_order(x) for integer order and x >= 0.
 
     method="series" sums the ascending series (all terms positive, no
     cancellation); method="hankel" uses the large-x asymptotic expansion
     truncated at its smallest term.  Negative orders reduce through
     I_{-k} = I_k.  The hankel route raises when the smallest term is still
-    above hankel_rtol, i.e. the asymptotic regime is violated.
+    above HANKEL_RTOL, i.e. the asymptotic regime is violated.
     """
     k = abs(int(order))
     if method == "series":
         return _bessel_series(k, x, dps)
     if method == "hankel":
-        return _bessel_hankel(k, x, dps, hankel_rtol)
+        return _bessel_hankel(k, x, dps)
     raise ValueError(f"unknown method {method!r}, expected 'series' or 'hankel'")
 
 
@@ -131,7 +130,7 @@ def _bessel_series(k: int, x, dps: int) -> mp.mpf:
         return +total
 
 
-def _bessel_hankel(k: int, x, dps: int, rtol: float) -> mp.mpf:
+def _bessel_hankel(k: int, x, dps: int) -> mp.mpf:
     with mp.workdps(dps + 10):
         x = mp.mpf(x)
         if x <= 0:
@@ -151,10 +150,10 @@ def _bessel_hankel(k: int, x, dps: int, rtol: float) -> mp.mpf:
             smallest = abs(term)
             if j > 4 * int(x) + 20:
                 break
-        if smallest > rtol:
+        if smallest > HANKEL_RTOL:
             raise ValueError(
                 f"asymptotic regime violated: smallest Hankel term {mp.nstr(smallest, 3)} "
-                f"exceeds rtol {rtol} at x={mp.nstr(x, 6)}, order {k}"
+                f"exceeds rtol {HANKEL_RTOL} at x={mp.nstr(x, 6)}, order {k}"
             )
         return mp.exp(x) / mp.sqrt(2 * mp.pi * x) * total
 
@@ -294,27 +293,16 @@ class ComparisonRecord:
     relative_error: mp.mpf
 
 
-def comparison_table(
-    params: StackParams,
-    ns: Sequence[int],
-    dps: int = DEFAULT_DPS,
-    counts: dict[int, int] | None = None,
-) -> list[ComparisonRecord]:
-    """Exact counts vs main_term at each n (one series evaluation overall).
-
-    counts may supply precomputed exact values keyed by n; otherwise a single
-    stack_gf call at order max(ns) provides them.
-    """
+def comparison_table(params: StackParams, ns: Sequence[int], dps: int = DEFAULT_DPS) -> list[ComparisonRecord]:
+    """Exact counts vs main_term at each n (one stack_gf call at order max(ns))."""
     if not ns:
         return []
     if any(n < 1 for n in ns):
         raise ValueError("all n must be positive")
-    if counts is None:
-        series = stack_gf(params, max(ns))
-        counts = {n: series[n] for n in ns}
+    series = stack_gf(params, max(ns))
     records = []
     for n in ns:
-        exact = counts[n]
+        exact = series[n]
         if exact == 0:
             raise ValueError(
                 f"no stacks of size {n} exist for {params}; "
@@ -327,20 +315,27 @@ def comparison_table(
 
 
 _RECORD_FIELDS = ("n", "exact", "asymptotic_mantissa", "asymptotic_exp10", "relative_error")
+_RECORD_DIGITS = 10
 
 
-def _record_row(rec: ComparisonRecord, digits: int) -> tuple:
+def _record_row(rec: ComparisonRecord) -> tuple:
     """One record's values in _RECORD_FIELDS order."""
     mant, e = rec.estimate.decompose()
-    return rec.n, str(rec.exact), mp.nstr(mant, digits, strip_zeros=False), e, mp.nstr(rec.relative_error, digits)
+    return (
+        rec.n,
+        str(rec.exact),
+        mp.nstr(mant, _RECORD_DIGITS, strip_zeros=False),
+        e,
+        mp.nstr(rec.relative_error, _RECORD_DIGITS),
+    )
 
 
-def records_to_csv(records: Iterable[ComparisonRecord], digits: int = 10) -> str:
+def records_to_csv(records: Iterable[ComparisonRecord]) -> str:
     """CSV rows with exact counts as decimal strings and a mantissa/exponent split."""
     lines = [",".join(_RECORD_FIELDS)]
-    lines += [",".join(map(str, _record_row(rec, digits))) for rec in records]
+    lines += [",".join(map(str, _record_row(rec))) for rec in records]
     return "\n".join(lines) + "\n"
 
 
-def records_to_json(records: Iterable[ComparisonRecord], digits: int = 10) -> str:
-    return json.dumps([dict(zip(_RECORD_FIELDS, _record_row(rec, digits))) for rec in records])
+def records_to_json(records: Iterable[ComparisonRecord]) -> str:
+    return json.dumps([dict(zip(_RECORD_FIELDS, _record_row(rec))) for rec in records])

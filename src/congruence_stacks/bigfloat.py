@@ -4,8 +4,8 @@ Stack counts grow like exp(c sqrt(n)), so asymptotic main terms at n = 10^4
 are around 10^86 and comparisons at much larger n overflow floats long before
 they trouble mpmath.  LogValue10 keeps the natural log as the source of truth
 (an mpf carrying its own precision) and exposes a decimal mantissa/exponent
-pair for display and CSV export.  Round-tripping through that pair preserves
-at least 30 significant digits at the default precision.
+pair for display and CSV export; at the default precision the mantissa
+carries at least 30 significant digits.
 """
 
 from __future__ import annotations
@@ -30,29 +30,6 @@ class LogValue10:
         if isinstance(ln_value, mp.mpf):
             return cls(ln_value)
         return cls(mp.mpf(ln_value))
-
-    @classmethod
-    def from_number(cls, x, dps: int = DEFAULT_DPS) -> "LogValue10":
-        with mp.workdps(dps):
-            v = mp.mpf(x)
-            if v <= 0:
-                raise ValueError("LogValue10 represents strictly positive values")
-            return cls(mp.log(v))
-
-    @classmethod
-    def from_int(cls, k: int, dps: int = DEFAULT_DPS) -> "LogValue10":
-        if k <= 0:
-            raise ValueError("LogValue10 represents strictly positive values")
-        with mp.workdps(dps):
-            return cls(mp.log(mp.mpf(k)))
-
-    @classmethod
-    def from_mantissa_exp(cls, mantissa, exponent10: int, dps: int = DEFAULT_DPS) -> "LogValue10":
-        with mp.workdps(dps):
-            m = mp.mpf(mantissa)
-            if m <= 0:
-                raise ValueError("mantissa must be positive")
-            return cls(mp.log(m) + exponent10 * mp.log(mp.mpf(10)))
 
     def decompose(self, dps: int = DEFAULT_DPS) -> tuple[mp.mpf, int]:
         """(mantissa in [1, 10), exponent10) such that value = mantissa * 10^e.
@@ -79,32 +56,12 @@ class LogValue10:
                 e -= 1
             return mant, e
 
-    @property
-    def mantissa(self) -> mp.mpf:
-        return self.decompose()[0]
-
-    @property
-    def exponent10(self) -> int:
-        return self.decompose()[1]
-
-    def to_mpf(self, dps: int = DEFAULT_DPS) -> mp.mpf:
-        with mp.workdps(dps):
-            return mp.exp(self.ln_value)
-
-    def ratio_to(self, other: "LogValue10", dps: int = DEFAULT_DPS) -> mp.mpf:
-        with mp.workdps(dps):
-            return mp.exp(self.ln_value - other.ln_value)
-
     def relative_error_against(self, exact: int, dps: int = DEFAULT_DPS) -> mp.mpf:
         """(self - exact) / exact for an exact positive integer reference."""
         if exact <= 0:
             raise ValueError("reference must be a positive integer")
         with mp.workdps(dps):
             return mp.expm1(self.ln_value - mp.log(mp.mpf(exact)))
-
-    def mantissa_str(self, digits: int = 5) -> str:
-        mant, _ = self.decompose()
-        return mp.nstr(mant, digits, strip_zeros=False)
 
     def format(self, digits: int = 5) -> str:
         mant, e = self.decompose()

@@ -53,7 +53,7 @@ from .asymptotics import (
 )
 from .bigfloat import DEFAULT_DPS
 from .oracle import ENUMERATION_CAP, count_stacks, enumerate_stacks, witnesses_to_json
-from .params import StackParams, Variant
+from .params import StackParams
 from .qseries import stack_gf, verify_decomposition
 
 MIN_PRECISION = 30
@@ -71,12 +71,6 @@ def _default_precision() -> int:
         return int(env)
     except ValueError:
         raise ValueError(f"CSTACKS_PRECISION must be an integer, got {env!r}")
-
-
-def _resolve_params(args: argparse.Namespace) -> StackParams:
-    if args.variant == "auto":
-        return StackParams.from_residue(args.r, args.m)
-    return StackParams(args.r, args.m, Variant(args.variant))
 
 
 def _resolve_precision(args: argparse.Namespace) -> int:
@@ -105,12 +99,6 @@ def _add_output(parser: argparse.ArgumentParser) -> None:
 def _add_common(parser: argparse.ArgumentParser, precision: bool = True) -> None:
     _add_residue(parser)
     parser.add_argument("-m", "--m", type=int, default=3, help="modulus (default 3)")
-    parser.add_argument(
-        "--variant",
-        choices=["auto", "standard", "gap"],
-        default="auto",
-        help="series variant; auto infers it from whether 2r < m",
-    )
     if precision:
         parser.add_argument(
             "-P",
@@ -132,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_count = sub.add_parser("count", help="exact count of stacks of size n")
-    _add_common(p_count)
+    _add_common(p_count, precision=False)
     p_count.add_argument("-n", "--size", type=int, required=True, help="stack size to count")
     p_count.add_argument(
         "--witnesses",
@@ -207,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_count(args: argparse.Namespace) -> int:
-    params = _resolve_params(args)
+    params = StackParams(args.r, args.m)
     n = args.size
     if n < 0:
         raise ValueError("size must be nonnegative")
@@ -218,7 +206,7 @@ def cmd_count(args: argparse.Namespace) -> int:
         payload = {
             "r": params.r,
             "m": params.m,
-            "variant": params.variant.value,
+            "variant": params.variant,
             "n": n,
             "count": str(count),
         }
@@ -236,7 +224,7 @@ def cmd_count(args: argparse.Namespace) -> int:
 
 
 def cmd_table(args: argparse.Namespace) -> int:
-    params = _resolve_params(args)
+    params = StackParams(args.r, args.m)
     dps = _resolve_precision(args)
     try:
         ns = [int(v) for v in args.values.split(",") if v.strip()]
@@ -263,7 +251,7 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 
 def cmd_asym(args: argparse.Namespace) -> int:
-    params = _resolve_params(args)
+    params = StackParams(args.r, args.m)
     dps = _resolve_precision(args)
     n = args.size
     if n < 1:
@@ -275,7 +263,7 @@ def cmd_asym(args: argparse.Namespace) -> int:
     data: dict[str, object] = {
         "r": params.r,
         "m": params.m,
-        "variant": params.variant.value,
+        "variant": params.variant,
         "n": n,
         "main_term": x.format(10),
     }
@@ -351,7 +339,7 @@ def _sample_w(rng: random.Random) -> mp.mpc:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    params = _resolve_params(args)
+    params = StackParams(args.r, args.m)
     dps = _resolve_precision(args)
     targets = set(args.targets or ["all"])
     unknown = targets - VERIFY_TARGETS - {"all"}
@@ -443,7 +431,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
     if "contour" in targets:
         ctx = ArcContext.build(params, args.size, rho=args.rho, dps=dps)
-        h0 = major_arc_integral(ctx, s=0)
+        h0 = major_arc_integral(ctx)
         refined = refined_main_term(params, args.size, dps=dps)
         with mp.workdps(dps + GUARD):
             bessel_value = mp.exp(refined.bessel_form.ln_value)
@@ -461,15 +449,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         )
 
     if "oracle" in targets:
-        pairs = [
-            StackParams.from_residue(1, 3),
-            StackParams.from_residue(1, 4),
-            StackParams.from_residue(2, 5),
-            StackParams.from_residue(3, 4),
-            StackParams.from_residue(3, 5),
-        ]
         ok = True
-        for pp in pairs:
+        for pair in ((1, 3), (1, 4), (2, 5), (3, 4), (3, 5)):
+            pp = StackParams(*pair)
             series = stack_gf(pp, 40)
             for n in range(41):
                 if series[n] != count_stacks(n, pp):
@@ -482,7 +464,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_profile(args: argparse.Namespace) -> int:
-    params = _resolve_params(args)
+    params = StackParams(args.r, args.m)
     ctx = ArcContext.build(params, args.size, rho=args.rho)
     profile = circle_profile(ctx, grid=args.grid)
     if args.format == "csv":
@@ -520,7 +502,7 @@ def cmd_decay(args: argparse.Namespace) -> int:
     for m in moduli:
         label = f"(r={args.r}, m={m})"
         try:
-            params = StackParams.from_residue(args.r, m)
+            params = StackParams(args.r, m)
         except ValueError as exc:
             lines.append(f"{label:>18}  skipped: {exc}")
             continue

@@ -3,10 +3,12 @@
 Everything here is integer-exact: a truncated power series is a tuple of
 Python ints c[0..order], and all constructors build the series
 
-    S(q)  = sum_{k>=0} q^{km+r} / ((q^r; q^m)_{k+1} (q^{m-r}; q^m)_{k})
+    S(q)  = sum_{k>=0} q^{km+r} / ((q^r; q^m)_{k+1} (q^{m-r}; q^m)_{k+d})
 
-for the standard variant (right Pochhammer depth k+1 for the gap variant),
-together with the three pieces of its decomposition
+whose right parts below the peak km + r run up to km + r - (2r mod m), one
+rule for the whole family: d = 0 in the standard variant (2r < m) and d = 1
+in the gap variant (2r > m).  Alongside S come the three pieces of its
+decomposition
 
     S = F * L + R,
 
@@ -22,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .params import StackParams, Variant
+from .params import StackParams
 
 
 @dataclass(frozen=True)
@@ -106,11 +108,9 @@ def stack_gf(params: StackParams, order: int) -> TruncatedSeries:
         peak = params.peak(k)
         hi = order - peak
         _inv_one_minus_inplace(prod, peak, hi)
-        if params.variant is Variant.STANDARD:
-            if k >= 1:
-                _inv_one_minus_inplace(prod, k * params.m - params.r, hi)
-        else:
-            _inv_one_minus_inplace(prod, (k + 1) * params.m - params.r, hi)
+        right = peak - 2 * params.r % params.m
+        if right > 0:
+            _inv_one_minus_inplace(prod, right, hi)
         for i in range(hi + 1):
             if prod[i]:
                 acc[i + peak] += prod[i]

@@ -54,7 +54,7 @@ class TestSaddle:
     @given(valid_pairs, st.integers(1, 5000))
     @settings(max_examples=40, deadline=None)
     def test_scale_kappa_product(self, pair, n):
-        params = StackParams.from_residue(*pair)
+        params = StackParams(*pair)
         with mp.workdps(40):
             kappa = saddle_point(params, n)
             scale = growth_scale(params, n)
@@ -112,17 +112,17 @@ class TestMainTerm:
     def test_anchor_n_100(self):
         x = main_term(P13, 100)
         with mp.workdps(40):
-            assert abs(x.to_mpf() / mp.mpf("3285951.22650561") - 1) < mp.mpf("1e-12")
+            assert abs(mp.exp(x.ln_value) / mp.mpf("3285951.22650561") - 1) < mp.mpf("1e-12")
 
     def test_anchor_n_1000(self):
-        x = main_term(P13, 1000)
-        assert x.exponent10 == 25
-        assert abs(x.mantissa - mp.mpf("2.71892886948301")) < mp.mpf("1e-11")
+        mant, expo = main_term(P13, 1000).decompose()
+        assert expo == 25
+        assert abs(mant - mp.mpf("2.71892886948301")) < mp.mpf("1e-11")
 
     def test_anchor_n_10000(self):
-        x = main_term(P13, 10000)
-        assert x.exponent10 == 86
-        assert abs(x.mantissa - mp.mpf("7.57255337981766")) < mp.mpf("1e-11")
+        mant, expo = main_term(P13, 10000).decompose()
+        assert expo == 86
+        assert abs(mant - mp.mpf("7.57255337981766")) < mp.mpf("1e-11")
 
     def test_relative_error_shrinks(self):
         series = stack_gf(P13, 1000)
@@ -255,10 +255,6 @@ class TestComparisonTable:
         # part below it in class 3 mod 5
         with pytest.raises(ValueError, match="no stacks of size 5"):
             comparison_table(StackParams(2, 5), [5, 25])
-
-    def test_counts_can_be_supplied(self):
-        records = comparison_table(P13, [100], counts={100: 3167122})
-        assert records[0].exact == 3167122
 
     def test_csv_shape(self):
         records = comparison_table(P13, [10, 100])

@@ -1,9 +1,10 @@
+import argparse
 import json
 
 import pytest
 
 from congruence_stacks import cli
-from congruence_stacks.cli import main
+from congruence_stacks.cli import build_parser, main
 from congruence_stacks.oracle import ENUMERATION_CAP
 
 
@@ -59,9 +60,11 @@ class TestCount:
         assert "coprime" in err
 
     def test_variant_conflict_exit_2(self, capsys):
-        code, _, err = run(capsys, "count", "--r", "1", "--m", "3", "-n", "5", "--variant", "gap")
-        assert code == 2
-        assert err.startswith("error:")
+        # the variant follows from r and m, and an exact count has no precision
+        for option in (["--variant", "gap"], ["-P", "40"]):
+            with pytest.raises(SystemExit) as exc:
+                main(["count", "-n", "5", *option])
+            assert exc.value.code == 2
 
 
 class TestTable:
@@ -242,6 +245,44 @@ class TestDecay:
         code, _, err = run(capsys, "decay", "--moduli", "3,x")
         assert code == 2
         assert "comma separated" in err
+
+
+class ReadRecorder:
+    """Stands in for a parsed Namespace and records which attributes are read."""
+
+    def __init__(self, namespace: argparse.Namespace) -> None:
+        self.namespace = namespace
+        self.read: set[str] = set()
+
+    def __getattr__(self, name):
+        self.read.add(name)
+        return getattr(self.namespace, name)
+
+
+def test_every_option_is_read(tmp_path):
+    # one cheap command line per subcommand that sets every option it has
+    out = str(tmp_path / "out")
+    argvs = {
+        "count": ["-r", "1", "-m", "4", "-n", "12", "--witnesses", "--format", "json"],
+        "table": ["-r", "1", "-m", "3", "--values", "10,20", "--format", "csv", "-P", "30"],
+        "asym": ["-r", "1", "-m", "3", "-n", "100", "--full", "--terms", "2", "--exact", "--format", "json", "-P", "30"],
+        "verify": ["decomposition", "contour", "-r", "1", "-m", "3", "--order", "20", "-n", "200",
+                   "--rho", "0.9", "--seed", "1", "-P", "30"],
+        "profile": ["-r", "1", "-m", "3", "-n", "50", "--rho", "0.5", "--grid", "72", "--format", "text"],
+        "decay": ["-r", "1", "--moduli", "3", "--z-values", "0.3,0.2"],
+    }
+    parser = build_parser()
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert set(argvs) == set(subparsers.choices)
+    for command, sub in subparsers.choices.items():
+        argv = [command, *argvs[command], "--output", out]
+        options = [a for a in sub._actions if a.dest != "help"]
+        for action in options:
+            assert not action.option_strings or set(action.option_strings) & set(argv), (command, action.dest)
+        args = ReadRecorder(parser.parse_args(argv))
+        assert args.func(args) in (0, 1)
+        unread = {a.dest for a in options} - args.read
+        assert not unread, f"{command} never reads {sorted(unread)}"
 
 
 def test_version(capsys):

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -11,12 +12,14 @@ from congruence_stacks.oracle import (
     enumerate_stacks,
     witnesses_to_json,
 )
-from congruence_stacks.params import StackParams, Variant
+from congruence_stacks.params import StackParams
 from congruence_stacks.qseries import stack_gf
 
 P13 = StackParams(1, 3)
 P14 = StackParams(1, 4)
-G34 = StackParams(3, 4, Variant.GAP)
+G34 = StackParams(3, 4)
+# every family with 3 <= m <= 12, standard and gap alike
+COPRIME_PAIRS = [(r, m) for m in range(3, 13) for r in range(1, m) if math.gcd(r, m) == 1]
 
 
 class TestWitness:
@@ -81,16 +84,16 @@ class TestCongruenceCounts:
     def test_gap_variant_small_values(self):
         assert [count_stacks(n, G34) for n in range(8)] == [0, 0, 0, 1, 1, 1, 2, 3]
 
-    @pytest.mark.parametrize("r,m", [(1, 3), (1, 4), (2, 5), (3, 4), (3, 5)])
+    @pytest.mark.parametrize("r,m", COPRIME_PAIRS)
     def test_matches_generating_function(self, r, m):
-        params = StackParams.from_residue(r, m)
+        params = StackParams(r, m)
         series = stack_gf(params, 40)
         for n in range(41):
             assert series[n] == count_stacks(n, params)
 
     @pytest.mark.parametrize("r,m", [(1, 3), (1, 4), (2, 5), (3, 4)])
     def test_enumeration_matches_counts(self, r, m):
-        params = StackParams.from_residue(r, m)
+        params = StackParams(r, m)
         for n in range(1, 21):
             ws = enumerate_stacks(n, params)
             assert len(ws) == count_stacks(n, params)
@@ -128,7 +131,7 @@ def test_plain_enumeration_is_exhaustive(n):
 @given(st.integers(1, 24), st.sampled_from([(1, 3), (1, 4), (2, 5), (3, 4), (2, 7)]))
 @settings(max_examples=40, deadline=None)
 def test_congruence_enumeration_is_exhaustive(n, pair):
-    params = StackParams.from_residue(*pair)
+    params = StackParams(*pair)
     ws = enumerate_stacks(n, params)
     assert len(set(ws)) == count_stacks(n, params)
     for w in ws:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from congruence_stacks.params import StackParams, Variant
+from congruence_stacks.params import StackParams
 from congruence_stacks.qseries import (
     TruncatedSeries,
     _inv_one_minus_inplace,
@@ -18,7 +18,7 @@ from congruence_stacks.qseries import (
 
 P13 = StackParams(1, 3)
 P14 = StackParams(1, 4)
-G34 = StackParams(3, 4, Variant.GAP)
+G34 = StackParams(3, 4)
 
 STANDARD_PAIRS = [(1, 3), (1, 4), (1, 5), (2, 5), (3, 7)]
 
