@@ -38,6 +38,8 @@ from .qseries import false_theta_gf
 GUARD = 15
 PEAK_HALFWIDTH = 0.35  # half-width in nu of the window searched for each root-of-unity peak
 MIN_DOUBLINGS = 4  # Simpson levels run before a converged-looking pair is trusted
+MAX_DOUBLINGS = 18  # Simpson levels after which refinement gives up
+SIMPSON_RTOL = 1e-10  # relative agreement of successive Simpson estimates
 
 
 def _require_upper_half(tau) -> None:
@@ -302,7 +304,7 @@ def cubic_remainder_check(a: int, b: int, tau, dps: int = DEFAULT_DPS) -> Remain
 
 
 def false_theta_series_residual(params: StackParams, tau, dps: int = DEFAULT_DPS) -> mp.mpf:
-    """Cross-check L(q) = -q^{2r} f_{m, -(m+4r)}(q) against the exact expansion.
+    """Cross-check L(q) = -q^t f_{m, -(m+2t)}(q), t = params.shift, against the exact expansion.
 
     The left side comes from the analytic false theta evaluator, the right
     from summing the integer series termwise at q.  Returns the relative gap.
@@ -311,9 +313,8 @@ def false_theta_series_residual(params: StackParams, tau, dps: int = DEFAULT_DPS
         tau = mp.mpc(tau)
         _require_upper_half(tau)
         q = mp.exp(2 * mp.pi * 1j * tau)
-        via_false_theta = -mp.power(q, 2 * params.r) * false_theta(
-            params.m, -(params.m + 4 * params.r), tau, dps=dps
-        )
+        t = params.shift
+        via_false_theta = -mp.power(q, t) * false_theta(params.m, -(params.m + 2 * t), tau, dps=dps)
         series = false_theta_gf(params, _factor_count(mp.im(tau), dps + GUARD))
         direct = mp.mpc(0)
         for e, sign in series.nonzero_terms():
@@ -321,17 +322,11 @@ def false_theta_series_residual(params: StackParams, tau, dps: int = DEFAULT_DPS
         return abs(via_false_theta - direct) / abs(direct)
 
 
-def simpson_refine(
-    f: Callable[[mp.mpf], mp.mpf],
-    a,
-    b,
-    rel_tol: float = 1e-10,
-    max_doublings: int = 18,
-) -> tuple[mp.mpf, tuple[mp.mpf, ...]]:
+def simpson_refine(f: Callable[[mp.mpf], mp.mpf], a, b) -> tuple[mp.mpf, tuple[mp.mpf, ...]]:
     """Composite Simpson with panel doubling until successive estimates agree.
 
     Returns (value, history of estimates).  Estimates are compared from
-    MIN_DOUBLINGS on.  Raises when max_doublings panels cannot reach rel_tol;
+    MIN_DOUBLINGS on.  Raises when MAX_DOUBLINGS cannot reach SIMPSON_RTOL;
     the integrands used here are analytic, so failure indicates a
     misconfigured interval rather than roughness.
     """
@@ -343,7 +338,7 @@ def simpson_refine(
     even_sum = mp.mpf(0)
     panels = 1
     prev = None
-    for level in range(max_doublings + 1):
+    for level in range(MAX_DOUBLINGS + 1):
         panels = 2 ** level
         h = (b - a) / panels
         odd_sum = mp.mpf(0)
@@ -352,7 +347,7 @@ def simpson_refine(
         estimate = h / 3 * (fa + fb + 2 * even_sum + 4 * odd_sum)
         history.append(estimate)
         if prev is not None and level >= MIN_DOUBLINGS:
-            if abs(estimate - prev) <= mp.mpf(rel_tol) * abs(estimate):
+            if abs(estimate - prev) <= mp.mpf(SIMPSON_RTOL) * abs(estimate):
                 return estimate, tuple(history)
         prev = estimate
         even_sum += odd_sum
@@ -364,8 +359,8 @@ def major_arc_integral(ctx: ArcContext) -> mp.mpf:
 
     Evaluates (csc(pi r/m)/(8 pi)) int e^{B (kappa + i nu) + A/(kappa + i nu)} d nu
     with A = pi^2/(3m) and B = r(m-r)/(2m) - m/12 + n by Simpson refinement to
-    simpson_refine's default relative tolerance.  Its full-circle limit is the
-    Bessel form (csc(pi r/m)/4) kappa I_1(2N).
+    SIMPSON_RTOL.  Its full-circle limit is the Bessel form
+    (csc(pi r/m)/4) kappa I_1(2N).
     """
     params, n = ctx.params, ctx.n
     r, m = params.r, params.m
@@ -409,16 +404,17 @@ class CircleProfile:
     def major_arc_contains_max(self) -> bool:
         return abs(self.argmax_nu) <= self.rho * self.kappa
 
-    def _window_argmax(self, center: float, halfwidth: float) -> int:
-        inside = [j for j, nu in enumerate(self.nus) if abs(nu - center) <= halfwidth]
+    def _window_argmax(self, center: float) -> int:
+        inside = [j for j, nu in enumerate(self.nus) if abs(nu - center) <= PEAK_HALFWIDTH]
         if not inside:
             raise ValueError(f"window around {center} contains no grid points")
         return max(inside, key=self.log_magnitudes.__getitem__)
 
-    def root_of_unity_peaks(self, halfwidth: float = PEAK_HALFWIDTH) -> dict[int, tuple[float, float]]:
+    def root_of_unity_peaks(self) -> dict[int, tuple[float, float]]:
         """Sampled peak near nu = 2 pi l / m for each l = 1 .. m - 1 that has one.
 
-        A window's maximum is a peak only when no grid neighbour, across the
+        The window for l spans PEAK_HALFWIDTH either side of its centre.  A
+        window's maximum is a peak only when no grid neighbour, across the
         seam nu = -pi = pi too, is higher; otherwise l is left out.
         """
         vals = self.log_magnitudes
@@ -428,7 +424,7 @@ class CircleProfile:
             center = 2 * math.pi * ell / self.params.m
             if center > math.pi:
                 center -= 2 * math.pi
-            j = self._window_argmax(center, halfwidth)
+            j = self._window_argmax(center)
             left = vals[j - 1] if j > 0 else vals[last - 1]
             right = vals[j + 1] if j < last else vals[1]
             if vals[j] >= max(left, right):

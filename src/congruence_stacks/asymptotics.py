@@ -248,12 +248,13 @@ def false_theta_coeffs(a: int, b: int, max_order: int) -> tuple[Fraction, ...]:
 def singular_expansion_coeffs(params: StackParams, max_order: int = 3) -> tuple[Fraction, ...]:
     """Exact Taylor coefficients alpha_0 .. alpha_max_order of L(e^{-z}) at z = 0.
 
-    L(q) = 1 + f_{m, m-4r}(q), so these are the false theta coefficients with
-    1 added to the constant one; max_order < MAX_EXPANSION_TERMS.
+    L(q) = 1 + f_{m, m-2t}(q) with t = params.shift (b = m - 4r in the standard
+    variant, 3m - 4r in the gap one), so these are the false theta
+    coefficients with 1 added to the constant one; max_order < MAX_EXPANSION_TERMS.
     """
     if not 0 <= max_order < MAX_EXPANSION_TERMS:
         raise ValueError(f"max_order must be between 0 and {MAX_EXPANSION_TERMS - 1}")
-    coeffs = false_theta_coeffs(params.m, params.m - 4 * params.r, max_order)
+    coeffs = false_theta_coeffs(params.m, params.m - 2 * params.shift, max_order)
     return (coeffs[0] + 1,) + coeffs[1:]
 
 

@@ -395,7 +395,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             tau = mp.mpc("0.01", y)
             worst = max(worst, false_theta_series_residual(params, tau, dps))
         suite.check("false theta vs integer series (3 points)", worst, tol)
-        a, b = params.m, -(params.m + 4 * params.r)
+        a, b = params.m, -(params.m + 2 * params.shift)
         ok = True
         worst_ratio = mp.mpf(0)
         for y in ("0.05", "0.12", "0.20"):

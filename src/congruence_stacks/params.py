@@ -2,10 +2,12 @@
 
 A stack family is indexed by a residue r and a modulus m with gcd(r, m) = 1
 and 0 < r < m.  Peaks and left parts lie in r mod m, right parts in -r mod m.
-Below a peak c = km + r the largest admissible right part is c - (2r mod m):
-km - r in the standard variant (2r < m), (k+1)m - r in the gap variant
-(2r > m).  The case 2r = m would force gcd(r, m) = r, so it never occurs for
-m > 2; m = 2 admits no valid residue at all.
+Below a peak c = km + r the largest admissible right part is c - t with the
+shift t = 2r mod m: km - r in the standard variant (2r < m, t = 2r), (k+1)m - r
+in the gap variant (2r > m, t = 2r - m).  The shift is the one number the
+series, its decomposition S = F*L + R and the expansion read.  The case
+2r = m would force gcd(r, m) = r, so it never occurs for m > 2; m = 2 admits
+no valid residue at all.
 """
 
 from __future__ import annotations
@@ -41,6 +43,11 @@ class StackParams:
     def variant(self) -> str:
         """The series variant, "standard" when 2r < m and "gap" when 2r > m."""
         return "standard" if 2 * self.r < self.m else "gap"
+
+    @property
+    def shift(self) -> int:
+        """t = 2r mod m, a peak minus the largest right part below it."""
+        return 2 * self.r % self.m
 
     def peak(self, k: int) -> int:
         """k-th admissible peak value, k >= 0."""

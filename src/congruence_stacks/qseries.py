@@ -5,18 +5,18 @@ Python ints c[0..order], and all constructors build the series
 
     S(q)  = sum_{k>=0} q^{km+r} / ((q^r; q^m)_{k+1} (q^{m-r}; q^m)_{k+d})
 
-whose right parts below the peak km + r run up to km + r - (2r mod m), one
-rule for the whole family: d = 0 in the standard variant (2r < m) and d = 1
-in the gap variant (2r > m).  Alongside S come the three pieces of its
-decomposition
+whose right parts below the peak km + r run up to km + r - t with the shift
+t = 2r mod m, one rule for the whole family: d = 0 in the standard variant
+(2r < m, t = 2r) and d = 1 in the gap variant (2r > m, t = 2r - m).  Alongside
+S come the three pieces of its decomposition
 
     S = F * L + R,
 
 where F is the partition product 1/((q^r; q^m)_inf (q^{m-r}; q^m)_inf),
-L(q) = sum_{j>=0} (-1)^j q^{m j(j+1)/2 - 2rj} is a false theta series, and R
-is a sparse correction with coefficients in {-1, 0, +1}.  The decomposition
-is an identity of the standard variant; verify_decomposition reports the
-residual honestly for any parameters.
+L(q) = sum_{j>=0} (-1)^j q^{m j(j+1)/2 - tj} = 1 + f_{m, m-2t}(q) is a false
+theta series, and R is a sparse correction with coefficients in {-1, 0, +1}.
+The decomposition holds for both variants; verify_decomposition reports the
+residual for any parameters.
 """
 
 from __future__ import annotations
@@ -108,7 +108,7 @@ def stack_gf(params: StackParams, order: int) -> TruncatedSeries:
         peak = params.peak(k)
         hi = order - peak
         _inv_one_minus_inplace(prod, peak, hi)
-        right = peak - 2 * params.r % params.m
+        right = peak - params.shift
         if right > 0:
             _inv_one_minus_inplace(prod, right, hi)
         for i in range(hi + 1):
@@ -133,50 +133,43 @@ def congruence_partition_gf(params: StackParams, order: int) -> TruncatedSeries:
 
 
 def false_theta_gf(params: StackParams, order: int) -> TruncatedSeries:
-    """Alternating series L(q) = sum_j (-1)^j q^(m j(j+1)/2 - 2rj)."""
+    """Alternating series L(q) = sum_{j>=0} (-1)^j q^(m j(j+1)/2 - tj), t = params.shift.
+
+    Since t < m the exponents start at 0 and rise strictly with j.
+    """
+    m, t = params.m, params.shift
     c = [0] * (order + 1)
-    for e, sign in _false_theta_terms(params, order):
-        c[e] += sign
-    return TruncatedSeries(tuple(c))
-
-
-def _false_theta_terms(params: StackParams, order: int) -> Iterator[tuple[int, int]]:
-    # exponents increase strictly from j = 1 on; only the gap regime can push
-    # the j = 1 exponent below zero, and such terms fall outside a power series
     j = 0
-    while True:
-        e = params.m * j * (j + 1) // 2 - 2 * params.r * j
-        if e > order:
-            return
-        if e >= 0:
-            yield e, (-1) ** j
+    while (e := m * j * (j + 1) // 2 - t * j) <= order:
+        c[e] += (-1) ** j
         j += 1
+    return TruncatedSeries(tuple(c))
 
 
 def correction_gf(params: StackParams, order: int) -> TruncatedSeries:
     """Sparse correction R(q) closing the gap between S and F*L.
 
-    R = sum_{j>=0} (-1)^(j-1) q^(m j(3j+1)/2 - 3rj) (1 - q^((2j+1)m - 2r)).
+    With t = params.shift, d = (2r - t)/m (0 standard, 1 gap) and
+    Q(n) = n(mn + (1+d)m - 3t)/6,
+
+        R = sum_{j>=0} (-1)^(j+1) q^Q(3j) + sum_{j>=1-d} (-1)^(j+1) q^Q(3j-1+2d).
+
+    For d = 0 this is sum_{j>=0} (-1)^(j-1) q^(m j(3j+1)/2 - 3rj) (1 - q^((2j+1)m - 2r));
+    for (2, 3) the support is the triangular numbers T(3j) and T(3j+1).  The
+    gap form was found by search and is checked, not proved: S = F*L + R holds
+    exactly through q^2000 for all 44 coprime (r, m) with 3 <= m <= 12.
     """
+    r, m, t = params.r, params.m, params.shift
+    d = (2 * r - t) // m
     c = [0] * (order + 1)
-    for e, sign in _correction_terms(params, order):
-        c[e] += sign
+    # 3j and 3j - 1 + 2d are the n >= 0 with n % 3 != 1 + d; Q(n) >= 0 on them,
+    # and Q rises from n = 1 on, so the first exponent past order ends the sum
+    n = 0
+    while (e := n * (m * n + (1 + d) * m - 3 * t) // 6) <= order:
+        if n % 3 != 1 + d:
+            c[e] -= (-1) ** ((n + 1 - d) // 3)
+        n += 1
     return TruncatedSeries(tuple(c))
-
-
-def _correction_terms(params: StackParams, order: int) -> Iterator[tuple[int, int]]:
-    m, r = params.m, params.r
-    j = 0
-    while True:
-        e1 = m * j * (3 * j + 1) // 2 - 3 * r * j
-        if e1 > order:
-            return
-        if e1 >= 0:
-            yield e1, -((-1) ** j)
-        e2 = e1 + (2 * j + 1) * m - 2 * r
-        if 0 <= e2 <= order:
-            yield e2, (-1) ** j
-        j += 1
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from congruence_stacks import analytic
 from congruence_stacks.analytic import (
     CircleProfile,
     circle_profile,
@@ -198,6 +199,9 @@ class TestFalseTheta:
     def test_series_identity_residual(self):
         assert false_theta_series_residual(P13, mp.mpc("0.02", "0.10"), 50) < mp.mpf("1e-40")
         assert false_theta_series_residual(P14, mp.mpc("-0.01", "0.12"), 50) < mp.mpf("1e-40")
+        # gap pairs, where t = 2r - m
+        for pair in [(2, 3), (3, 4), (3, 5)]:
+            assert false_theta_series_residual(StackParams(*pair), mp.mpc("0.01", "0.10"), 50) < mp.mpf("1e-40")
 
 
 class TestCubicRemainder:
@@ -220,23 +224,27 @@ class TestCubicRemainder:
 
 
 class TestSimpson:
-    def test_exponential_integral(self):
+    def test_exponential_integral(self, monkeypatch):
+        monkeypatch.setattr(analytic, "SIMPSON_RTOL", 1e-12)
         with mp.workdps(30):
-            value, history = simpson_refine(mp.exp, 0, 1, rel_tol=1e-12)
+            value, history = simpson_refine(mp.exp, 0, 1)
             assert abs(value - (mp.e - 1)) < mp.mpf("1e-11")
             assert len(history) >= 5
 
-    def test_matches_adaptive_quadrature(self):
+    def test_matches_adaptive_quadrature(self, monkeypatch):
+        monkeypatch.setattr(analytic, "SIMPSON_RTOL", 1e-11)
         with mp.workdps(30):
             f = lambda t: mp.cos(3 * t) * mp.exp(-t * t)
-            mine, _ = simpson_refine(f, -2, 2, rel_tol=1e-11)
+            mine, _ = simpson_refine(f, -2, 2)
             ref = mp.quad(f, [-2, 2])
             assert abs(mine - ref) < mp.mpf("1e-10")
 
-    def test_nonconvergence_raises(self):
+    def test_nonconvergence_raises(self, monkeypatch):
+        monkeypatch.setattr(analytic, "SIMPSON_RTOL", 1e-25)
+        monkeypatch.setattr(analytic, "MAX_DOUBLINGS", 3)
         with mp.workdps(30):
             with pytest.raises(ValueError):
-                simpson_refine(mp.exp, 0, 1, rel_tol=1e-25, max_doublings=3)
+                simpson_refine(mp.exp, 0, 1)
 
 
 class TestMajorArc:
@@ -278,33 +286,38 @@ class TestCircleProfile:
     def test_log_magnitudes_match_the_mpmath_kernels(self):
         cases = [
             # grid 72 puts nu = -pi, -pi/3 and 0 on index 0, 24 and 36; 7 is generic
-            (200, 72, (0, 24, 36, 7)),
+            (P13, 200, 72, (0, 24, 36, 7)),
             # |1/F| at nu = 0 is beyond double range here (log |F| is about 1621)
-            (600_000, 8, (4, 1)),
+            (P13, 600_000, 8, (4, 1)),
+            # a gap pair, where t = 2r - m
+            (StackParams(2, 3), 200, 72, (0, 24, 36, 7)),
         ]
-        for n, grid, indices in cases:
-            prof = circle_profile(ArcContext.build(P13, n, rho=0.5, dps=12), grid=grid)
+        for params, n, grid, indices in cases:
+            prof = circle_profile(ArcContext.build(params, n, rho=0.5, dps=12), grid=grid)
+            t, m = params.shift, params.m
             for j in indices:
                 with mp.workdps(30):
                     tau = mp.mpc(prof.nus[j], prof.kappa) / (2 * mp.pi)
                     q = mp.exp(2 * mp.pi * 1j * tau)
-                    l_val = -q ** (2 * P13.r) * false_theta(P13.m, -(P13.m + 4 * P13.r), tau, 30)
-                    expected = mp.log(abs(congruence_product(P13, tau, 30) * l_val)) + n * mp.mpf(prof.kappa)
-                assert abs(prof.log_magnitudes[j] - expected) < 1e-10, (n, j)
+                    l_val = -q ** t * false_theta(m, -(m + 2 * t), tau, 30)
+                    expected = mp.log(abs(congruence_product(params, tau, 30) * l_val)) + n * mp.mpf(prof.kappa)
+                assert abs(prof.log_magnitudes[j] - expected) < 1e-10, (params, n, j)
 
-    def test_peaks_see_across_the_seam_at_minus_one(self):
+    def test_peaks_see_across_the_seam_at_minus_one(self, monkeypatch):
+        # this grid is spaced pi/4, so the windows must reach one step past their centres
+        monkeypatch.setattr(analytic, "PEAK_HALFWIDTH", 0.8)
         # nu = -pi (index 0) and nu = pi (index 8) are one point of the circle, so the
         # sample beyond index 8 is index 1; m = 4 centres the window for l = 2 on pi
         nus = tuple(math.pi * (2 * j - 8) / 8 for j in range(9))
         vals = (2.0, 1.0, -1.0, -2.0, 5.0, -2.0, -1.0, 1.0, 2.0)
         prof = CircleProfile(P14, n=1, kappa=1.0, rho=0.5, nus=nus, log_magnitudes=vals)
         # l = 1 and 3 peak on a window edge with a higher sample beyond it
-        assert prof.root_of_unity_peaks(halfwidth=0.8) == {2: (math.pi, 2.0)}
+        assert prof.root_of_unity_peaks() == {2: (math.pi, 2.0)}
         vals = vals[:1] + (3.0,) + vals[2:]
         prof = CircleProfile(P14, n=1, kappa=1.0, rho=0.5, nus=nus, log_magnitudes=vals)
         # pi is now below index 1 beyond the seam; index 1 is the edge of the window
         # for l = 3 but higher than both its neighbours
-        assert prof.root_of_unity_peaks(halfwidth=0.8) == {3: (nus[1], 3.0)}
+        assert prof.root_of_unity_peaks() == {3: (nus[1], 3.0)}
 
     def test_csv_output(self, profile):
         lines = profile.to_csv().strip().splitlines()
@@ -312,11 +325,11 @@ class TestCircleProfile:
         assert len(lines) == 722
 
     def test_window_validation(self):
-        # no sample of the grid nu = k pi/4 lies within 0.2 of 2 pi/3
-        nus = tuple(math.pi * (2 * j - 8) / 8 for j in range(9))
-        prof = CircleProfile(P13, n=1, kappa=1.0, rho=0.5, nus=nus, log_magnitudes=(0.0,) * 9)
+        # no sample of the grid nu = k pi/2 lies within PEAK_HALFWIDTH = 0.35 of 2 pi/3
+        nus = tuple(math.pi * (2 * j - 4) / 4 for j in range(5))
+        prof = CircleProfile(P13, n=1, kappa=1.0, rho=0.5, nus=nus, log_magnitudes=(0.0,) * 5)
         with pytest.raises(ValueError, match="contains no grid points"):
-            prof.root_of_unity_peaks(halfwidth=0.2)
+            prof.root_of_unity_peaks()
 
     def test_grid_validation(self):
         ctx = ArcContext.build(P13, 100, rho=0.5, dps=10)

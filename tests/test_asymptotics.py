@@ -197,6 +197,13 @@ class TestExpansionCoefficients:
             Fraction(0),
         )
 
+    def test_gap_modulus_four(self):
+        # (3, 4) has shift 2, so L = 1 + f_{4,0} is a theta function and
+        # eta(-2k) = 0 removes every correction, to the last expansion term
+        assert singular_expansion_coeffs(StackParams(3, 4), max_order=MAX_EXPANSION_TERMS - 1) == (
+            (Fraction(1, 2),) + (Fraction(0),) * (MAX_EXPANSION_TERMS - 1)
+        )
+
     def test_leading_term_is_half(self):
         for pair in [(1, 3), (1, 4), (1, 5), (2, 5), (3, 7)]:
             coeffs = singular_expansion_coeffs(StackParams(*pair))
@@ -237,6 +244,13 @@ class TestAsymptoticSum:
     def test_error_falls_with_every_term_at_1000(self):
         exact = stack_gf(P13, 1000)[1000]
         errors = [abs(asymptotic_sum(P13, 1000, terms=k).relative_error_against(exact)) for k in range(1, 13)]
+        assert all(a > b for a, b in zip(errors, errors[1:]))
+        assert errors[-1] < mp.mpf("1e-13")
+
+    def test_gap_error_falls_with_every_term_at_1000(self):
+        p23 = StackParams(2, 3)
+        exact = stack_gf(p23, 1000)[1000]
+        errors = [abs(asymptotic_sum(p23, 1000, terms=k).relative_error_against(exact)) for k in range(1, 13)]
         assert all(a > b for a, b in zip(errors, errors[1:]))
         assert errors[-1] < mp.mpf("1e-13")
 

@@ -114,6 +114,16 @@ class TestAsym:
         assert payload["expansion_coefficients"] == ["1/2", "-1/8", "-3/32", "-53/384"]
         assert float(payload["expansion_relative_error"]) < 1e-5
 
+    @pytest.mark.parametrize("r,m,n,bound", [(2, 3, 1000, 1e-15), (3, 5, 3000, 1e-16)])
+    def test_full_expansion_is_exact_for_gap_pairs(self, capsys, r, m, n, bound):
+        # for gap pairs L = 1 + f_{m, 3m-4r}
+        code, out, _ = run(
+            capsys, "asym", "-r", str(r), "-m", str(m), "-n", str(n),
+            "--full", "--exact", "--terms", "16", "--format", "json",
+        )
+        assert code == 0
+        assert abs(float(json.loads(out)["expansion_relative_error"])) < bound
+
     def test_terms_bound(self, capsys):
         code, _, err = run(capsys, "asym", "-n", "1000", "--full", "--terms", "17")
         assert code == 2
@@ -150,12 +160,22 @@ class TestVerify:
         assert code == 0
         assert "agree exactly" in out
 
-    def test_decomposition_gap_fails_honestly(self, capsys):
+    def test_decomposition_gap_agrees_exactly(self, capsys):
+        # This test once expected exit 1 with mismatched coefficients.  The
+        # program was at fault: L and R used the standard exponents for the
+        # gap pair (3, 4).  With t = 2r mod m, S = F*L + R holds exactly for
+        # every coprime pair with m <= 12 through q^2000.
         code, out, _ = run(
             capsys, "verify", "decomposition", "--r", "3", "--m", "4", "--order", "80"
         )
-        assert code == 1
-        assert "FAIL" in out and "mismatched" in out
+        assert code == 0
+        assert "PASS" in out and "agree exactly" in out
+
+    @pytest.mark.parametrize("r,m", [(2, 3), (3, 4)])
+    def test_every_check_passes_for_gap_pairs(self, capsys, r, m):
+        code, out, _ = run(capsys, "verify", "all", "-r", str(r), "-m", str(m))
+        assert code == 0, out
+        assert "FAIL" not in out
 
     def test_bessel_target(self, capsys):
         code, out, _ = run(capsys, "verify", "bessel")

@@ -38,6 +38,16 @@ def test_variant_is_read_only():
 def test_peak_values():
     p = StackParams(1, 3)
     assert [p.peak(k) for k in range(4)] == [1, 4, 7, 10]
+
+
+@pytest.mark.parametrize("r,m,shift", [(1, 3, 2), (2, 5, 4), (2, 3, 1), (3, 4, 2), (3, 5, 1)])
+def test_shift_is_peak_minus_largest_right_part(r, m, shift):
+    p = StackParams(r, m)
+    assert p.shift == shift
+    # right parts lie in -r mod m; the largest one below the peak 2m + r
+    assert p.peak(2) - p.shift == max(v for v in range(1, p.peak(2)) if v % m == (m - r) % m)
+    with pytest.raises(AttributeError):
+        p.shift = 0
     g = StackParams(3, 4)
     assert [g.peak(k) for k in range(3)] == [3, 7, 11]
 

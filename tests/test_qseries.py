@@ -1,3 +1,5 @@
+import math
+
 import mpmath as mp
 import pytest
 from hypothesis import given, settings
@@ -21,6 +23,9 @@ P14 = StackParams(1, 4)
 G34 = StackParams(3, 4)
 
 STANDARD_PAIRS = [(1, 3), (1, 4), (1, 5), (2, 5), (3, 7)]
+# every family with 3 <= m <= 12, standard and gap alike
+ALL_PAIRS = [(r, m) for m in range(3, 13) for r in range(1, m) if math.gcd(r, m) == 1]
+GAP_PAIRS = [(r, m) for r, m in ALL_PAIRS if 2 * r > m]
 
 small_series = st.builds(
     lambda cs: TruncatedSeries(tuple(cs)),
@@ -144,7 +149,7 @@ class TestFalseThetaSeries:
         assert list(L.nonzero_terms()) == [(0, 1), (1, -1), (5, 1), (12, -1), (22, 1)]
 
     def test_alternating_unit_coefficients(self):
-        for r, m in STANDARD_PAIRS:
+        for r, m in ALL_PAIRS:
             L = false_theta_gf(StackParams(r, m), 300)
             signs = [c for _, c in L.nonzero_terms()]
             assert all(abs(c) == 1 for c in signs)
@@ -162,24 +167,35 @@ class TestCorrectionSeries:
             (0, -1), (2, 1), (5, 1), (15, -1), (22, -1), (40, 1),
         )
 
+    def test_support_gap_modulus_three(self):
+        # the triangular numbers T(3j) and T(3j+1)
+        assert tuple(correction_gf(StackParams(2, 3), 30).nonzero_terms()) == (
+            (0, -1), (1, -1), (6, 1), (10, 1), (21, -1), (28, -1),
+        )
+
     def test_coefficients_stay_in_unit_range(self):
-        for r, m in STANDARD_PAIRS:
+        for r, m in ALL_PAIRS:
             R = correction_gf(StackParams(r, m), 500)
             assert all(c in (-1, 0, 1) for c in R.coeffs)
 
 
 class TestDecomposition:
-    @pytest.mark.parametrize("r,m", STANDARD_PAIRS)
+    @pytest.mark.parametrize("r,m", [pair for pair in ALL_PAIRS if pair not in GAP_PAIRS])
     def test_holds_for_standard_parameters(self, r, m):
-        report = verify_decomposition(StackParams(r, m), 200)
+        report = verify_decomposition(StackParams(r, m), 300)
         assert report.ok
         assert report.mismatches == ()
         assert report.max_abs_residual == 0
 
-    def test_fails_for_gap_parameters(self):
-        report = verify_decomposition(G34, 120)
-        assert not report.ok
-        assert 0 in report.mismatches
+    @pytest.mark.parametrize("r,m", GAP_PAIRS)
+    def test_holds_for_gap_parameters(self, r, m):
+        # This test once expected (3, 4) to fail at q^0.  The program was at
+        # fault: L and R took the standard exponents 2r, 3r, so for gap pairs
+        # L lost its j = 1 term to a negative exponent.  With t = 2r mod m the
+        # identity holds exactly through q^2000 for every pair here.
+        report = verify_decomposition(StackParams(r, m), 300)
+        assert report.ok
+        assert report.max_abs_residual == 0
 
     def test_counts_track_product_within_one(self):
         F = congruence_partition_gf(P13, 300)
