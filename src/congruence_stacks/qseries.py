@@ -1,26 +1,31 @@
 """Exact q-series arithmetic for stack counting.
 
 Everything here is integer-exact: a truncated power series is a tuple of
-Python ints c[0..order], and all constructors build the series
+Python ints c[0..order].  The stack series is
 
     S(q)  = sum_{k>=0} q^{km+r} / ((q^r; q^m)_{k+1} (q^{m-r}; q^m)_{k+d})
 
 whose right parts below the peak km + r run up to km + r - t with the shift
 t = 2r mod m, one rule for the whole family: d = 0 in the standard variant
-(2r < m, t = 2r) and d = 1 in the gap variant (2r > m, t = 2r - m).  Alongside
-S come the three pieces of its decomposition
+(2r < m, t = 2r) and d = 1 in the gap variant (2r > m, t = 2r - m).  It
+decomposes as
 
     S = F * L + R,
 
 where F is the partition product 1/((q^r; q^m)_inf (q^{m-r}; q^m)_inf),
 L(q) = sum_{j>=0} (-1)^j q^{m j(j+1)/2 - tj} = 1 + f_{m, m-2t}(q) is a false
 theta series, and R is a sparse correction with coefficients in {-1, 0, +1}.
-The decomposition holds for both variants; verify_decomposition reports the
-residual for any parameters.
+
+stack_gf builds S from the right-hand side: F by the Jacobi triple product
+as a quotient of two sparse theta series, then F*L + R by shifts of F, in
+O(order^1.5 / sqrt(m)) integer additions.  stack_recurrence builds S from the
+sum over the peaks in O(order^2 / m); it is kept as an independent oracle,
+and verify_decomposition compares the two coefficient by coefficient.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -90,8 +95,79 @@ def _inv_one_minus_inplace(c: list[int], d: int, hi: int) -> None:
         c[i] += c[i - d]
 
 
+def _theta_terms(period: int, a: int, order: int) -> list[tuple[int, int]]:
+    """Nonzero terms of sum_{n in Z} (-1)^n q^(period n(n-1)/2 + an) through q^order.
+
+    Requires 0 < a < period.  By the Jacobi triple product the sum is
+    (q^a; q^period)_inf (q^(period-a); q^period)_inf (q^period; q^period)_inf.
+    The terms n and -n sit at period T(n-1) + an and period T(n-1) + (period-a)n,
+    T the triangular numbers, so every exponent but n = 0's is positive and
+    there are O(sqrt(order / period)) of them.  Returns (exponent, sign)
+    pairs in ascending order.
+    """
+    terms = [(0, 1)]
+    n = 1
+    while (base := period * n * (n - 1) // 2) + min(a, period - a) * n <= order:
+        for e in (base + a * n, base + (period - a) * n):
+            if e <= order:
+                terms.append((e, (-1) ** n))
+        n += 1
+    return sorted(terms)
+
+
+def congruence_partition_gf(params: StackParams, order: int) -> TruncatedSeries:
+    """Partitions into parts congruent to r or -r mod m (the product F).
+
+    By the triple product F = P / T, with Euler's pentagonal series
+    P = (q^m; q^m)_inf = sum_{k in Z} (-1)^k q^(m k(3k-1)/2), the theta series
+    of period 3m at a = m, and T = sum_{n in Z} (-1)^n q^(m n(n-1)/2 + rn),
+    T[0] = 1, the one of period m at a = r.  Both have O(sqrt(order/m))
+    nonzero terms, so the sparse division F[n] = P[n] - sum_{e>=1} T[e] F[n-e]
+    costs O(order^1.5 / sqrt(m)) integer additions.
+    """
+    if order < 0:
+        raise ValueError("order must be nonnegative")
+    m = params.m
+    f = [0] * (order + 1)
+    for e, sign in _theta_terms(3 * m, m, order):
+        f[e] = sign
+    denominator = _theta_terms(m, params.r, order)[1:]
+    plus = [e for e, sign in denominator if sign > 0]
+    minus = [e for e, sign in denominator if sign < 0]
+    for n in range(1, order + 1):
+        acc = f[n]
+        for e in minus:
+            if e > n:
+                break
+            acc += f[n - e]
+        for e in plus:
+            if e > n:
+                break
+            acc -= f[n - e]
+        f[n] = acc
+    return TruncatedSeries(tuple(f))
+
+
 def stack_gf(params: StackParams, order: int) -> TruncatedSeries:
     """Generating function of stack counts, coefficients through q^order.
+
+    Built as S = F*L + R: F by the sparse division of
+    congruence_partition_gf, then one signed shift of F onto R per nonzero
+    term of L.  L has O(sqrt(order/m)) terms, so the whole series costs
+    O(order^1.5 / sqrt(m)) integer additions.  stack_recurrence computes the
+    same series by the sum over the peaks, as an independent check.
+    """
+    if order < 0:
+        raise ValueError("order must be nonnegative")
+    f = congruence_partition_gf(params, order).coeffs
+    out = list(correction_gf(params, order).coeffs)
+    for e, c in false_theta_gf(params, order).nonzero_terms():
+        out[e:] = map(operator.add if c > 0 else operator.sub, out[e:], f)
+    return TruncatedSeries(tuple(out))
+
+
+def stack_recurrence(params: StackParams, order: int) -> TruncatedSeries:
+    """The stack series summed over the peaks; an oracle for stack_gf.
 
     The k-th summand is accumulated from a running product over the inverse
     factors (1 - q^e)^(-1); factors and accumulation are capped at the
@@ -116,20 +192,6 @@ def stack_gf(params: StackParams, order: int) -> TruncatedSeries:
                 acc[i + peak] += prod[i]
         k += 1
     return TruncatedSeries(tuple(acc))
-
-
-def congruence_partition_gf(params: StackParams, order: int) -> TruncatedSeries:
-    """Partitions into parts congruent to r or -r mod m (the product F)."""
-    if order < 0:
-        raise ValueError("order must be nonnegative")
-    c = [0] * (order + 1)
-    c[0] = 1
-    for start in (params.r, params.m - params.r):
-        e = start
-        while e <= order:
-            _inv_one_minus_inplace(c, e, order)
-            e += params.m
-    return TruncatedSeries(tuple(c))
 
 
 def false_theta_gf(params: StackParams, order: int) -> TruncatedSeries:
@@ -187,12 +249,8 @@ class DecompositionReport:
 
 
 def verify_decomposition(params: StackParams, order: int) -> DecompositionReport:
-    """Compare stack_gf against F*L + R coefficientwise."""
-    s = stack_gf(params, order)
-    f = congruence_partition_gf(params, order)
-    ell = false_theta_gf(params, order)
-    corr = correction_gf(params, order)
-    residual = s - (series_mul(f, ell) + corr)
+    """Compare the peak sum stack_recurrence against stack_gf = F*L + R coefficientwise."""
+    residual = stack_recurrence(params, order) - stack_gf(params, order)
     mismatches = tuple(i for i, c in residual.nonzero_terms())
     max_abs = max((abs(c) for _, c in residual.nonzero_terms()), default=0)
     return DecompositionReport(params, order, mismatches, max_abs)

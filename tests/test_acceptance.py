@@ -106,9 +106,10 @@ def test_c01_exact_counts(big_series):
         100: (31671, 6),
         # Was 2.6926e25 and 7.5714e86, off from the true counts by a relative
         # 1.6e-3 and 3.4e-3.  The true counts 26882773... and 75457068... agree across
-        # stack_gf, the direct DP count_stacks(1000), a separate DP summing
+        # stack_gf (F*L + R from the triple product), stack_recurrence summing
         # q^c / ((q;q^3)_{k+1} (q^2;q^3)_k) over peaks c = 3k + 1 (equal to
-        # stack_gf through order 10^4), and the 16-term asymptotic_sum, which
+        # stack_gf through order 10^4), the direct DP count_stacks(1000), and
+        # the 16-term asymptotic_sum, which
         # is within 5.7e-15 at n = 10^3 and 7.6e-24 at n = 10^4
         # (`cstacks asym -n 10000 --full --exact --terms 16`).
         1000: (26882, 25),

@@ -40,14 +40,29 @@ class TestCount:
         assert len(payload["witnesses"]) == 7
 
     def test_witnesses_above_the_cap_exit_2_before_counting(self, capsys, monkeypatch):
-        def count_stacks(n, params):
-            raise AssertionError("count_stacks ran although the listing is refused")
+        def stack_gf(params, order):
+            raise AssertionError("stack_gf ran although the listing is refused")
 
-        monkeypatch.setattr(cli, "count_stacks", count_stacks)
+        monkeypatch.setattr(cli, "stack_gf", stack_gf)
         code, out, err = run(capsys, "count", "-n", "10000", "--witnesses")
         assert code == 2
         assert out == ""
         assert f"n <= {ENUMERATION_CAP}" in err
+
+    def test_size_zero_counts_nothing(self, capsys):
+        code, out, _ = run(capsys, "count", "-n", "0")
+        assert code == 0
+        assert out.endswith(": 0\n")
+
+    def test_size_above_the_series_bound_exit_2_before_counting(self, capsys, monkeypatch):
+        def stack_gf(params, order):
+            raise AssertionError("stack_gf ran although the size is refused")
+
+        monkeypatch.setattr(cli, "stack_gf", stack_gf)
+        code, out, err = run(capsys, "count", "-n", str(cli.MAX_SERIES_ORDER + 1))
+        assert code == 2
+        assert out == ""
+        assert f"MAX_SERIES_ORDER = {cli.MAX_SERIES_ORDER}" in err
 
     def test_gap_variant_auto(self, capsys):
         code, out, _ = run(capsys, "count", "--r", "3", "--m", "4", "-n", "7", "--format", "json")
@@ -89,6 +104,16 @@ class TestTable:
         code, _, err = run(capsys, "table", "--values", "10,abc")
         assert code == 2
         assert "comma separated" in err
+
+    def test_size_above_the_series_bound_exit_2_before_any_work(self, capsys, monkeypatch):
+        def comparison_table(params, ns, dps):
+            raise AssertionError("the table was built although a size is refused")
+
+        monkeypatch.setattr(cli, "comparison_table", comparison_table)
+        code, out, err = run(capsys, "table", "--values", f"10,{cli.MAX_SERIES_ORDER + 1}")
+        assert code == 2
+        assert out == ""
+        assert f"MAX_SERIES_ORDER = {cli.MAX_SERIES_ORDER}" in err
 
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "table.csv"

@@ -13,7 +13,7 @@ from congruence_stacks.oracle import (
     witnesses_to_json,
 )
 from congruence_stacks.params import StackParams
-from congruence_stacks.qseries import stack_gf
+from congruence_stacks.qseries import stack_gf, stack_recurrence
 
 P13 = StackParams(1, 3)
 P14 = StackParams(1, 4)
@@ -88,8 +88,9 @@ class TestCongruenceCounts:
     def test_matches_generating_function(self, r, m):
         params = StackParams(r, m)
         series = stack_gf(params, 40)
+        recurrence = stack_recurrence(params, 40)
         for n in range(41):
-            assert series[n] == count_stacks(n, params)
+            assert series[n] == recurrence[n] == count_stacks(n, params)
 
     @pytest.mark.parametrize("r,m", [(1, 3), (1, 4), (2, 5), (3, 4)])
     def test_enumeration_matches_counts(self, r, m):

@@ -15,6 +15,7 @@ from congruence_stacks.qseries import (
     false_theta_gf,
     series_mul,
     stack_gf,
+    stack_recurrence,
     verify_decomposition,
 )
 
@@ -26,6 +27,16 @@ STANDARD_PAIRS = [(1, 3), (1, 4), (1, 5), (2, 5), (3, 7)]
 # every family with 3 <= m <= 12, standard and gap alike
 ALL_PAIRS = [(r, m) for m in range(3, 13) for r in range(1, m) if math.gcd(r, m) == 1]
 GAP_PAIRS = [(r, m) for r, m in ALL_PAIRS if 2 * r > m]
+
+
+def coprime_pairs(variant: str):
+    """(r, m) with m <= 15 in one variant: standard when 2r < m, gap when 2r > m."""
+    return st.integers(3, 15).flatmap(
+        lambda m: st.sampled_from(
+            [r for r in range(1, m) if math.gcd(r, m) == 1 and (2 * r < m) == (variant == "standard")]
+        ).map(lambda r: (r, m))
+    )
+
 
 small_series = st.builds(
     lambda cs: TruncatedSeries(tuple(cs)),
@@ -122,6 +133,20 @@ class TestStackSeries:
             9, 11, 14, 16, 19, 23, 27, 32, 38, 45, 52, 61,
         ]
 
+    @pytest.mark.parametrize("variant", ["standard", "gap"])
+    @given(data=st.data())
+    @settings(max_examples=6, deadline=None)
+    def test_matches_the_recurrence(self, variant, data):
+        r, m = data.draw(coprime_pairs(variant))
+        order = data.draw(st.integers(0, 2000))
+        params = StackParams(r, m)
+        assert stack_gf(params, order) == stack_recurrence(params, order)
+
+    def test_negative_order_rejected(self):
+        for build in (stack_gf, stack_recurrence, congruence_partition_gf):
+            with pytest.raises(ValueError):
+                build(P13, -1)
+
     def test_coefficients_nonnegative(self):
         for r, m in STANDARD_PAIRS:
             s = stack_gf(StackParams(r, m), 60)
@@ -129,6 +154,15 @@ class TestStackSeries:
 
 
 class TestPartitionFactor:
+    @pytest.mark.parametrize("r,m", ALL_PAIRS)
+    def test_division_matches_the_product(self, r, m):
+        # the product of 1/(1 - q^e) over e = r or -r mod m, one factor at a time
+        c = [1] + [0] * 500
+        for e in range(1, 501):
+            if e % m in (r, m - r):
+                _inv_one_minus_inplace(c, e, 500)
+        assert congruence_partition_gf(StackParams(r, m), 500).coeffs == tuple(c)
+
     def test_counts_parts_avoiding_zero_class(self):
         F = congruence_partition_gf(P13, 20)
         allowed = [k for k in range(1, 21) if k % 3 in (1, 2)]
