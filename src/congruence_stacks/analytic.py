@@ -14,8 +14,11 @@ principal log of q would be wrong outside -1/2 < Re(tau) <= 1/2.
 Every function takes a decimal working precision `dps` and performs the whole
 computation inside a single mpmath context with guard digits, including the
 construction of derived points like -1/tau.  Truncation cutoffs are derived
-from the requested precision: Gaussian tail bounds for theta sums, geometric
-bounds for the products.  Residual checks return mpf values; fits and profile
+from the requested precision: Gaussian tail bounds for the theta, false theta
+and eta sums (eta's is pi y (3k^2 - k) >= D log 10, D the dps plus guard and
+cancellation digits), geometric bounds for the products.  The three sums are
+sum_n (+-1)^n X^{n^2} Y^n and are summed by their term ratio, with no
+exponential per term.  Residual checks return mpf values; fits and profile
 reports come back as small dataclasses.  The one exception is circle_profile,
 which wants a float log magnitude and computes it in doubles.
 """
@@ -66,11 +69,30 @@ def _factor_count(y, digits: int, slack=0) -> int:
     return int(mp.ceil((digits * mp.log(10) + slack - mp.log(-mp.expm1(-t))) / t))
 
 
+def _gauss_sum(x, y, n_max: int, sign=1):
+    """sum_{0 <= n <= n_max} sign^n x^{n^2} y^n, one term from the last by the ratio sign x^{2n+1} y.
+
+    Two complex products per term and no exponential: the Gaussian sums of
+    theta, false theta and eta all go through here.
+    """
+    total = term = 1
+    ratio = sign * x * y
+    x2 = x * x
+    for _ in range(n_max):
+        term *= ratio
+        total += term
+        ratio *= x2
+    return total
+
+
 def theta_sum(w, tau, dps: int = DEFAULT_DPS) -> mp.mpc:
     """Jacobi theta as a half-integer index sum.
 
     The term at index nu has magnitude e^{-pi nu^2 y - 2 pi nu Im(w)}, so the
-    cutoff solves pi y nu^2 - 2 pi |Im w| nu = (dps + GUARD) log 10.
+    cutoff solves pi y nu^2 - 2 pi |Im w| nu = (dps + GUARD) log 10.  With
+    nu = k + 1/2 the term is c X^{k^2} Y^k, X = e^{pi i tau},
+    Y = X e^{2 pi i (w + 1/2)} and c = e^{pi i (tau/4 + w + 1/2)}; k >= 0 and
+    k < 0 are two Gaussian sums.
     """
     with mp.workdps(dps + GUARD):
         w = mp.mpc(w)
@@ -81,11 +103,11 @@ def theta_sum(w, tau, dps: int = DEFAULT_DPS) -> mp.mpc:
         target = (dps + GUARD) * mp.log(10)
         nu_max = (iw + mp.sqrt(iw * iw + y * target / mp.pi)) / y + 2
         k_max = int(mp.ceil(nu_max))
-        total = mp.mpc(0)
-        for k in range(-k_max - 1, k_max + 1):
-            nu = k + mp.mpf(1) / 2
-            total += mp.exp(mp.pi * 1j * nu * nu * tau + 2 * mp.pi * 1j * nu * (w + mp.mpf(1) / 2))
-        return total
+        half_w = w + mp.mpf(1) / 2
+        x = mp.exp(mp.pi * 1j * tau)
+        yk = x * mp.exp(2 * mp.pi * 1j * half_w)
+        c = mp.exp(mp.pi * 1j * (tau / 4 + half_w))
+        return c * (_gauss_sum(x, yk, k_max) + _gauss_sum(x, 1 / yk, k_max + 1) - 1)
 
 
 def theta_product(w, tau, dps: int = DEFAULT_DPS) -> mp.mpc:
@@ -126,11 +148,25 @@ def theta_transform_residual(w, tau, dps: int = DEFAULT_DPS) -> mp.mpf:
 
 
 def dedekind_eta(tau, dps: int = DEFAULT_DPS) -> mp.mpc:
+    """eta(tau) = e^{pi i tau/12} sum_{k in Z} (-1)^k q^{k(3k-1)/2}, Euler's pentagonal series.
+
+    With X = e^{3 pi i tau} and U = e^{-pi i tau} the k-th term is
+    (-1)^k X^{k^2} U^k, so k >= 0 and k < 0 are two Gaussian sums.  The
+    terms have size up to 1 while the sum is as small as e^{-pi/(12 y)} near
+    the cusp 0, so the sum is formed with D = dps + GUARD + pi/(12 y log 10)
+    digits and cut where pi y (3k^2 - k) >= D log 10.
+    """
     with mp.workdps(dps + GUARD):
         tau = mp.mpc(tau)
         _require_upper_half(tau)
-        q = mp.exp(2 * mp.pi * 1j * tau)
-        return mp.exp(mp.pi * 1j * tau / 12) * _pochhammer(q, q, _factor_count(mp.im(tau), dps + GUARD))
+        y = mp.im(tau)
+        digits = dps + GUARD + int(mp.pi / (12 * y * mp.log(10))) + 1
+        k_max = int(mp.ceil((1 + mp.sqrt(1 + 12 * digits * mp.log(10) / (mp.pi * y))) / 6))
+    with mp.workdps(digits):
+        x = mp.exp(3 * mp.pi * 1j * tau)
+        u = mp.exp(-mp.pi * 1j * tau)
+        total = _gauss_sum(x, u, k_max, -1) + _gauss_sum(x, 1 / u, k_max, -1) - 1
+        return mp.exp(mp.pi * 1j * tau / 12) * total
 
 
 def eta_inversion_residual(tau, dps: int = DEFAULT_DPS) -> mp.mpf:
@@ -256,10 +292,7 @@ def false_theta(a: int, b: int, tau, dps: int = DEFAULT_DPS) -> mp.mpc:
         disc = b * b + 4 * a * target / (mp.pi * y)
         n_max = int(mp.ceil((-b + mp.sqrt(disc)) / (2 * a))) + 2
         pi_i_tau = mp.pi * 1j * tau
-        total = mp.mpc(0)
-        for n in range(1, n_max + 1):
-            total += (-1) ** n * mp.exp(pi_i_tau * (a * n * n + b * n))
-        return total
+        return _gauss_sum(mp.exp(pi_i_tau * a), mp.exp(pi_i_tau * b), n_max, -1) - 1
 
 
 def cubic_model(a: int, b: int, z) -> mp.mpc:
@@ -443,7 +476,8 @@ def circle_profile(ctx: ArcContext, grid: int = 720) -> CircleProfile:
 
     grid must be even so nu = 0 is sampled exactly.  The result does not
     depend on ctx.dps.  log |F| is summed factor by factor, because |F|
-    itself leaves double range once n reaches a few 10^5.
+    itself leaves double range once n reaches a few 10^5.  Only nu >= 0 is
+    evaluated; nu < 0 is its mirror image.
     """
     if grid < 8 or grid % 2:
         raise ValueError("grid must be even and at least 8")
@@ -454,10 +488,12 @@ def circle_profile(ctx: ArcContext, grid: int = 720) -> CircleProfile:
     # |1 - e^{a + ib}| = hypot(expm1(a), 2 e^{a/2} sin(b/2)) keeps every digit near q = 1
     f_factors = [(e, math.expm1(-e * kappa), 2 * math.exp(-e * kappa / 2)) for e in f_exponents]
     nus = [math.pi * (2 * j - grid) / grid for j in range(grid + 1)]
-    logs = []
-    for nu in nus:
+    half = []
+    for nu in nus[grid // 2:]:
         z = complex(-kappa, nu)
         mag = abs(sum(sign * cmath.exp(e * z) for e, sign in l_terms))
         log_f = -math.fsum(math.log(math.hypot(d, s * math.sin(e * nu / 2))) for e, d, s in f_factors)
-        logs.append(math.log(mag) + log_f + n * kappa if mag else -math.inf)
+        half.append(math.log(mag) + log_f + n * kappa if mag else -math.inf)
+    # real coefficients make the magnitude even in nu, and nus[grid - j] == -nus[j] exactly
+    logs = half[:0:-1] + half
     return CircleProfile(params, n, kappa, ctx.rho, tuple(nus), tuple(logs))

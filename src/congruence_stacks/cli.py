@@ -61,6 +61,13 @@ DEFAULT_SEED = 20260815
 # largest size `count` and `table` build the exact series for; there
 # `count -n` takes 6-8 s and 60 MB max RSS (Python 3.11, one Xeon core)
 MAX_SERIES_ORDER = 10**5
+# largest `verify --order` for the O(order^2 / m) peak-sum oracle; there
+# `verify decomposition` takes 3.8 s and 22 MB max RSS (same machine)
+MAX_RECURRENCE_ORDER = 10**4
+# largest `profile --grid`, 100 times the default; there `profile` takes 7.5 s
+# at the default n = 500 and 27 MB max RSS (same machine).  The cost grows
+# like grid * sqrt(n): n = 10^6 takes 6.4 s at the default grid
+MAX_PROFILE_GRID = 72_000
 VERIFY_TARGETS = frozenset(
     ["decomposition", "theta", "transform", "eta", "falsetheta", "bessel", "contour", "oracle"]
 )
@@ -176,7 +183,12 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="TARGET",
         help=f"suites to run: {', '.join(sorted(VERIFY_TARGETS))}, or all (default all)",
     )
-    p_verify.add_argument("--order", type=int, default=400, help="series order for the decomposition check")
+    p_verify.add_argument(
+        "--order",
+        type=int,
+        default=400,
+        help=f"series order for the decomposition check (default 400, at most {MAX_RECURRENCE_ORDER})",
+    )
     p_verify.add_argument("-n", "--size", type=int, default=200, help="size used by the contour check")
     p_verify.add_argument("--rho", type=float, default=0.9, help="major arc fraction for the contour check")
     p_verify.add_argument("--seed", type=int, default=DEFAULT_SEED, help="seed for sampled test points")
@@ -186,7 +198,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_profile, precision=False)
     p_profile.add_argument("-n", "--size", type=int, default=500, help="coefficient index (default 500)")
     p_profile.add_argument("--rho", type=float, default=0.5, help="major arc half-width in units of kappa (default 0.5)")
-    p_profile.add_argument("--grid", type=int, default=720, help="angular sample count, even (default 720)")
+    p_profile.add_argument(
+        "--grid", type=int, default=720, help=f"angular sample count, even (default 720, at most {MAX_PROFILE_GRID})"
+    )
     p_profile.add_argument("--format", choices=["text", "csv"], default="text", help="csv lists every sample")
     p_profile.set_defaults(func=cmd_profile)
 
@@ -359,6 +373,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise ValueError(f"unknown verify target(s): {', '.join(sorted(unknown))}")
     if "all" in targets:
         targets = set(VERIFY_TARGETS)
+    if args.order > MAX_RECURRENCE_ORDER:
+        raise ValueError(
+            f"order {args.order} exceeds the recurrence bound MAX_RECURRENCE_ORDER = {MAX_RECURRENCE_ORDER}"
+        )
     rng = random.Random(args.seed)
     suite = _Suite()
     tol = mp.mpf(10) ** (-dps)
@@ -477,6 +495,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_profile(args: argparse.Namespace) -> int:
     params = StackParams(args.r, args.m)
+    if args.grid > MAX_PROFILE_GRID:
+        raise ValueError(f"grid {args.grid} exceeds the profile bound MAX_PROFILE_GRID = {MAX_PROFILE_GRID}")
     ctx = ArcContext.build(params, args.size, rho=args.rho)
     profile = circle_profile(ctx, grid=args.grid)
     if args.format == "csv":

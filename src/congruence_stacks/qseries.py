@@ -16,16 +16,16 @@ where F is the partition product 1/((q^r; q^m)_inf (q^{m-r}; q^m)_inf),
 L(q) = sum_{j>=0} (-1)^j q^{m j(j+1)/2 - tj} = 1 + f_{m, m-2t}(q) is a false
 theta series, and R is a sparse correction with coefficients in {-1, 0, +1}.
 
-stack_gf builds S from the right-hand side: F by the Jacobi triple product
-as a quotient of two sparse theta series, then F*L + R by shifts of F, in
-O(order^1.5 / sqrt(m)) integer additions.  stack_recurrence builds S from the
-sum over the peaks in O(order^2 / m); it is kept as an independent oracle,
-and verify_decomposition compares the two coefficient by coefficient.
+stack_gf builds S from the right-hand side: by the Jacobi triple product F is
+a quotient P / T of two sparse theta series, so S = (P*L + R*T) / T is one
+sparse division, in O(order^1.5 / sqrt(m)) integer additions.
+stack_recurrence builds S from the sum over the peaks in O(order^2 / m); it
+is kept as an independent oracle, and verify_decomposition compares the two
+coefficient by coefficient.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -115,55 +115,70 @@ def _theta_terms(period: int, a: int, order: int) -> list[tuple[int, int]]:
     return sorted(terms)
 
 
+def _divide_by_theta(num: list[int], theta: list[tuple[int, int]]) -> TruncatedSeries:
+    """num / T for a theta series T of _theta_terms, by sparse division in place.
+
+    T[0] = 1, so c[n] = num[n] - sum_{e>=1} T[e] c[n-e]; with the
+    O(sqrt(order/m)) terms of T that is O(order^1.5 / sqrt(m)) integer
+    additions.
+    """
+    plus = [e for e, sign in theta[1:] if sign > 0]
+    minus = [e for e, sign in theta[1:] if sign < 0]
+    for n in range(1, len(num)):
+        acc = num[n]
+        for e in minus:
+            if e > n:
+                break
+            acc += num[n - e]
+        for e in plus:
+            if e > n:
+                break
+            acc -= num[n - e]
+        num[n] = acc
+    return TruncatedSeries(tuple(num))
+
+
 def congruence_partition_gf(params: StackParams, order: int) -> TruncatedSeries:
     """Partitions into parts congruent to r or -r mod m (the product F).
 
     By the triple product F = P / T, with Euler's pentagonal series
     P = (q^m; q^m)_inf = sum_{k in Z} (-1)^k q^(m k(3k-1)/2), the theta series
     of period 3m at a = m, and T = sum_{n in Z} (-1)^n q^(m n(n-1)/2 + rn),
-    T[0] = 1, the one of period m at a = r.  Both have O(sqrt(order/m))
-    nonzero terms, so the sparse division F[n] = P[n] - sum_{e>=1} T[e] F[n-e]
-    costs O(order^1.5 / sqrt(m)) integer additions.
+    the one of period m at a = r.  Both have O(sqrt(order/m)) nonzero terms,
+    and the quotient is one sparse division.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
-    m = params.m
-    f = [0] * (order + 1)
-    for e, sign in _theta_terms(3 * m, m, order):
-        f[e] = sign
-    denominator = _theta_terms(m, params.r, order)[1:]
-    plus = [e for e, sign in denominator if sign > 0]
-    minus = [e for e, sign in denominator if sign < 0]
-    for n in range(1, order + 1):
-        acc = f[n]
-        for e in minus:
-            if e > n:
-                break
-            acc += f[n - e]
-        for e in plus:
-            if e > n:
-                break
-            acc -= f[n - e]
-        f[n] = acc
-    return TruncatedSeries(tuple(f))
+    num = [0] * (order + 1)
+    for e, sign in _theta_terms(3 * params.m, params.m, order):
+        num[e] = sign
+    return _divide_by_theta(num, _theta_terms(params.m, params.r, order))
 
 
 def stack_gf(params: StackParams, order: int) -> TruncatedSeries:
     """Generating function of stack counts, coefficients through q^order.
 
-    Built as S = F*L + R: F by the sparse division of
-    congruence_partition_gf, then one signed shift of F onto R per nonzero
-    term of L.  L has O(sqrt(order/m)) terms, so the whole series costs
-    O(order^1.5 / sqrt(m)) integer additions.  stack_recurrence computes the
-    same series by the sum over the peaks, as an independent check.
+    Built as S = F*L + R = (P*L + R*T) / T with P and T the theta series of
+    congruence_partition_gf.  All four factors are sparse, so both products
+    have O(order) small integer terms, and the quotient is one sparse
+    division: O(order^1.5 / sqrt(m)) integer additions in all.
+    stack_recurrence computes the same series by the sum over the peaks, as
+    an independent check.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
-    f = congruence_partition_gf(params, order).coeffs
-    out = list(correction_gf(params, order).coeffs)
-    for e, c in false_theta_gf(params, order).nonzero_terms():
-        out[e:] = map(operator.add if c > 0 else operator.sub, out[e:], f)
-    return TruncatedSeries(tuple(out))
+    m = params.m
+    theta = _theta_terms(m, params.r, order)
+    l_terms = list(false_theta_gf(params, order).nonzero_terms())
+    r_terms = correction_gf(params, order).nonzero_terms()
+    num = [0] * (order + 1)
+    for left, right in ((_theta_terms(3 * m, m, order), l_terms), (r_terms, theta)):
+        for ea, ca in left:
+            for eb, cb in right:  # ascending, so the first exponent past order ends the row
+                if ea + eb > order:
+                    break
+                num[ea + eb] += ca * cb
+    return _divide_by_theta(num, theta)
 
 
 def stack_recurrence(params: StackParams, order: int) -> TruncatedSeries:

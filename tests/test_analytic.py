@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import mpmath as mp
@@ -27,7 +28,7 @@ from congruence_stacks.analytic import (
 )
 from congruence_stacks.asymptotics import ArcContext, refined_main_term
 from congruence_stacks.params import StackParams
-from congruence_stacks.qseries import congruence_partition_gf, evaluate
+from congruence_stacks.qseries import congruence_partition_gf, evaluate, false_theta_gf
 
 P13 = StackParams(1, 3)
 P14 = StackParams(1, 4)
@@ -47,6 +48,14 @@ wide_taus = st.builds(
     st.floats(-3, 3).map(lambda v: mp.mpf(repr(v))),
     st.floats(0.09, 0.7).map(lambda v: mp.mpf(repr(v))),
 )
+# fixed points on -1 < Re tau <= 1 down to Im tau = 0.01, where the Gaussian sums
+# run longest.  The edge Re tau = 1 is approached, not hit: there the nome
+# e^{pi i tau} is a negative real, and mpmath 1.3's jtheta misses theta by up to
+# 0.3 at 130 and 160 digits (right at 80 and 200).
+NEAR_AXIS_TAUS = [
+    mp.mpc(x, y)
+    for x, y in (("0", "0.01"), ("0.37", "0.01"), ("-0.93", "0.01"), ("0.999", "0.02"), ("0.5", "0.05"), ("-0.21", "0.3"))
+]
 ws = st.builds(
     mp.mpc,
     st.floats(-0.5, 0.5).map(lambda v: mp.mpf(repr(v))),
@@ -75,6 +84,15 @@ class TestTheta:
     def test_lower_half_plane_rejected(self):
         with pytest.raises(ValueError):
             theta_sum(W, mp.mpc("0.1", "-0.2"), 50)
+
+    @pytest.mark.parametrize("dps", [50, 100])
+    def test_sum_matches_mpmath_jtheta_near_the_real_axis(self, dps):
+        # theta(w; tau) = -theta_1(pi w | e^{pi i tau}) in mpmath's convention
+        for tau in NEAR_AXIS_TAUS:
+            for w in (W, mp.mpc("-0.45", "-0.5")):
+                with mp.workdps(dps + 30):
+                    ref = -mp.jtheta(1, mp.pi * w, mp.exp(mp.pi * 1j * tau))
+                    assert abs(theta_sum(w, tau, dps) - ref) <= mp.mpf(10) ** -dps * max(1, abs(ref)), (tau, w)
 
     @given(ws, taus)
     @settings(max_examples=12, deadline=None)
@@ -110,15 +128,25 @@ class TestEta:
     def test_inversion_randomized(self, tau):
         assert eta_inversion_residual(tau, 40) < mp.mpf("1e-35")
 
-    @pytest.mark.parametrize("tau", [mp.mpc(0, "0.01"), mp.mpc("0.37", "0.01")])
+    @pytest.mark.parametrize("tau", [mp.mpc(0, "0.01"), mp.mpc("0.37", "0.01"), mp.mpc(0, "0.001")])
     def test_truncation_near_the_real_axis(self, tau):
-        # the sampled tests stay at Im tau >= 0.08; here the product needs
-        # thousands of factors and the cutoff must still follow dps
+        # the sampled tests stay at Im tau >= 0.08; here the cutoff must still
+        # follow dps, and at tau = 0.001 i the pentagonal sum cancels from terms
+        # of size 1 down to |eta| ~ 1e-112
         low, high = dedekind_eta(tau, 30), dedekind_eta(tau, 60)
         with mp.workdps(60):
             assert abs(low / high - 1) < mp.mpf("1e-30")
         # eta(-1/tau) lies far from the axis, an independent reference
         assert eta_inversion_residual(tau, 60) < mp.mpf("1e-55")
+
+    @pytest.mark.parametrize("dps", [50, 100])
+    def test_pentagonal_sum_matches_the_product_near_the_real_axis(self, dps):
+        for tau in NEAR_AXIS_TAUS:
+            with mp.workdps(dps + 30):
+                q = mp.exp(2 * mp.pi * 1j * tau)
+                count = analytic._factor_count(mp.im(tau), dps + 30)
+                ref = mp.exp(mp.pi * 1j * tau / 12) * analytic._pochhammer(q, q, count)
+                assert abs(dedekind_eta(tau, dps) / ref - 1) <= mp.mpf(10) ** -dps, tau
 
 
 class TestCongruenceProduct:
@@ -196,12 +224,41 @@ class TestFalseTheta:
         with pytest.raises(ValueError):
             false_theta(0, -7, TAU, 50)
 
+    @pytest.mark.parametrize("dps", [50, 100])
+    @pytest.mark.parametrize("a,b", [(1, 0), (3, -7), (5, -13)])
+    def test_matches_a_termwise_exponential_sum_near_the_real_axis(self, a, b, dps):
+        for tau in NEAR_AXIS_TAUS:
+            with mp.workdps(dps + 30):
+                # from n_max on, pi y (a n^2 + b n) >= (dps + 30) log 10
+                n_max = int(mp.sqrt((dps + 30) * mp.log(10) / (mp.pi * a * mp.im(tau))) + abs(b) / a) + 1
+                ref = sum((-1) ** n * mp.exp(mp.pi * 1j * tau * (a * n * n + b * n)) for n in range(1, n_max + 1))
+                assert abs(false_theta(a, b, tau, dps) - ref) <= mp.mpf(10) ** -dps * max(1, abs(ref)), tau
+
     def test_series_identity_residual(self):
         assert false_theta_series_residual(P13, mp.mpc("0.02", "0.10"), 50) < mp.mpf("1e-40")
         assert false_theta_series_residual(P14, mp.mpc("-0.01", "0.12"), 50) < mp.mpf("1e-40")
         # gap pairs, where t = 2r - m
         for pair in [(2, 3), (3, 4), (3, 5)]:
             assert false_theta_series_residual(StackParams(*pair), mp.mpc("0.01", "0.10"), 50) < mp.mpf("1e-40")
+
+
+def test_gaussian_sums_take_no_exponential_per_term(monkeypatch):
+    # at Im tau = 0.01 and 100 digits a sum has ~100 terms; a fall-back to an
+    # exponential per term would take ~180 per theta_sum call
+    real_exp = mp.exp
+    calls = 0
+
+    def counting_exp(x):
+        nonlocal calls
+        calls += 1
+        return real_exp(x)
+
+    monkeypatch.setattr(mp, "exp", counting_exp)
+    tau = mp.mpc("0.37", "0.01")
+    for kernel in (lambda: theta_sum(W, tau, 100), lambda: false_theta(3, -7, tau, 100), lambda: dedekind_eta(tau, 100)):
+        calls = 0
+        kernel()
+        assert 0 < calls <= 4
 
 
 class TestCubicRemainder:
@@ -302,6 +359,25 @@ class TestCircleProfile:
                     l_val = -q ** t * false_theta(m, -(m + 2 * t), tau, 30)
                     expected = mp.log(abs(congruence_product(params, tau, 30) * l_val)) + n * mp.mpf(prof.kappa)
                 assert abs(prof.log_magnitudes[j] - expected) < 1e-10, (params, n, j)
+
+    @pytest.mark.parametrize(
+        "params, n, grid", [(P13, 200, 720), (StackParams(2, 3), 200, 720), (P13, 600_000, 8)]
+    )
+    def test_mirrored_half_equals_the_per_angle_loop(self, params, n, grid):
+        # nu < 0 is mirrored from nu > 0; here each such angle is evaluated as nu >= 0 is
+        prof = circle_profile(ArcContext.build(params, n, rho=0.5, dps=12), grid=grid)
+        kappa = prof.kappa
+        top = analytic._factor_count(kappa / (2 * math.pi), 17)
+        l_terms = list(false_theta_gf(params, top).nonzero_terms())
+        exponents = [e for start in (params.r, params.m - params.r) for e in range(start, top + 1, params.m)]
+        f_factors = [(e, math.expm1(-e * kappa), 2 * math.exp(-e * kappa / 2)) for e in exponents]
+        for j in range(grid // 2):
+            nu = prof.nus[j]
+            assert nu < 0
+            z = complex(-kappa, nu)
+            mag = abs(sum(sign * cmath.exp(e * z) for e, sign in l_terms))
+            log_f = -math.fsum(math.log(math.hypot(d, s * math.sin(e * nu / 2))) for e, d, s in f_factors)
+            assert prof.log_magnitudes[j] == math.log(mag) + log_f + n * kappa, (params, n, j)
 
     def test_peaks_see_across_the_seam_at_minus_one(self, monkeypatch):
         # this grid is spaced pi/4, so the windows must reach one step past their centres

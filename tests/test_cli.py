@@ -212,6 +212,18 @@ class TestVerify:
         assert code == 2
         assert "unknown verify target" in err
 
+    def test_order_above_the_recurrence_bound_exit_2_before_any_work(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a check ran although the order is refused")
+
+        # decomposition is the first check of `verify all`, theta the first kernel
+        for name in ("verify_decomposition", "theta_sum"):
+            monkeypatch.setattr(cli, name, refuse)
+        code, out, err = run(capsys, "verify", "--order", str(cli.MAX_RECURRENCE_ORDER + 1))
+        assert code == 2
+        assert out == ""
+        assert f"MAX_RECURRENCE_ORDER = {cli.MAX_RECURRENCE_ORDER}" in err
+
     def test_seed_changes_samples_not_outcome(self, capsys):
         code1, out1, _ = run(capsys, "verify", "theta", "--seed", "1")
         code2, out2, _ = run(capsys, "verify", "theta", "--seed", "2")
@@ -261,6 +273,17 @@ class TestProfile:
         code, _, err = run(capsys, "profile", "-n", "50", "--grid", "73")
         assert code == 2
         assert "grid must be even" in err
+
+    def test_grid_above_the_profile_bound_exit_2_before_any_work(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the profile was built although the grid is refused")
+
+        monkeypatch.setattr(cli, "circle_profile", refuse)
+        monkeypatch.setattr(cli.ArcContext, "build", refuse)
+        code, out, err = run(capsys, "profile", "--grid", str(cli.MAX_PROFILE_GRID + 2))
+        assert code == 2
+        assert out == ""
+        assert f"MAX_PROFILE_GRID = {cli.MAX_PROFILE_GRID}" in err
 
     def test_takes_no_precision(self, capsys):
         with pytest.raises(SystemExit) as exc:
