@@ -18,9 +18,12 @@ from the requested precision: Gaussian tail bounds for the theta, false theta
 and eta sums (eta's is pi y (3k^2 - k) >= D log 10, D the dps plus guard and
 cancellation digits), geometric bounds for the products.  The three sums are
 sum_n (+-1)^n X^{n^2} Y^n and are summed by their term ratio, with no
-exponential per term.  Residual checks return mpf values; fits and profile
-reports come back as small dataclasses.  The one exception is circle_profile,
-which wants a float log magnitude and computes it in doubles.
+exponential per term.  That recurrence and the q-Pochhammer product loop run
+in complex fixed point, on Python integers in units of 2^-wp with wp a few
+bits above mp.prec, and convert back to one mpc at the end: no mpmath object
+per term.  Residual checks return mpf values; fits and profile reports come
+back as small dataclasses.  The one exception is circle_profile, which wants
+a float log magnitude and computes it in doubles.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from typing import Callable, Sequence
 import mpmath as mp
 
 from .asymptotics import ArcContext, false_theta_coeffs
-from .bigfloat import DEFAULT_DPS
+from .bigfloat import DEFAULT_DPS, FIXED_EXTRA_BITS
 from .params import StackParams
 from .qseries import false_theta_gf
 
@@ -50,12 +53,45 @@ def _require_upper_half(tau) -> None:
         raise ValueError(f"tau must lie in the upper half plane, got {tau}")
 
 
+def _fixed(z, wp: int) -> tuple[int, int]:
+    """Real and imaginary parts of z as integers in units of 2^-wp (rounded down)."""
+    z = mp.mpc(z)
+    return z.real.to_fixed(wp), z.imag.to_fixed(wp)
+
+
 def _pochhammer(a, q, count: int, acc=1):
-    """acc * prod_{k < count} (1 - a q^k): the one product loop of this module."""
+    """acc * prod_{k < count} (1 - a q^k): the one product loop of this module.
+
+    Complex fixed point at wp = mp.prec + FIXED_EXTRA_BITS + log2(count) bits.
+    a q^k is held in units of 2^-wp, and q carries log2|a| more bits, so
+    each factor 1 - a q^k is exact to a unit or two, as in mpf arithmetic at
+    that precision.  The accumulator is a wp-bit mantissa pair times a power
+    of two, renormalised after every factor: a factor near zero, at a zero of
+    theta, costs relative precision only through its own cancellation, and
+    the rounding of the product stays below count 2^-wp relative.
+    """
+    wp = mp.mp.prec + FIXED_EXTRA_BITS + count.bit_length()
+    wq = wp + max(0, mp.mag(a))
+    one = 1 << wp
+    ar, ai = _fixed(a, wp)
+    qr, qi = _fixed(q, wq)
+    acc = mp.mpc(acc)
+    # acc = (pr + i pi) 2^e with pr, pi of about wp bits
+    e = mp.mag(acc) - wp if acc else 0
+    pr, pi = _fixed(acc, -e)
     for _ in range(count):
-        acc *= 1 - a
-        a *= q
-    return acc
+        fr = one - ar
+        pr, pi = pr * fr + pi * ai, pi * fr - pr * ai
+        shift = (abs(pr) | abs(pi)).bit_length() - wp
+        if shift >= 0:
+            pr >>= shift
+            pi >>= shift
+        else:
+            pr <<= -shift
+            pi <<= -shift
+        e += shift - wp
+        ar, ai = (ar * qr - ai * qi) >> wq, (ar * qi + ai * qr) >> wq
+    return mp.mpc(mp.ldexp(pr, e), mp.ldexp(pi, e))
 
 
 def _factor_count(y, digits: int, slack=0) -> int:
@@ -72,35 +108,38 @@ def _factor_count(y, digits: int, slack=0) -> int:
 def _gauss_sum(x, y, n_max: int, sign=1):
     """sum_{0 <= n <= n_max} sign^n x^{n^2} y^n, one term from the last by the ratio sign x^{2n+1} y.
 
-    Two complex products per term and no exponential: the Gaussian sums of
-    theta, false theta and eta all go through here.
+    Complex fixed point scaled to 1 at wp = mp.prec + FIXED_EXTRA_BITS +
+    log2(n_max) bits, four integer products and shifts per term; Python ints
+    grow, so large terms cannot overflow.  The first ratio x y and x^2 are
+    formed in mpf, and x^2 carries log2|x y| more bits, so every ratio is
+    exact to a unit of 2^-wp however small x is.  The term sizes are unimodal
+    (the ratio |x|^{2n+1} |y| falls with n), and the absolute error stays
+    below about n_max 2^-wp max|term|, the order of an mpf loop at mp.prec.
+    The Gaussian sums of theta, false theta and eta all go through here.
     """
-    total = term = 1
-    ratio = sign * x * y
-    x2 = x * x
+    wp = mp.mp.prec + FIXED_EXTRA_BITS + n_max.bit_length()
+    ratio = x * y
+    wx = wp + max(0, mp.mag(ratio))
+    rr, ri = _fixed(ratio if sign > 0 else -ratio, wp)
+    x2r, x2i = _fixed(x * x, wx)
+    tr, ti = 1 << wp, 0
+    sr, si = tr, ti
     for _ in range(n_max):
-        term *= ratio
-        total += term
-        ratio *= x2
-    return total
+        tr, ti = (tr * rr - ti * ri) >> wp, (tr * ri + ti * rr) >> wp
+        sr += tr
+        si += ti
+        rr, ri = (rr * x2r - ri * x2i) >> wx, (rr * x2i + ri * x2r) >> wx
+    return mp.mpc(mp.ldexp(sr, -wp), mp.ldexp(si, -wp))
 
 
-def theta_sum(w, tau, dps: int = DEFAULT_DPS) -> mp.mpc:
-    """Jacobi theta as a half-integer index sum.
-
-    The term at index nu has magnitude e^{-pi nu^2 y - 2 pi nu Im(w)}, so the
-    cutoff solves pi y nu^2 - 2 pi |Im w| nu = (dps + GUARD) log 10.  With
-    nu = k + 1/2 the term is c X^{k^2} Y^k, X = e^{pi i tau},
-    Y = X e^{2 pi i (w + 1/2)} and c = e^{pi i (tau/4 + w + 1/2)}; k >= 0 and
-    k < 0 are two Gaussian sums.
-    """
-    with mp.workdps(dps + GUARD):
+def _theta_gauss(w, tau, digits: int) -> mp.mpc:
+    """theta(w; tau) from its two Gaussian sums, cut and formed at `digits` digits."""
+    with mp.workdps(digits):
         w = mp.mpc(w)
         tau = mp.mpc(tau)
-        _require_upper_half(tau)
         y = mp.im(tau)
         iw = abs(mp.im(w))
-        target = (dps + GUARD) * mp.log(10)
+        target = digits * mp.log(10)
         nu_max = (iw + mp.sqrt(iw * iw + y * target / mp.pi)) / y + 2
         k_max = int(mp.ceil(nu_max))
         half_w = w + mp.mpf(1) / 2
@@ -108,6 +147,34 @@ def theta_sum(w, tau, dps: int = DEFAULT_DPS) -> mp.mpc:
         yk = x * mp.exp(2 * mp.pi * 1j * half_w)
         c = mp.exp(mp.pi * 1j * (tau / 4 + half_w))
         return c * (_gauss_sum(x, yk, k_max) + _gauss_sum(x, 1 / yk, k_max + 1) - 1)
+
+
+def theta_sum(w, tau, dps: int = DEFAULT_DPS) -> mp.mpc:
+    """Jacobi theta as a half-integer index sum.
+
+    The term at index nu has magnitude e^{-pi nu^2 y - 2 pi nu Im(w)}, so the
+    cutoff solves pi y nu^2 - 2 pi |Im w| nu = D log 10, D = dps + GUARD.
+    With nu = k + 1/2 the term is c X^{k^2} Y^k, X = e^{pi i tau},
+    Y = X e^{2 pi i (w + 1/2)} and c = e^{pi i (tau/4 + w + 1/2)}; k >= 0 and
+    k < 0 are two Gaussian sums.  Near the real axis theta can be far below
+    its largest term.  When that ratio costs more than GUARD digits, the sum
+    is formed again, cutoff and precision, with the lost digits added to D;
+    at most D of them, all that a pass at D digits can measure (theta may
+    vanish).
+    """
+    digits = dps + GUARD
+    with mp.workdps(digits):
+        tau_c = mp.mpc(tau)
+        _require_upper_half(tau_c)
+        y, iw = mp.im(tau_c), mp.im(mp.mpc(w))
+        # the largest term sits at the half-integer nearest -Im(w) / y
+        nu = mp.floor(-iw / y) + mp.mpf(1) / 2
+        log10_peak = -mp.pi * (y * nu * nu + 2 * nu * iw) / mp.log(10)
+    value = _theta_gauss(w, tau, digits)
+    lost = log10_peak - mp.log10(abs(value)) if value else digits
+    if lost > GUARD:
+        value = _theta_gauss(w, tau, digits + min(int(mp.ceil(lost)), digits))
+    return value
 
 
 def theta_product(w, tau, dps: int = DEFAULT_DPS) -> mp.mpc:

@@ -32,7 +32,7 @@ from typing import Iterable, Sequence
 
 import mpmath as mp
 
-from .bigfloat import DEFAULT_DPS, LogValue10
+from .bigfloat import DEFAULT_DPS, FIXED_EXTRA_BITS, LogValue10
 from .params import StackParams
 from .qseries import stack_gf
 
@@ -110,6 +110,14 @@ def bessel_i(order: int, x, method: str = "series", dps: int = DEFAULT_DPS) -> m
 
 
 def _bessel_series(k: int, x, dps: int) -> mp.mpf:
+    """I_k(x) = (x/2)^k / k! * sum_j (x^2/4)^j k! / (j! (j+k)!).
+
+    The sum runs in fixed point at wp = mp.prec + FIXED_EXTRA_BITS bits.
+    Every term is >= 0 and the sum is >= 1, so fixed point keeps relative
+    precision: J terms lose at most about J 2^-wp.  It stops at the first
+    term below 10^-(dps+5) of the running total, and the prefactor is applied
+    once, in mpf.
+    """
     with mp.workdps(dps + 10):
         x = mp.mpf(x)
         if x < 0:
@@ -117,17 +125,19 @@ def _bessel_series(k: int, x, dps: int) -> mp.mpf:
         if x == 0:
             return mp.mpf(1) if k == 0 else mp.mpf(0)
         half = x / 2
-        term = half ** k / mp.factorial(k)
-        total = term
+        wp = mp.mp.prec + FIXED_EXTRA_BITS
+        half_fixed = half.to_fixed(wp)
+        quarter_x2 = half_fixed * half_fixed >> wp
+        term = total = 1 << wp
+        inverse_eps = 10 ** (dps + 5)
         j = 0
-        eps = mp.mpf(10) ** (-(dps + 5))
         while True:
             j += 1
-            term *= half * half / (j * (j + k))
+            term = (term * quarter_x2 >> wp) // (j * (j + k))
             total += term
-            if term < eps * total:
+            if term * inverse_eps < total:
                 break
-        return +total
+        return half ** k / mp.factorial(k) * mp.ldexp(total, -wp)
 
 
 def _bessel_hankel(k: int, x, dps: int) -> mp.mpf:

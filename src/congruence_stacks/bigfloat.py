@@ -6,6 +6,11 @@ they trouble mpmath.  LogValue10 keeps the natural log as the source of truth
 (an mpf carrying its own precision) and exposes a decimal mantissa/exponent
 pair for display and CSV export; at the default precision the mantissa
 carries at least 30 significant digits.
+
+FIXED_EXTRA_BITS is the one setting of the fixed-point loops in analytic and
+asymptotics: they run on Python integers in units of 2^-wp, with wp the
+ambient mp.prec plus these bits (plus log2 of the loop length where the loop
+length is known), and convert back to mpf once.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ from dataclasses import dataclass
 import mpmath as mp
 
 DEFAULT_DPS = 50
+FIXED_EXTRA_BITS = 10
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import random
 import sys
@@ -64,10 +65,11 @@ MAX_SERIES_ORDER = 10**5
 # largest `verify --order` for the O(order^2 / m) peak-sum oracle; there
 # `verify decomposition` takes 3.8 s and 22 MB max RSS (same machine)
 MAX_RECURRENCE_ORDER = 10**4
-# largest `profile --grid`, 100 times the default; there `profile` takes 7.5 s
-# at the default n = 500 and 27 MB max RSS (same machine).  The cost grows
-# like grid * sqrt(n): n = 10^6 takes 6.4 s at the default grid
-MAX_PROFILE_GRID = 72_000
+# largest `profile` work grid * sqrt(n), which its cost follows: the largest
+# run the former grid bound of 72 000 allowed at the default n = 500.  There
+# `profile` takes 7.5-11 s and 27 MB max RSS (same machine); n = 10^6 at the
+# default grid (work 7.2e5) takes 4.7 s
+MAX_PROFILE_WORK = 1_610_000
 VERIFY_TARGETS = frozenset(
     ["decomposition", "theta", "transform", "eta", "falsetheta", "bessel", "contour", "oracle"]
 )
@@ -199,7 +201,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_profile.add_argument("-n", "--size", type=int, default=500, help="coefficient index (default 500)")
     p_profile.add_argument("--rho", type=float, default=0.5, help="major arc half-width in units of kappa (default 0.5)")
     p_profile.add_argument(
-        "--grid", type=int, default=720, help=f"angular sample count, even (default 720, at most {MAX_PROFILE_GRID})"
+        "--grid",
+        type=int,
+        default=720,
+        help=f"angular sample count, even (default 720); grid * sqrt(n) is at most {MAX_PROFILE_WORK}",
     )
     p_profile.add_argument("--format", choices=["text", "csv"], default="text", help="csv lists every sample")
     p_profile.set_defaults(func=cmd_profile)
@@ -495,8 +500,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_profile(args: argparse.Namespace) -> int:
     params = StackParams(args.r, args.m)
-    if args.grid > MAX_PROFILE_GRID:
-        raise ValueError(f"grid {args.grid} exceeds the profile bound MAX_PROFILE_GRID = {MAX_PROFILE_GRID}")
+    work = args.grid * math.sqrt(max(args.size, 0))
+    if work > MAX_PROFILE_WORK:
+        raise ValueError(
+            f"grid * sqrt(n) = {args.grid} * sqrt({args.size}) = {work:.0f} exceeds the profile bound "
+            f"MAX_PROFILE_WORK = {MAX_PROFILE_WORK}"
+        )
     ctx = ArcContext.build(params, args.size, rho=args.rho)
     profile = circle_profile(ctx, grid=args.grid)
     if args.format == "csv":

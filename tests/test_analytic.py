@@ -94,6 +94,43 @@ class TestTheta:
                     ref = -mp.jtheta(1, mp.pi * w, mp.exp(mp.pi * 1j * tau))
                     assert abs(theta_sum(w, tau, dps) - ref) <= mp.mpf(10) ** -dps * max(1, abs(ref)), (tau, w)
 
+    @pytest.mark.parametrize("dps", [50, 100])
+    def test_sum_keeps_relative_precision_near_the_real_axis(self, dps):
+        # theta(0.1; 0.005i) = -3.1e-43 is a sum of terms of size up to 1; with GUARD
+        # digits alone it came out with a relative error of 1.6e-23 at 50 digits
+        w, tau = mp.mpf("0.1"), mp.mpc(0, "0.005")
+        with mp.workdps(250):
+            ref = theta_product(w, tau, 220)
+            assert abs(theta_sum(w, tau, dps) / ref - 1) <= mp.mpf(10) ** -dps
+        assert theta_transform_residual(w, tau, dps) <= mp.mpf(10) ** -dps
+
+    @pytest.mark.parametrize("dps", [50, 100])
+    def test_product_near_its_zeros(self, dps):
+        # relative error against 220 digits where the factor 1 - e^{2 pi i w} or
+        # 1 - q e^{-2 pi i w} cancels to about 1e-30 or 1e-25: the product loses those
+        # digits on any route, and the bounds are 10 times the errors of the mpf loop
+        with mp.workdps(250):
+            tau = mp.mpc("0.1", "0.3")
+            cases = [
+                (mp.mpc("1e-30"), {50: "9.1e-37", 100: "1.5e-87"}),
+                (tau + mp.mpf("1e-25"), {50: "3.4e-41", 100: "1.8e-91"}),
+            ]
+            for w, bound in cases:
+                ref = theta_product(w, tau, 220)
+                assert abs(theta_product(w, tau, dps) / ref - 1) <= mp.mpf(bound[dps]), w
+
+    @pytest.mark.parametrize("dps", [50, 100])
+    def test_sum_and_product_with_ratios_far_above_one(self, dps):
+        # at w = 0.2 - 20i, |e^{2 pi i w}| = e^{40 pi} while |q| = e^{-32 pi} or e^{-20 pi}:
+        # the sum's first term ratio (e^{20 pi} at Im tau = 10) and the product's first
+        # factors are far above 1, so x^2 and q must be held exact relative to them
+        w = mp.mpc("0.2", "-20")
+        for tau in (mp.mpc("0.1", "16"), mp.mpc("0.1", "10")):
+            with mp.workdps(250):
+                ref = theta_product(w, tau, 220)
+                for theta in (theta_sum, theta_product):
+                    assert abs(theta(w, tau, dps) / ref - 1) <= mp.mpf(10) ** -dps, (theta.__name__, tau)
+
     @given(ws, taus)
     @settings(max_examples=12, deadline=None)
     def test_oddness_randomized(self, w, tau):
@@ -259,6 +296,31 @@ def test_gaussian_sums_take_no_exponential_per_term(monkeypatch):
         calls = 0
         kernel()
         assert 0 < calls <= 4
+
+
+def test_kernels_take_a_constant_number_of_mpc_products(monkeypatch):
+    # the sums and products run on integers; at Im tau = 0.01 and 100 digits the
+    # object loops took 2 products per term or factor, 25 602 for theta_product
+    real_mul = mp.mpc.__mul__
+    calls = 0
+
+    def counting_mul(self, other):
+        nonlocal calls
+        calls += 1
+        return real_mul(self, other)
+
+    monkeypatch.setattr(mp.mpc, "__mul__", counting_mul)
+    tau = mp.mpc("0.37", "0.01")
+    kernels = {
+        "theta_product": lambda: theta_product(W, tau, 100),
+        "theta_sum": lambda: theta_sum(W, tau, 100),
+        "dedekind_eta": lambda: dedekind_eta(tau, 100),
+        "false_theta": lambda: false_theta(3, -7, tau, 100),
+    }
+    for name, kernel in kernels.items():
+        calls = 0
+        kernel()
+        assert 0 < calls <= 12, (name, calls)
 
 
 class TestCubicRemainder:

@@ -93,6 +93,16 @@ class TestBessel:
             s = bessel_i(order, xv, method="series", dps=50)
             assert abs(a / s - 1) < mp.mpf("1e-8")
 
+    @pytest.mark.parametrize("dps", [50, 100])
+    @pytest.mark.parametrize("order, x", [(20, "1e-3")] + [(k, "66") for k in range(1, 17)])
+    def test_series_error_against_mpmath_at_250_digits(self, order, x, dps):
+        # k = 20 at x = 10^-3 puts the whole value in the prefactor (x/2)^k/k!; x = 66 is
+        # asym's 2N at n = 1000, where the normalised sum takes 115 to 156 terms and nears 10^26
+        with mp.workdps(250):
+            xv = mp.mpf(x)
+            ref = mp.besseli(order, xv)
+            assert abs(bessel_i(order, xv, dps=dps) / ref - 1) <= mp.mpf(10) ** -dps
+
     def test_negative_order_equals_positive(self):
         with mp.workdps(50):
             xv = mp.mpf("17.5")

@@ -1,5 +1,6 @@
 import argparse
 import json
+import math
 
 import pytest
 
@@ -280,10 +281,35 @@ class TestProfile:
 
         monkeypatch.setattr(cli, "circle_profile", refuse)
         monkeypatch.setattr(cli.ArcContext, "build", refuse)
-        code, out, err = run(capsys, "profile", "--grid", str(cli.MAX_PROFILE_GRID + 2))
+        # the default n is 500
+        grid = 2 * int(cli.MAX_PROFILE_WORK / math.sqrt(500) / 2) + 2
+        code, out, err = run(capsys, "profile", "--grid", str(grid))
         assert code == 2
         assert out == ""
-        assert f"MAX_PROFILE_GRID = {cli.MAX_PROFILE_GRID}" in err
+        assert f"MAX_PROFILE_WORK = {cli.MAX_PROFILE_WORK}" in err
+
+    def test_size_above_the_profile_bound_exit_2_before_any_work(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the profile was built although the size is refused")
+
+        monkeypatch.setattr(cli, "circle_profile", refuse)
+        monkeypatch.setattr(cli.ArcContext, "build", refuse)
+        # the default grid is 720
+        n = int((cli.MAX_PROFILE_WORK / 720) ** 2) + 1
+        code, out, err = run(capsys, "profile", "-n", str(n))
+        assert code == 2
+        assert out == ""
+        assert f"MAX_PROFILE_WORK = {cli.MAX_PROFILE_WORK}" in err
+
+    @pytest.mark.parametrize("argv", [["-n", "1000000"], ["-n", "1000000", "--grid", "8"]])
+    def test_largest_documented_sizes_stay_within_the_bound(self, argv, monkeypatch):
+        # stop at the first piece of work: only the bound check runs
+        def started(*args, **kwargs):
+            raise RuntimeError("work started")
+
+        monkeypatch.setattr(cli.ArcContext, "build", started)
+        with pytest.raises(RuntimeError, match="work started"):
+            main(["profile", *argv])
 
     def test_takes_no_precision(self, capsys):
         with pytest.raises(SystemExit) as exc:
