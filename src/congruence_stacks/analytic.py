@@ -31,12 +31,11 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Sequence
 
 import mpmath as mp
 
-from .asymptotics import ArcContext, false_theta_coeffs
+from .asymptotics import ArcContext, _arc_constants, false_theta_coeffs
 from .bigfloat import DEFAULT_DPS, FIXED_EXTRA_BITS
 from .params import StackParams
 from .qseries import false_theta_gf
@@ -263,15 +262,16 @@ def congruence_product(params: StackParams, tau, dps: int = DEFAULT_DPS) -> mp.m
 def congruence_product_main(params: StackParams, tau, dps: int = DEFAULT_DPS) -> mp.mpc:
     """Closed-form main factor of F under tau -> -1/(m tau) inversion:
 
+    P e^{A/z + (B - n) z} with z = -2 pi i tau and the q = 1 arc's A, B and P
+    (asymptotics.ArcContext), that is
     csc(pi r/m)/2 * e^{pi i tau (m/6 - r + r^2/m) + pi i/(6 m tau)}.
     """
     with mp.workdps(dps + GUARD):
         tau = mp.mpc(tau)
         _require_upper_half(tau)
-        r, m = params.r, params.m
-        csc = 1 / mp.sin(mp.pi * r / m)
-        expo = mp.pi * 1j * tau * (mp.mpf(m) / 6 - r + mp.mpf(r * r) / m) + mp.pi * 1j / (6 * m * tau)
-        return csc / 2 * mp.exp(expo)
+        A, offset, prefactor = _arc_constants(params)
+        z = -2 * mp.pi * 1j * tau
+        return prefactor * mp.exp(A / z + mp.mpf(offset.numerator) / offset.denominator * z)
 
 
 def product_residual(params: StackParams, tau, dps: int = DEFAULT_DPS) -> mp.mpf:
@@ -294,22 +294,29 @@ class DecayFit:
     dps: int
 
 
+def decay_precision(params: StackParams, z_values: Sequence) -> int:
+    """Working precision of product_decay_fit, 8 pi^2/(m z_min log 10) + 40 digits.
+
+    Its margin of two powers of e^{-4 pi^2/(m z)} lets m = 4, where the
+    leading power vanishes, clear the noise floor.
+    """
+    zs = [float(z) for z in z_values]
+    if len(set(zs)) < 2 or not all(math.isfinite(z) and z > 0 for z in zs):
+        raise ValueError(
+            f"need at least two distinct, finite, positive z values to fit a slope, got {tuple(zs)}"
+        )
+    return int(8 * math.pi ** 2 / (params.m * min(zs)) / math.log(10)) + 40
+
+
 def product_decay_fit(
     params: StackParams, z_values: Sequence = (0.30, 0.25, 0.20, 0.16, 0.13, 0.10)
 ) -> DecayFit:
     """Fit the decay rate of the closed-form residual along the imaginary ray.
 
     The residual behaves like a power of e^{-4 pi^2/(m z)}, so log residual is
-    close to linear in 1/z.  Working precision must grow like 1/z_min; it is
-    sized from the smallest z with a two-power margin so the m = 4 case (where
-    the leading power vanishes) still clears the noise floor.
+    close to linear in 1/z, at decay_precision digits.
     """
-    if len(z_values) < 2:
-        raise ValueError("need at least two sample points to fit a slope")
-    zmin = min(float(z) for z in z_values)
-    if zmin <= 0:
-        raise ValueError("z values must be positive")
-    dps = int(8 * math.pi ** 2 / (params.m * zmin) / math.log(10)) + 40
+    dps = decay_precision(params, z_values)
     xs: list[float] = []
     ys: list[float] = []
     excluded = 0
@@ -457,19 +464,13 @@ def simpson_refine(f: Callable[[mp.mpf], mp.mpf], a, b) -> tuple[mp.mpf, tuple[m
 def major_arc_integral(ctx: ArcContext) -> mp.mpf:
     """Numeric leading contour piece h_0 over the restricted arc |nu| <= rho kappa.
 
-    Evaluates (csc(pi r/m)/(8 pi)) int e^{B (kappa + i nu) + A/(kappa + i nu)} d nu
-    with A = pi^2/(3m) and B = r(m-r)/(2m) - m/12 + n by Simpson refinement to
-    SIMPSON_RTOL.  Its full-circle limit is the Bessel form
-    (csc(pi r/m)/4) kappa I_1(2N).
+    Evaluates (P/2)/(2 pi) int e^{B (kappa + i nu) + A/(kappa + i nu)} d nu,
+    alpha_0 = 1/2 times the arc's P, A and B (the constant is csc(pi r/m)/(8 pi)),
+    by Simpson refinement to SIMPSON_RTOL.  With contour_tail it makes up
+    the whole line, the arc's one-term Bessel sum (P/2) kappa I_1(2N).
     """
-    params, n = ctx.params, ctx.n
-    r, m = params.r, params.m
-    b_exact = Fraction(r * (m - r), 2 * m) - Fraction(m, 12) + n
     with mp.workdps(ctx.dps + GUARD):
-        kappa = +ctx.kappa
-        A = mp.pi ** 2 / (3 * m)
-        B = mp.mpf(b_exact.numerator) / b_exact.denominator
-        csc = 1 / mp.sin(mp.pi * mp.mpf(r) / m)
+        kappa, A, B = +ctx.kappa, +ctx.A, mp.mpf(ctx.B.numerator) / ctx.B.denominator
 
         def integrand(nu):
             zz = mp.mpc(kappa, nu)
@@ -477,7 +478,43 @@ def major_arc_integral(ctx: ArcContext) -> mp.mpf:
 
         # even in nu, so integrate the half arc
         half, _ = simpson_refine(integrand, mp.mpf(0), ctx.rho * kappa)
-        return csc / (8 * mp.pi) * 2 * half
+        return ctx.prefactor / (4 * mp.pi) * 2 * half
+
+
+def _upper_gamma_down(x):
+    """Gamma(0, x) = E_1(x), Gamma(-1, x), ...: Gamma(-k, x) = (x^-k e^-x - Gamma(1-k, x))/k."""
+    gamma, power, k = mp.e1(x), mp.exp(-x), 0
+    while True:
+        yield gamma
+        k += 1
+        power /= x  # x^-k e^-x
+        gamma = (power - gamma) / k
+
+
+def contour_tail(ctx: ArcContext) -> mp.mpf:
+    """The q = 1 line beyond the major arc, |nu| > rho kappa, in major_arc_integral's units.
+
+    With z0 = kappa + i rho kappa, e^{A/z} = sum_k A^k z^-k / k! gives
+    int_{z0}^{kappa + i inf} e^{Bz + A/z} dz = -e^{B z0}/B (Abel-summed)
+    + sum_{k>=1} (A^k/k!) (-B)^{k-1} Gamma(1-k, -B z0), summed to the working
+    precision; nu < -rho kappa is its conjugate.  Stepping Gamma down from
+    Gamma(0, x) loses up to e^|x| relative, so |x|/log(10) more digits are
+    carried: 9 at n = 200 for (1, 3), 87 at n = 20000.
+    """
+    x_abs = float(ctx.B) * float(ctx.kappa) * math.hypot(1, ctx.rho)
+    with mp.workdps(ctx.dps + GUARD + int(x_abs / math.log(10)) + 1):
+        A, B = +ctx.A, mp.mpf(ctx.B.numerator) / ctx.B.denominator
+        x = -B * mp.mpc(ctx.kappa, ctx.rho * ctx.kappa)
+        total = -mp.exp(-x) / B
+        coeff = -1 / B  # A^k/k! (-B)^(k-1) at k = 0
+        for k, gamma in enumerate(_upper_gamma_down(x), 1):
+            coeff *= -A * B / k
+            term = coeff * gamma
+            total += term
+            if abs(term) < mp.eps * abs(total):
+                break
+        # dz = i d nu, so the two tails in nu add up to 2 Im(total)
+        return ctx.prefactor / (4 * mp.pi) * 2 * mp.im(total)
 
 
 @dataclass(frozen=True)

@@ -1,20 +1,18 @@
 """Asymptotic main terms for stack counts and their supporting machinery.
 
-The saddle-point analysis of S(q) on the circle |q| = e^{-kappa} leads to
+Wright's circle method on the major arc near q = 1 (ArcContext): with q = e^{-z},
 
-    kappa = pi / sqrt(3r(m-r)/2 - m^2/4 + 3mn),
-    N     = pi^2 / (3 m kappa) = pi sqrt(r(m-r)/(6m^2) - 1/36 + n/(3m)),
+    S(e^{-z}) e^{nz} ~ P L(e^{-z}) e^{A/z + Bz},   A = pi^2/(3m),
+    B = n + r(m-r)/(2m) - m/12,   P = csc(pi r/m)/2,
 
-and the count s(n) is approximated by a sum of Bessel-type terms
-
-    h_s = (csc(pi r/m)/2) kappa^(s+1) I_{s+1}(2N),
-
-weighted by the Taylor coefficients alpha_s of the false theta factor at the
-dominant singularity (alpha_0 = 1/2).  The headline closed form
+and (1/2 pi i) int z^s e^{A/z + Bz} dz = kappa^(s+1) I_{s+1}(2N), with the
+saddle radius kappa = sqrt(A/B) and the growth scale N = sqrt(AB), turns each
+Taylor coefficient alpha_s of L at z = 0 (alpha_0 = 1/2) into one term of
+sum_s alpha_s P kappa^(s+1) I_{s+1}(2N).  The headline closed form
 
     X(n) = csc(pi r/m) / (8 3^(1/4) m^(1/4) n^(3/4)) * exp(2 pi sqrt(n/(3m)))
 
-is the leading Hankel approximation of alpha_0 h_0 with N reduced to its
+is the leading Hankel approximation of the first term with N reduced to its
 large-n limit.  refined_main_term keeps N intact and two Hankel correction
 terms, which is noticeably closer at accessible n.
 
@@ -28,6 +26,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Iterable, Sequence
 
 import mpmath as mp
@@ -40,36 +39,27 @@ MAX_EXPANSION_TERMS = 16
 HANKEL_RTOL = 1e-8  # bessel_i(method="hankel") refuses when its smallest term exceeds this
 
 
-def _saddle_radicand(params: StackParams, n: int) -> Fraction:
+def _arc_constants(params: StackParams) -> tuple[mp.mpf, Fraction, mp.mpf]:
+    """A, B - n (exact) and P of the q = 1 arc, at the caller's working precision."""
     r, m = params.r, params.m
-    return Fraction(3 * r * (m - r), 2) - Fraction(m * m, 4) + 3 * m * n
-
-
-def saddle_point(params: StackParams, n: int, dps: int = DEFAULT_DPS) -> mp.mpf:
-    """Decay rate kappa of the evaluation circle |q| = e^{-kappa}."""
-    rad = _saddle_radicand(params, n)
-    if rad <= 0:
-        raise ValueError(
-            f"saddle radicand {rad} is not positive for {params}, n={n}; n is too small"
-        )
-    with mp.workdps(dps):
-        return mp.pi / mp.sqrt(mp.mpf(rad.numerator) / rad.denominator)
-
-
-def growth_scale(params: StackParams, n: int, dps: int = DEFAULT_DPS) -> mp.mpf:
-    """Scale N with kappa * N = pi^2/(3m); the main term grows like e^{2N}."""
-    kappa = saddle_point(params, n, dps=dps)
-    with mp.workdps(dps):
-        return mp.pi ** 2 / (3 * params.m * kappa)
+    return mp.pi ** 2 / (3 * m), Fraction(r * (m - r), 2 * m) - Fraction(m, 12), 1 / mp.sin(mp.pi * r / m) / 2
 
 
 @dataclass(frozen=True)
 class ArcContext:
-    """Shared state for contour work at fixed (params, n)."""
+    """The q = 1 arc at fixed (params, n): A, B, P, kappa and N (`scale`), as in the module docstring.
+
+    B is exact, the others have dps digits.  rho is the half-width of the
+    major arc |nu| <= rho kappa on the circle q = e^{-(kappa + i nu)}.
+    """
 
     params: StackParams
     n: int
+    A: mp.mpf
+    B: Fraction
+    prefactor: mp.mpf
     kappa: mp.mpf
+    scale: mp.mpf
     rho: float
     dps: int
 
@@ -83,13 +73,27 @@ class ArcContext:
     ) -> "ArcContext":
         if not 0 < rho < 1:
             raise ValueError(f"rho must lie in (0, 1), got {rho}")
-        return cls(
-            params=params,
-            n=n,
-            kappa=saddle_point(params, n, dps=dps),
-            rho=float(rho),
-            dps=dps,
-        )
+        with mp.workdps(dps):
+            A, offset, prefactor = _arc_constants(params)
+            B = n + offset
+            radicand = 3 * params.m * B
+            if radicand <= 0:
+                raise ValueError(
+                    f"saddle radicand {radicand} is not positive for {params}, n={n}; n is too small"
+                )
+            kappa = mp.pi / mp.sqrt(mp.mpf(radicand.numerator) / radicand.denominator)
+            return cls(params, n, A, B, prefactor, kappa, A / kappa, float(rho), dps)
+
+    def bessel_sum(self, alphas: Sequence[Fraction]) -> LogValue10:
+        """sum_s alphas[s] P kappa^(s+1) I_{s+1}(2N), the arc's expansion with these coefficients."""
+        with mp.workdps(self.dps):
+            x, total = 2 * self.scale, mp.mpf(0)
+            for s, alpha in enumerate(alphas):
+                weight = mp.mpf(alpha.numerator) / alpha.denominator
+                total += weight * self.prefactor * self.kappa ** (s + 1) * bessel_i(s + 1, x, dps=self.dps)
+            if total <= 0:
+                raise ValueError("expansion sum is not positive; n is too small for this use")
+            return LogValue10.from_ln(mp.log(total))
 
 
 def bessel_i(order: int, x, method: str = "series", dps: int = DEFAULT_DPS) -> mp.mpf:
@@ -140,22 +144,27 @@ def _bessel_series(k: int, x, dps: int) -> mp.mpf:
         return half ** k / mp.factorial(k) * mp.ldexp(total, -wp)
 
 
+def _hankel_terms(k: int, x):
+    """Terms 1, -(4k^2 - 1)/(8x), ... of I_k(x) sqrt(2 pi x) e^{-x} as x -> inf, each from the last."""
+    mu = 4 * k * k
+    term = mp.mpf(1)
+    j = 0
+    while True:
+        yield term
+        j += 1
+        term = -term * (mu - (2 * j - 1) ** 2) / (8 * j * x)
+
+
 def _bessel_hankel(k: int, x, dps: int) -> mp.mpf:
     with mp.workdps(dps + 10):
         x = mp.mpf(x)
         if x <= 0:
             raise ValueError("hankel expansion needs x > 0")
-        mu = mp.mpf(4 * k * k)
-        term = mp.mpf(1)
-        total = mp.mpf(1)
-        smallest = mp.mpf(1)
-        j = 0
-        while True:
-            j += 1
-            nxt = -term * (mu - (2 * j - 1) ** 2) / (8 * j * x)
-            if abs(nxt) >= smallest:
+        terms = _hankel_terms(k, x)
+        total = smallest = next(terms)
+        for j, term in enumerate(terms, 1):
+            if abs(term) >= smallest:
                 break
-            term = nxt
             total += term
             smallest = abs(term)
             if j > 4 * int(x) + 20:
@@ -172,9 +181,9 @@ def main_term(params: StackParams, n: int, dps: int = DEFAULT_DPS) -> LogValue10
     """Closed-form leading asymptotic X(n)."""
     if n < 1:
         raise ValueError("n must be positive")
-    r, m = params.r, params.m
+    m = params.m
     with mp.workdps(dps):
-        csc = 1 / mp.sin(mp.pi * r / m)
+        csc = 2 * _arc_constants(params)[2]
         ln = (
             mp.log(csc)
             - mp.log(8 * mp.power(3, mp.mpf(1) / 4) * mp.power(m, mp.mpf(1) / 4))
@@ -184,50 +193,24 @@ def main_term(params: StackParams, n: int, dps: int = DEFAULT_DPS) -> LogValue10
         return LogValue10.from_ln(ln)
 
 
-@dataclass(frozen=True)
-class RefinedEstimate:
-    """Refined main term and the Bessel form it approximates."""
+def refined_main_term(params: StackParams, n: int, dps: int = DEFAULT_DPS) -> LogValue10:
+    """The arc's first term, alpha_0 P kappa I_1(2N), with I_1 cut to three Hankel terms.
 
-    value: LogValue10        # e^{2N} prefactor with two Hankel corrections
-    bessel_form: LogValue10  # (csc/4) kappa I_1(2N), no Hankel truncation
-    kappa: mp.mpf
-    scale: mp.mpf
-
-
-def refined_main_term(params: StackParams, n: int, dps: int = DEFAULT_DPS) -> RefinedEstimate:
-    """Keep the full N in the exponent and two Hankel correction terms.
-
-    value = csc(pi r/m) / (24 m u^(3/4)) e^{2N} [1 - 3/(16N) - 15/(2 (16N)^2)]
-    with u = r(m-r)/(6m^2) - 1/36 + n/(3m) and N = pi sqrt(u).  Requires
+    (P/2) kappa e^{2N} / sqrt(4 pi N) [1 - 3/(16N) - 15/(2 (16N)^2)], which is
+    csc(pi r/m) / (24 m u^(3/4)) e^{2N} [...] with u = (N/pi)^2.  Requires
     2N >= 10 so the truncated bracket stays meaningful.
     """
-    r, m = params.r, params.m
-    kappa = saddle_point(params, n, dps=dps)
-    scale = growth_scale(params, n, dps=dps)
+    ctx = ArcContext.build(params, n, dps=dps)
     with mp.workdps(dps):
-        if 2 * scale < 10:
+        x = 2 * ctx.scale
+        if x < 10:
             raise ValueError(
-                f"refined estimate needs 2N >= 10, got 2N = {mp.nstr(2 * scale, 6)}; increase n"
+                f"refined estimate needs 2N >= 10, got 2N = {mp.nstr(x, 6)}; increase n"
             )
-        csc = 1 / mp.sin(mp.pi * r / m)
-        u = (scale / mp.pi) ** 2
-        bracket = 1 - mp.mpf(3) / (16 * scale) - mp.mpf(15) / (2 * (16 * scale) ** 2)
-        ln_value = (
-            mp.log(csc)
-            - mp.log(24 * m)
-            - mp.mpf(3) / 4 * mp.log(u)
-            + 2 * scale
-            + mp.log(bracket)
-        )
-        ln_bessel = (
-            mp.log(csc / 4) + mp.log(kappa) + mp.log(bessel_i(1, 2 * scale, dps=dps))
-        )
-        return RefinedEstimate(
-            value=LogValue10.from_ln(ln_value),
-            bessel_form=LogValue10.from_ln(ln_bessel),
-            kappa=kappa,
-            scale=scale,
-        )
+        bracket = sum(islice(_hankel_terms(1, x), 3))
+        # alpha_0 = 1/2, and e^x / sqrt(2 pi x) is the Hankel form's prefactor
+        front = ctx.prefactor / 2 * ctx.kappa / mp.sqrt(2 * mp.pi * x)
+        return LogValue10.from_ln(mp.log(front) + x + mp.log(bracket))
 
 
 def false_theta_coeffs(a: int, b: int, max_order: int) -> tuple[Fraction, ...]:
@@ -273,7 +256,7 @@ def asymptotic_sum(
 ) -> LogValue10:
     """Sum of the first `terms` Bessel-weighted expansion terms, 1 <= terms <= 16.
 
-    sum_{s < terms} alpha_s (csc(pi r/m)/2) kappa^(s+1) I_{s+1}(2N).  The
+    The q = 1 arc's Bessel sum over singular_expansion_coeffs.  The
     expansion is asymptotic: for (1, 3) its relative error at n = 10^4 falls
     from 2.6e-3 (one term) to 7.6e-24 (sixteen), while at n = 100 it stalls
     near 4e-5 from five terms on.
@@ -281,17 +264,7 @@ def asymptotic_sum(
     if not 1 <= terms <= MAX_EXPANSION_TERMS:
         raise ValueError(f"terms must be between 1 and {MAX_EXPANSION_TERMS}, got {terms}")
     alphas = singular_expansion_coeffs(params, max_order=terms - 1)
-    kappa = saddle_point(params, n, dps=dps)
-    scale = growth_scale(params, n, dps=dps)
-    with mp.workdps(dps):
-        csc = 1 / mp.sin(mp.pi * params.r / params.m)
-        total = mp.mpf(0)
-        for s, alpha in enumerate(alphas):
-            weight = mp.mpf(alpha.numerator) / alpha.denominator
-            total += weight * (csc / 2) * kappa ** (s + 1) * bessel_i(s + 1, 2 * scale, dps=dps)
-        if total <= 0:
-            raise ValueError("expansion sum is not positive; n is too small for this use")
-        return LogValue10.from_ln(mp.log(total))
+    return ArcContext.build(params, n, dps=dps).bessel_sum(alphas)
 
 
 @dataclass(frozen=True)

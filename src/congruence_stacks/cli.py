@@ -27,8 +27,11 @@ from . import __version__
 from .analytic import (
     GUARD,
     PEAK_HALFWIDTH,
+    SIMPSON_RTOL,
     circle_profile,
+    contour_tail,
     cubic_remainder_check,
+    decay_precision,
     dedekind_eta,
     eta_inversion_residual,
     false_theta_series_residual,
@@ -44,12 +47,10 @@ from .asymptotics import (
     asymptotic_sum,
     bessel_i,
     comparison_table,
-    growth_scale,
     main_term,
     records_to_csv,
     records_to_json,
     refined_main_term,
-    saddle_point,
     singular_expansion_coeffs,
 )
 from .bigfloat import DEFAULT_DPS
@@ -70,6 +71,10 @@ MAX_RECURRENCE_ORDER = 10**4
 # `profile` takes 7.5-11 s and 27 MB max RSS (same machine); n = 10^6 at the
 # default grid (work 7.2e5) takes 4.7 s
 MAX_PROFILE_WORK = 1_610_000
+# largest `decay` working precision, 8 pi^2/(m z_min log 10) + 40 digits, whose
+# cost grows like its 3.5th power: 1183 digits (m = 3, z_min = 0.01) take
+# 7.5-11.7 s and 21 MB max RSS, 802 digits 1.2-1.8 s (same machine)
+MAX_DECAY_DPS = 1200
 VERIFY_TARGETS = frozenset(
     ["decomposition", "theta", "transform", "eta", "falsetheta", "bessel", "contour", "oracle"]
 )
@@ -299,22 +304,22 @@ def cmd_asym(args: argparse.Namespace) -> int:
         "main_term": x.format(10),
     }
     if args.full:
-        kappa = saddle_point(params, n, dps=dps)
-        scale = growth_scale(params, n, dps=dps)
-        rows.append(("saddle radius", mp.nstr(kappa, 8)))
-        rows.append(("growth scale", mp.nstr(scale, 8)))
-        data["saddle_radius"] = mp.nstr(kappa, 12)
-        data["growth_scale"] = mp.nstr(scale, 12)
+        ctx = ArcContext.build(params, n, dps=dps)
+        rows.append(("saddle radius", mp.nstr(ctx.kappa, 8)))
+        rows.append(("growth scale", mp.nstr(ctx.scale, 8)))
+        data["saddle_radius"] = mp.nstr(ctx.kappa, 12)
+        data["growth_scale"] = mp.nstr(ctx.scale, 12)
         refined = refined_main_term(params, n, dps=dps)
-        rows.append(("refined term", refined.value.format(6)))
-        rows.append(("bessel form", refined.bessel_form.format(6)))
-        data["refined_term"] = refined.value.format(10)
-        data["bessel_form"] = refined.bessel_form.format(10)
+        alphas = singular_expansion_coeffs(params, max_order=args.terms - 1)
+        bessel_form = ctx.bessel_sum(alphas[:1])
+        rows.append(("refined term", refined.format(6)))
+        rows.append(("bessel form", bessel_form.format(6)))
+        data["refined_term"] = refined.format(10)
+        data["bessel_form"] = bessel_form.format(10)
         full = asymptotic_sum(params, n, terms=args.terms, dps=dps)
         rows.append((f"expansion ({args.terms} terms)", full.format(6)))
         data["expansion"] = full.format(10)
         data["expansion_terms"] = args.terms
-        alphas = singular_expansion_coeffs(params, max_order=args.terms - 1)
         rows.append(("expansion coefficients", ", ".join(str(a) for a in alphas)))
         data["expansion_coefficients"] = [str(a) for a in alphas]
     if args.exact:
@@ -466,15 +471,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
     if "contour" in targets:
         ctx = ArcContext.build(params, args.size, rho=args.rho, dps=dps)
-        h0 = major_arc_integral(ctx)
-        refined = refined_main_term(params, args.size, dps=dps)
+        line = major_arc_integral(ctx) + contour_tail(ctx)
+        bessel_form = ctx.bessel_sum(singular_expansion_coeffs(params, max_order=0))
         with mp.workdps(dps + GUARD):
-            bessel_value = mp.exp(refined.bessel_form.ln_value)
-            gap = abs(h0 / bessel_value - 1)
+            gap = abs(line / mp.exp(bessel_form.ln_value) - 1)
         suite.check(
             f"restricted contour vs bessel closed form at n = {args.size}, rho = {args.rho}",
             gap,
-            mp.mpf("1e-3"),
+            mp.mpf(SIMPSON_RTOL),
         )
         prof = circle_profile(ctx, grid=720)
         suite.check_flag(
@@ -539,13 +543,25 @@ def cmd_decay(args: argparse.Namespace) -> int:
         zs = tuple(float(v) for v in args.z_values.split(",") if v.strip())
     except ValueError:
         raise ValueError("--moduli and --z-values must be comma separated numbers")
-    lines = [f"{'family':>18}  {'fitted':>10}  {'generic':>10}  {'ratio':>7}  {'points':>6}"]
+    families: list[tuple[int, StackParams | ValueError]] = []
     for m in moduli:
-        label = f"(r={args.r}, m={m})"
         try:
             params = StackParams(args.r, m)
         except ValueError as exc:
-            lines.append(f"{label:>18}  skipped: {exc}")
+            families.append((m, exc))
+            continue
+        # the z list and the precision of every fit are checked before the first one runs
+        dps = decay_precision(params, zs)
+        if dps > MAX_DECAY_DPS:
+            raise ValueError(
+                f"z_min = {min(zs)} needs {dps} digits at m = {m}, above MAX_DECAY_DPS = {MAX_DECAY_DPS}"
+            )
+        families.append((m, params))
+    lines = [f"{'family':>18}  {'fitted':>10}  {'generic':>10}  {'ratio':>7}  {'points':>6}"]
+    for m, params in families:
+        label = f"(r={args.r}, m={m})"
+        if isinstance(params, ValueError):
+            lines.append(f"{label:>18}  skipped: {params}")
             continue
         fit = product_decay_fit(params, z_values=zs)
         lines.append(

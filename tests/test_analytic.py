@@ -1,5 +1,7 @@
 import cmath
 import math
+from fractions import Fraction
+from itertools import islice
 
 import mpmath as mp
 import pytest
@@ -12,6 +14,7 @@ from congruence_stacks.analytic import (
     circle_profile,
     congruence_product,
     congruence_product_main,
+    contour_tail,
     cubic_model,
     cubic_remainder_check,
     dedekind_eta,
@@ -26,7 +29,7 @@ from congruence_stacks.analytic import (
     theta_sum,
     theta_transform_residual,
 )
-from congruence_stacks.asymptotics import ArcContext, refined_main_term
+from congruence_stacks.asymptotics import ArcContext
 from congruence_stacks.params import StackParams
 from congruence_stacks.qseries import congruence_partition_gf, evaluate, false_theta_gf
 
@@ -228,10 +231,9 @@ class TestCongruenceProduct:
         assert math.isclose(fit.slope / fit.expected, 2.0, rel_tol=0.01)
 
     def test_fit_input_validation(self):
-        with pytest.raises(ValueError):
-            product_decay_fit(P13, z_values=(0.3,))
-        with pytest.raises(ValueError):
-            product_decay_fit(P13, z_values=(0.3, -0.1))
+        for z_values in [(0.3,), (0.3, -0.1), (0.3, 0.3), (math.nan, 0.2), (0.3, math.inf)]:
+            with pytest.raises(ValueError, match="two distinct, finite, positive z values"):
+                product_decay_fit(P13, z_values=z_values)
 
 
 class TestFalseTheta:
@@ -366,13 +368,17 @@ class TestSimpson:
                 simpson_refine(mp.exp, 0, 1)
 
 
+def one_term_bessel(ctx):
+    with mp.workdps(ctx.dps + analytic.GUARD):
+        return mp.exp(ctx.bessel_sum((Fraction(1, 2),)).ln_value)
+
+
 class TestMajorArc:
     def test_matches_bessel_form_at_200(self):
         ctx = ArcContext.build(P13, 200, rho=0.9, dps=50)
         h0 = major_arc_integral(ctx)
-        refined = refined_main_term(P13, 200, dps=50)
         with mp.workdps(65):
-            gap = abs(h0 / mp.exp(refined.bessel_form.ln_value) - 1)
+            gap = abs(h0 / one_term_bessel(ctx) - 1)
             assert gap < mp.mpf("1e-3")
 
     def test_gap_shrinks_with_n(self):
@@ -380,10 +386,36 @@ class TestMajorArc:
         for n in (50, 200):
             ctx = ArcContext.build(P13, n, rho=0.9, dps=50)
             h0 = major_arc_integral(ctx)
-            refined = refined_main_term(P13, n, dps=50)
             with mp.workdps(65):
-                gaps.append(abs(h0 / mp.exp(refined.bessel_form.ln_value) - 1))
+                gaps.append(abs(h0 / one_term_bessel(ctx) - 1))
         assert gaps[1] < gaps[0]
+
+
+class TestContourTail:
+    def test_closes_the_line_for_every_pair_at_the_defaults(self):
+        # verify contour's defaults: n = 200, rho = 0.9; the bare arc misses by 2e-4 to 8e-3
+        worst = mp.mpf(0)
+        for m in range(3, 13):
+            for r in range(1, m):
+                if math.gcd(r, m) == 1:
+                    ctx = ArcContext.build(StackParams(r, m), 200, rho=0.9, dps=50)
+                    with mp.workdps(65):
+                        line = major_arc_integral(ctx) + contour_tail(ctx)
+                        worst = max(worst, abs(line / one_term_bessel(ctx) - 1))
+        assert worst < analytic.SIMPSON_RTOL
+
+    def test_closes_the_line_deep_in_the_regime(self):
+        # the downward Gamma recurrence loses about e^|x| = 1e87 here, beyond dps + GUARD
+        ctx = ArcContext.build(P13, 20000, rho=0.9, dps=50)
+        with mp.workdps(65):
+            line = major_arc_integral(ctx) + contour_tail(ctx)
+            assert abs(line / one_term_bessel(ctx) - 1) < analytic.SIMPSON_RTOL
+
+    def test_gamma_recurrence_matches_mpmath(self):
+        x = mp.mpc(-14, -12)
+        with mp.workdps(50):
+            for k, gamma in enumerate(islice(analytic._upper_gamma_down(x), 6), 1):
+                assert abs(gamma / mp.gammainc(1 - k, x) - 1) < mp.mpf("1e-45")
 
 
 @pytest.fixture(scope="module")

@@ -13,12 +13,10 @@ from congruence_stacks.asymptotics import (
     bessel_i,
     comparison_table,
     false_theta_coeffs,
-    growth_scale,
     main_term,
     records_to_csv,
     records_to_json,
     refined_main_term,
-    saddle_point,
     singular_expansion_coeffs,
 )
 from congruence_stacks.params import StackParams
@@ -30,43 +28,50 @@ P14 = StackParams(1, 4)
 valid_pairs = st.sampled_from([(1, 3), (1, 4), (1, 5), (2, 5), (2, 7), (3, 7), (1, 7)])
 
 
+def arc(params, n, dps=50):
+    return ArcContext.build(params, n, dps=dps)
+
+
 class TestSaddle:
     def test_known_value(self):
         # radicand 3*1*2/2 - 9/4 + 9 = 39/4 at n = 1
-        kappa = saddle_point(P13, 1)
+        kappa = arc(P13, 1).kappa
         with mp.workdps(40):
             assert abs(kappa - mp.pi / mp.sqrt(mp.mpf(39) / 4)) < mp.mpf("1e-35")
 
     def test_radius_shrinks_with_n(self):
-        values = [saddle_point(P13, n) for n in (1, 10, 100, 1000)]
+        values = [arc(P13, n).kappa for n in (1, 10, 100, 1000)]
         assert all(a > b for a, b in zip(values, values[1:]))
 
     def test_nonpositive_radicand_rejected(self):
-        with pytest.raises(ValueError):
-            saddle_point(StackParams(1, 13), 0)
+        with pytest.raises(ValueError, match="saddle radicand -97/4 is not positive"):
+            arc(StackParams(1, 13), 0)
 
     def test_conjugate_scale_identity(self):
         with mp.workdps(40):
-            kappa = saddle_point(P13, 50)
-            scale = growth_scale(P13, 50)
-            assert abs(kappa * scale - mp.pi ** 2 / 9) < mp.mpf("1e-30")
+            ctx = arc(P13, 50)
+            assert abs(ctx.kappa * ctx.scale - mp.pi ** 2 / 9) < mp.mpf("1e-30")
 
     @given(valid_pairs, st.integers(1, 5000))
     @settings(max_examples=40, deadline=None)
     def test_scale_kappa_product(self, pair, n):
         params = StackParams(*pair)
         with mp.workdps(40):
-            kappa = saddle_point(params, n)
-            scale = growth_scale(params, n)
-            assert abs(kappa * scale - mp.pi ** 2 / (3 * params.m)) < mp.mpf("1e-28")
+            ctx = arc(params, n)
+            assert abs(ctx.kappa * ctx.scale - mp.pi ** 2 / (3 * params.m)) < mp.mpf("1e-28")
 
 
 class TestArcContext:
     def test_build(self):
         ctx = ArcContext.build(P13, 200, rho=0.9, dps=50)
         assert ctx.n == 200 and ctx.rho == 0.9 and ctx.dps == 50
+        # B = 200 + 1*2/6 - 3/12, and kappa = pi/sqrt(3mB) = sqrt(A/B)
+        assert ctx.B == Fraction(2401, 12)
         with mp.workdps(40):
-            assert abs(ctx.kappa - saddle_point(P13, 200)) < mp.mpf("1e-35")
+            assert abs(ctx.A - mp.pi ** 2 / 9) < mp.mpf("1e-35")
+            assert abs(ctx.prefactor - 1 / mp.sqrt(3)) < mp.mpf("1e-35")
+            assert abs(ctx.kappa - mp.pi / mp.sqrt(mp.mpf(7203) / 4)) < mp.mpf("1e-35")
+            assert abs(ctx.scale - mp.sqrt(ctx.A * 2401 / 12)) < mp.mpf("1e-35")
 
     def test_rho_validated(self):
         with pytest.raises(ValueError):
@@ -141,11 +146,15 @@ class TestMainTerm:
         assert rel1000 < rel100 < mp.mpf("0.04")
 
 
+ONE_TERM = (Fraction(1, 2),)
+PAIRS_AND_SIZES = [(pair, n) for pair in [(1, 3), (2, 5), (2, 3), (3, 7)] for n in (200, 1000)]
+
+
 class TestRefined:
     def test_close_to_bessel_form(self):
         est = refined_main_term(P13, 1000)
         with mp.workdps(60):
-            rel = mp.expm1(est.value.ln_value - est.bessel_form.ln_value)
+            rel = mp.expm1(est.ln_value - arc(P13, 1000).bessel_sum(ONE_TERM).ln_value)
             # the two-term bracket truncates the uniform expansion of I_1
             assert abs(rel) < mp.mpf("1e-6")
 
@@ -153,13 +162,29 @@ class TestRefined:
         series = stack_gf(P13, 1000)
         exact = series[1000]
         plain = abs(main_term(P13, 1000).relative_error_against(exact))
-        refined = abs(refined_main_term(P13, 1000).value.relative_error_against(exact))
+        refined = abs(refined_main_term(P13, 1000).relative_error_against(exact))
         assert refined < plain
 
     def test_small_n_rejected(self):
         # the asymptotic bracket needs the growth scale comfortably large
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="needs 2N >= 10"):
             refined_main_term(P13, 1)
+
+    @pytest.mark.parametrize("pair, n", PAIRS_AND_SIZES)
+    def test_hankel_route_equals_the_typed_bracket(self, pair, n):
+        # csc/(24 m u^(3/4)) e^{2N} [1 - 3/(16N) - 15/(2 (16N)^2)], u = (N/pi)^2
+        params = StackParams(*pair)
+        r, m = pair
+        with mp.workdps(60):
+            big_b = n + mp.mpf(r * (m - r)) / (2 * m) - mp.mpf(m) / 12
+            scale = mp.pi * mp.sqrt(big_b / (3 * m))
+            u = (scale / mp.pi) ** 2
+            bracket = 1 - 3 / (16 * scale) - 15 / (2 * (16 * scale) ** 2)
+            ln_typed = (
+                mp.log(1 / mp.sin(mp.pi * r / m)) - mp.log(24 * m) - mp.mpf(3) / 4 * mp.log(u)
+                + 2 * scale + mp.log(bracket)
+            )
+            assert abs(mp.expm1(refined_main_term(params, n).ln_value - ln_typed)) < mp.mpf("1e-45")
 
 
 class TestFalseThetaCoefficients:
@@ -239,11 +264,17 @@ class TestAsymptoticSum:
         assert rel < mp.mpf("1e-6")
 
     def test_first_term_matches_refined_bessel(self):
-        one_term = asymptotic_sum(P13, 500, terms=1)
-        refined = refined_main_term(P13, 500)
-        with mp.workdps(60):
-            rel = mp.expm1(one_term.ln_value - refined.bessel_form.ln_value)
-            assert abs(rel) < mp.mpf("1e-30")
+        for (r, m), n in PAIRS_AND_SIZES:
+            params = StackParams(r, m)
+            one_term = arc(params, n).bessel_sum(ONE_TERM)
+            with mp.workdps(60):
+                first = asymptotic_sum(params, n, terms=1)
+                assert abs(mp.expm1(one_term.ln_value - first.ln_value)) < mp.mpf("1e-30")
+                # (csc/4) kappa I_1(2N) with mpmath's own Bessel function, to 30 digits
+                kappa = mp.pi / mp.sqrt(3 * m * n + mp.mpf(3 * r * (m - r)) / 2 - mp.mpf(m * m) / 4)
+                scale = mp.pi ** 2 / (3 * m * kappa)
+                reference = 1 / mp.sin(mp.pi * r / m) / 4 * kappa * mp.besseli(1, 2 * scale)
+                assert abs(mp.expm1(one_term.ln_value - mp.log(reference))) < mp.mpf("1e-30"), (r, m, n)
 
     def test_terms_validated(self):
         with pytest.raises(ValueError):

@@ -197,7 +197,7 @@ class TestVerify:
         assert code == 0
         assert "PASS" in out and "agree exactly" in out
 
-    @pytest.mark.parametrize("r,m", [(2, 3), (3, 4)])
+    @pytest.mark.parametrize("r,m", [(2, 3), (3, 4), (3, 5)])
     def test_every_check_passes_for_gap_pairs(self, capsys, r, m):
         code, out, _ = run(capsys, "verify", "all", "-r", str(r), "-m", str(m))
         assert code == 0, out
@@ -339,6 +339,33 @@ class TestDecay:
         code, _, err = run(capsys, "decay", "--moduli", "3,x")
         assert code == 2
         assert "comma separated" in err
+
+    @pytest.mark.parametrize("z_values", ["0.3,0.3", "nan,0.2"])
+    def test_bad_z_values_exit_2(self, capsys, z_values):
+        code, out, err = run(capsys, "decay", "--z-values", z_values)
+        assert code == 2
+        assert out == ""
+        assert "two distinct, finite, positive z values" in err
+
+    def test_precision_above_the_decay_bound_exit_2_before_any_fit(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a fit ran although the precision is refused")
+
+        monkeypatch.setattr(cli, "product_decay_fit", refuse)
+        # z = 0.009 needs 584 digits at m = 7, listed first, and 1310 at m = 3
+        code, out, err = run(capsys, "decay", "--moduli", "7,3", "--z-values", "0.3,0.009")
+        assert code == 2
+        assert out == ""
+        assert f"MAX_DECAY_DPS = {cli.MAX_DECAY_DPS}" in err
+
+    def test_largest_documented_precision_stays_within_the_bound(self, monkeypatch):
+        # m = 3 at z = 0.01 needs 1183 digits; stop at the first fit
+        def started(*args, **kwargs):
+            raise RuntimeError("fit started")
+
+        monkeypatch.setattr(cli, "product_decay_fit", started)
+        with pytest.raises(RuntimeError, match="fit started"):
+            main(["decay", "--moduli", "3", "--z-values", "0.3,0.01"])
 
 
 class ReadRecorder:
