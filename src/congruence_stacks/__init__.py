@@ -16,7 +16,6 @@ from .qseries import (
     false_theta_gf,
     correction_gf,
     verify_decomposition,
-    evaluate,
 )
 from .oracle import (
     StackWitness,
@@ -74,7 +73,6 @@ __all__ = [
     "false_theta_gf",
     "correction_gf",
     "verify_decomposition",
-    "evaluate",
     "StackWitness",
     "count_stacks",
     "enumerate_stacks",

@@ -36,7 +36,7 @@ from typing import Callable, Sequence
 import mpmath as mp
 
 from .asymptotics import ArcContext, _arc_constants, false_theta_coeffs
-from .bigfloat import DEFAULT_DPS, FIXED_EXTRA_BITS
+from .bigfloat import DEFAULT_DPS, FIXED_EXTRA_BITS, _fraction_to_mpf
 from .params import StackParams
 from .qseries import false_theta_gf
 
@@ -271,7 +271,7 @@ def congruence_product_main(params: StackParams, tau, dps: int = DEFAULT_DPS) ->
         _require_upper_half(tau)
         A, offset, prefactor = _arc_constants(params)
         z = -2 * mp.pi * 1j * tau
-        return prefactor * mp.exp(A / z + mp.mpf(offset.numerator) / offset.denominator * z)
+        return prefactor * mp.exp(A / z + _fraction_to_mpf(offset) * z)
 
 
 def product_residual(params: StackParams, tau, dps: int = DEFAULT_DPS) -> mp.mpf:
@@ -373,7 +373,7 @@ def cubic_model(a: int, b: int, z) -> mp.mpc:
     """Small-z cubic approximation of f_{a,b} with z = -2 pi i tau."""
     z = mp.mpc(z)
     return sum(
-        mp.mpf(c.numerator) / c.denominator * z ** k for k, c in enumerate(false_theta_coeffs(a, b, 3))
+        _fraction_to_mpf(c) * z ** k for k, c in enumerate(false_theta_coeffs(a, b, 3))
     )
 
 
@@ -422,9 +422,8 @@ def false_theta_series_residual(params: StackParams, tau, dps: int = DEFAULT_DPS
         q = mp.exp(2 * mp.pi * 1j * tau)
         t = params.shift
         via_false_theta = -mp.power(q, t) * false_theta(params.m, -(params.m + 2 * t), tau, dps=dps)
-        series = false_theta_gf(params, _factor_count(mp.im(tau), dps + GUARD))
         direct = mp.mpc(0)
-        for e, sign in series.nonzero_terms():
+        for e, sign in false_theta_gf(params, _factor_count(mp.im(tau), dps + GUARD)):
             direct += sign * mp.power(q, e)
         return abs(via_false_theta - direct) / abs(direct)
 
@@ -470,7 +469,7 @@ def major_arc_integral(ctx: ArcContext) -> mp.mpf:
     the whole line, the arc's one-term Bessel sum (P/2) kappa I_1(2N).
     """
     with mp.workdps(ctx.dps + GUARD):
-        kappa, A, B = +ctx.kappa, +ctx.A, mp.mpf(ctx.B.numerator) / ctx.B.denominator
+        kappa, A, B = +ctx.kappa, +ctx.A, _fraction_to_mpf(ctx.B)
 
         def integrand(nu):
             zz = mp.mpc(kappa, nu)
@@ -503,7 +502,7 @@ def contour_tail(ctx: ArcContext) -> mp.mpf:
     """
     x_abs = float(ctx.B) * float(ctx.kappa) * math.hypot(1, ctx.rho)
     with mp.workdps(ctx.dps + GUARD + int(x_abs / math.log(10)) + 1):
-        A, B = +ctx.A, mp.mpf(ctx.B.numerator) / ctx.B.denominator
+        A, B = +ctx.A, _fraction_to_mpf(ctx.B)
         x = -B * mp.mpc(ctx.kappa, ctx.rho * ctx.kappa)
         total = -mp.exp(-x) / B
         coeff = -1 / B  # A^k/k! (-B)^(k-1) at k = 0
@@ -587,7 +586,7 @@ def circle_profile(ctx: ArcContext, grid: int = 720) -> CircleProfile:
         raise ValueError("grid must be even and at least 8")
     params, n, kappa = ctx.params, ctx.n, float(ctx.kappa)
     top = _factor_count(kappa / (2 * math.pi), 17)  # the dropped tail sits below a double's rounding
-    l_terms = list(false_theta_gf(params, top).nonzero_terms())
+    l_terms = false_theta_gf(params, top)
     f_exponents = [e for start in (params.r, params.m - params.r) for e in range(start, top + 1, params.m)]
     # |1 - e^{a + ib}| = hypot(expm1(a), 2 e^{a/2} sin(b/2)) keeps every digit near q = 1
     f_factors = [(e, math.expm1(-e * kappa), 2 * math.exp(-e * kappa / 2)) for e in f_exponents]

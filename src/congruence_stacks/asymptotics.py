@@ -31,7 +31,7 @@ from typing import Iterable, Sequence
 
 import mpmath as mp
 
-from .bigfloat import DEFAULT_DPS, FIXED_EXTRA_BITS, LogValue10
+from .bigfloat import DEFAULT_DPS, FIXED_EXTRA_BITS, LogValue10, _fraction_to_mpf
 from .params import StackParams
 from .qseries import stack_gf
 
@@ -81,7 +81,7 @@ class ArcContext:
                 raise ValueError(
                     f"saddle radicand {radicand} is not positive for {params}, n={n}; n is too small"
                 )
-            kappa = mp.pi / mp.sqrt(mp.mpf(radicand.numerator) / radicand.denominator)
+            kappa = mp.pi / mp.sqrt(_fraction_to_mpf(radicand))
             return cls(params, n, A, B, prefactor, kappa, A / kappa, float(rho), dps)
 
     def bessel_sum(self, alphas: Sequence[Fraction]) -> LogValue10:
@@ -89,7 +89,7 @@ class ArcContext:
         with mp.workdps(self.dps):
             x, total = 2 * self.scale, mp.mpf(0)
             for s, alpha in enumerate(alphas):
-                weight = mp.mpf(alpha.numerator) / alpha.denominator
+                weight = _fraction_to_mpf(alpha)
                 total += weight * self.prefactor * self.kappa ** (s + 1) * bessel_i(s + 1, x, dps=self.dps)
             if total <= 0:
                 raise ValueError("expansion sum is not positive; n is too small for this use")
@@ -277,6 +277,15 @@ class ComparisonRecord:
     relative_error: mp.mpf
 
 
+def _require_stacks(params: StackParams, n: int, exact: int) -> None:
+    """Refuse a size with no stacks, where a relative error has no meaning."""
+    if exact == 0:
+        raise ValueError(
+            f"no stacks of size {n} exist for {params}; "
+            "the relative error is undefined, drop this size"
+        )
+
+
 def comparison_table(params: StackParams, ns: Sequence[int], dps: int = DEFAULT_DPS) -> list[ComparisonRecord]:
     """Exact counts vs main_term at each n (one stack_gf call at order max(ns))."""
     if not ns:
@@ -287,11 +296,7 @@ def comparison_table(params: StackParams, ns: Sequence[int], dps: int = DEFAULT_
     records = []
     for n in ns:
         exact = series[n]
-        if exact == 0:
-            raise ValueError(
-                f"no stacks of size {n} exist for {params}; "
-                "the relative error is undefined, drop this size"
-            )
+        _require_stacks(params, n, exact)
         estimate = main_term(params, n, dps=dps)
         rel = estimate.relative_error_against(exact, dps=dps)
         records.append(ComparisonRecord(n=n, exact=exact, estimate=estimate, relative_error=rel))

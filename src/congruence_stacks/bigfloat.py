@@ -16,11 +16,17 @@ length is known), and convert back to mpf once.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 import mpmath as mp
 
 DEFAULT_DPS = 50
 FIXED_EXTRA_BITS = 10
+
+
+def _fraction_to_mpf(x: Fraction) -> mp.mpf:
+    """x at the ambient precision: the numerator rounded once, then one division."""
+    return mp.mpf(x.numerator) / x.denominator
 
 
 @dataclass(frozen=True)

@@ -44,6 +44,7 @@ from .analytic import (
 from .asymptotics import (
     MAX_EXPANSION_TERMS,
     ArcContext,
+    _require_stacks,
     asymptotic_sum,
     bessel_i,
     comparison_table,
@@ -66,6 +67,9 @@ MAX_SERIES_ORDER = 10**5
 # largest `verify --order` for the O(order^2 / m) peak-sum oracle; there
 # `verify decomposition` takes 3.8 s and 22 MB max RSS (same machine)
 MAX_RECURRENCE_ORDER = 10**4
+# largest `asym --exact` size for the O(n^2) direct count count_stacks; there
+# `asym --exact` takes 7.1-8.2 s and 22 MB max RSS (same machine)
+MAX_DIRECT_COUNT_SIZE = 10**4
 # largest `profile` work grid * sqrt(n), which its cost follows: the largest
 # run the former grid bound of 72 000 allowed at the default n = 500.  There
 # `profile` takes 7.5-11 s and 27 MB max RSS (same machine); n = 10^6 at the
@@ -178,7 +182,11 @@ def build_parser() -> argparse.ArgumentParser:
         default=4,
         help=f"terms in the full expansion (default 4, at most {MAX_EXPANSION_TERMS})",
     )
-    p_asym.add_argument("--exact", action="store_true", help="also compute the exact count for comparison")
+    p_asym.add_argument(
+        "--exact",
+        action="store_true",
+        help=f"also compute the exact count for comparison (only for n <= {MAX_DIRECT_COUNT_SIZE})",
+    )
     p_asym.add_argument("--format", choices=["text", "json"], default="text")
     p_asym.set_defaults(func=cmd_asym)
 
@@ -294,6 +302,10 @@ def cmd_asym(args: argparse.Namespace) -> int:
         raise ValueError("size must be positive")
     if not 1 <= args.terms <= MAX_EXPANSION_TERMS:
         raise ValueError(f"--terms must be between 1 and {MAX_EXPANSION_TERMS}, got {args.terms}")
+    if args.exact and n > MAX_DIRECT_COUNT_SIZE:
+        raise ValueError(
+            f"size {n} exceeds the direct-count bound of --exact MAX_DIRECT_COUNT_SIZE = {MAX_DIRECT_COUNT_SIZE}"
+        )
     x = main_term(params, n, dps=dps)
     rows: list[tuple[str, str]] = [("main term", x.format(6))]
     data: dict[str, object] = {
@@ -324,6 +336,7 @@ def cmd_asym(args: argparse.Namespace) -> int:
         data["expansion_coefficients"] = [str(a) for a in alphas]
     if args.exact:
         exact = count_stacks(n, params)
+        _require_stacks(params, n, exact)
         rows.append(("exact count", str(exact)))
         data["exact"] = str(exact)
         rel = x.relative_error_against(exact)
@@ -543,6 +556,8 @@ def cmd_decay(args: argparse.Namespace) -> int:
         zs = tuple(float(v) for v in args.z_values.split(",") if v.strip())
     except ValueError:
         raise ValueError("--moduli and --z-values must be comma separated numbers")
+    if not moduli:
+        raise ValueError(f"--moduli lists no modulus, got {args.moduli!r}")
     families: list[tuple[int, StackParams | ValueError]] = []
     for m in moduli:
         try:

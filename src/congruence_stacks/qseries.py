@@ -1,7 +1,8 @@
-"""Exact q-series arithmetic for stack counting.
+"""Exact q-series for stack counting.
 
-Everything here is integer-exact: a truncated power series is a tuple of
-Python ints c[0..order].  The stack series is
+Everything here is integer-exact, in two shapes: a sparse theta-type series
+is an ascending list of (exponent, sign) pairs, a dense result is a
+TruncatedSeries, the tuple of Python ints c[0..order].  The stack series is
 
     S(q)  = sum_{k>=0} q^{km+r} / ((q^r; q^m)_{k+1} (q^{m-r}; q^m)_{k+d})
 
@@ -14,7 +15,8 @@ decomposes as
 
 where F is the partition product 1/((q^r; q^m)_inf (q^{m-r}; q^m)_inf),
 L(q) = sum_{j>=0} (-1)^j q^{m j(j+1)/2 - tj} = 1 + f_{m, m-2t}(q) is a false
-theta series, and R is a sparse correction with coefficients in {-1, 0, +1}.
+theta series, and R is a sparse correction with coefficients in {-1, 0, +1};
+false_theta_gf and correction_gf return their terms.
 
 stack_gf builds S from the right-hand side: by the Jacobi triple product F is
 a quotient P / T of two sparse theta series, so S = (P*L + R*T) / T is one
@@ -27,7 +29,6 @@ coefficient by coefficient.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 from .params import StackParams
 
@@ -38,11 +39,6 @@ class TruncatedSeries:
 
     coeffs: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if len(self.coeffs) == 0:
-            raise ValueError("series needs at least the constant coefficient")
-        object.__setattr__(self, "coeffs", tuple(int(c) for c in self.coeffs))
-
     @property
     def order(self) -> int:
         return len(self.coeffs) - 1
@@ -51,42 +47,6 @@ class TruncatedSeries:
         if not 0 <= n <= self.order:
             raise IndexError(f"coefficient index {n} outside [0, {self.order}]")
         return self.coeffs[n]
-
-    def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        return series_mul(self, other)
-
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        order = min(self.order, other.order)
-        return TruncatedSeries(
-            tuple(self.coeffs[i] + other.coeffs[i] for i in range(order + 1))
-        )
-
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        order = min(self.order, other.order)
-        return TruncatedSeries(
-            tuple(self.coeffs[i] - other.coeffs[i] for i in range(order + 1))
-        )
-
-    def truncate(self, order: int) -> "TruncatedSeries":
-        if order > self.order:
-            raise ValueError(f"cannot extend order {self.order} to {order}")
-        return TruncatedSeries(self.coeffs[: order + 1])
-
-    def nonzero_terms(self) -> Iterator[tuple[int, int]]:
-        """(exponent, coefficient) pairs of nonzero terms, ascending."""
-        return ((i, c) for i, c in enumerate(self.coeffs) if c != 0)
-
-
-def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    """Cauchy product truncated to min(a.order, b.order)."""
-    order = min(a.order, b.order)
-    out = [0] * (order + 1)
-    for i, ai in enumerate(a.coeffs[: order + 1]):
-        if ai:
-            for j, bj in enumerate(b.coeffs[: order + 1 - i]):
-                if bj:
-                    out[i + j] += ai * bj
-    return TruncatedSeries(tuple(out))
 
 
 def _inv_one_minus_inplace(c: list[int], d: int, hi: int) -> None:
@@ -169,10 +129,12 @@ def stack_gf(params: StackParams, order: int) -> TruncatedSeries:
         raise ValueError("order must be nonnegative")
     m = params.m
     theta = _theta_terms(m, params.r, order)
-    l_terms = list(false_theta_gf(params, order).nonzero_terms())
-    r_terms = correction_gf(params, order).nonzero_terms()
     num = [0] * (order + 1)
-    for left, right in ((_theta_terms(3 * m, m, order), l_terms), (r_terms, theta)):
+    products = (
+        (_theta_terms(3 * m, m, order), false_theta_gf(params, order)),
+        (correction_gf(params, order), theta),
+    )
+    for left, right in products:
         for ea, ca in left:
             for eb, cb in right:  # ascending, so the first exponent past order ends the row
                 if ea + eb > order:
@@ -209,22 +171,23 @@ def stack_recurrence(params: StackParams, order: int) -> TruncatedSeries:
     return TruncatedSeries(tuple(acc))
 
 
-def false_theta_gf(params: StackParams, order: int) -> TruncatedSeries:
-    """Alternating series L(q) = sum_{j>=0} (-1)^j q^(m j(j+1)/2 - tj), t = params.shift.
+def false_theta_gf(params: StackParams, order: int) -> list[tuple[int, int]]:
+    """Terms of L(q) = sum_{j>=0} (-1)^j q^(m j(j+1)/2 - tj), t = params.shift, through q^order.
 
-    Since t < m the exponents start at 0 and rise strictly with j.
+    Since t < m the exponents start at 0 and rise strictly with j.  Returns
+    (exponent, sign) pairs in ascending order, as _theta_terms does.
     """
     m, t = params.m, params.shift
-    c = [0] * (order + 1)
+    terms = []
     j = 0
     while (e := m * j * (j + 1) // 2 - t * j) <= order:
-        c[e] += (-1) ** j
+        terms.append((e, (-1) ** j))
         j += 1
-    return TruncatedSeries(tuple(c))
+    return terms
 
 
-def correction_gf(params: StackParams, order: int) -> TruncatedSeries:
-    """Sparse correction R(q) closing the gap between S and F*L.
+def correction_gf(params: StackParams, order: int) -> list[tuple[int, int]]:
+    """Terms of the sparse correction R(q) closing the gap between S and F*L, through q^order.
 
     With t = params.shift, d = (2r - t)/m (0 standard, 1 gap) and
     Q(n) = n(mn + (1+d)m - 3t)/6,
@@ -235,18 +198,20 @@ def correction_gf(params: StackParams, order: int) -> TruncatedSeries:
     for (2, 3) the support is the triangular numbers T(3j) and T(3j+1).  The
     gap form was found by search and is checked, not proved: S = F*L + R holds
     exactly through q^2000 for all 44 coprime (r, m) with 3 <= m <= 12.
+    Returns (exponent, sign) pairs in ascending order.
     """
     r, m, t = params.r, params.m, params.shift
     d = (2 * r - t) // m
-    c = [0] * (order + 1)
-    # 3j and 3j - 1 + 2d are the n >= 0 with n % 3 != 1 + d; Q(n) >= 0 on them,
-    # and Q rises from n = 1 on, so the first exponent past order ends the sum
+    terms = []
+    # 3j and 3j - 1 + 2d are the n >= 0 with n % 3 != 1 + d; Q(0) = 0, Q > 0 on
+    # the others, and Q rises from n = 1 on, so the exponents ascend and the
+    # first one past order ends the sum
     n = 0
     while (e := n * (m * n + (1 + d) * m - 3 * t) // 6) <= order:
         if n % 3 != 1 + d:
-            c[e] -= (-1) ** ((n + 1 - d) // 3)
+            terms.append((e, -(-1) ** ((n + 1 - d) // 3)))
         n += 1
-    return TruncatedSeries(tuple(c))
+    return terms
 
 
 @dataclass(frozen=True)
@@ -265,15 +230,8 @@ class DecompositionReport:
 
 def verify_decomposition(params: StackParams, order: int) -> DecompositionReport:
     """Compare the peak sum stack_recurrence against stack_gf = F*L + R coefficientwise."""
-    residual = stack_recurrence(params, order) - stack_gf(params, order)
-    mismatches = tuple(i for i, c in residual.nonzero_terms())
-    max_abs = max((abs(c) for _, c in residual.nonzero_terms()), default=0)
+    pairs = zip(stack_recurrence(params, order).coeffs, stack_gf(params, order).coeffs)
+    residual = [(i, a - b) for i, (a, b) in enumerate(pairs) if a != b]
+    mismatches = tuple(i for i, _ in residual)
+    max_abs = max((abs(c) for _, c in residual), default=0)
     return DecompositionReport(params, order, mismatches, max_abs)
-
-
-def evaluate(series: TruncatedSeries, q):
-    """Numerically evaluate the truncated polynomial at q (Horner form)."""
-    acc = 0
-    for c in reversed(series.coeffs):
-        acc = acc * q + c
-    return acc

@@ -158,6 +158,26 @@ class TestAsym:
         assert code == 0
         assert "expansion (8 terms)" in out
 
+    def test_exact_above_the_direct_count_bound_exit_2_before_counting(self, capsys, monkeypatch):
+        def count_stacks(n, params):
+            raise AssertionError("count_stacks ran although the size is refused")
+
+        monkeypatch.setattr(cli, "count_stacks", count_stacks)
+        code, out, err = run(capsys, "asym", "-n", str(cli.MAX_DIRECT_COUNT_SIZE + 1), "--exact")
+        assert code == 2
+        assert out == ""
+        assert f"MAX_DIRECT_COUNT_SIZE = {cli.MAX_DIRECT_COUNT_SIZE}" in err
+
+    def test_exact_with_no_stacks_exit_2(self, capsys):
+        # (2, 3) has no stack of size 1: the peak alone is 2
+        code, out, err = run(capsys, "asym", "-n", "1", "-r", "2", "-m", "3", "--exact")
+        assert code == 2
+        assert out == ""
+        assert (
+            "no stacks of size 1 exist for (r=2, m=3, gap); the relative error is undefined, drop this size"
+            in err
+        )
+
     def test_precision_floor_exit_2(self, capsys):
         code, _, err = run(capsys, "asym", "-n", "100", "-P", "10")
         assert code == 2
@@ -339,6 +359,13 @@ class TestDecay:
         code, _, err = run(capsys, "decay", "--moduli", "3,x")
         assert code == 2
         assert "comma separated" in err
+
+    @pytest.mark.parametrize("moduli", [",", ""])
+    def test_empty_moduli_exit_2(self, capsys, moduli):
+        code, out, err = run(capsys, "decay", "--moduli", moduli)
+        assert code == 2
+        assert out == ""
+        assert "--moduli lists no modulus" in err
 
     @pytest.mark.parametrize("z_values", ["0.3,0.3", "nan,0.2"])
     def test_bad_z_values_exit_2(self, capsys, z_values):

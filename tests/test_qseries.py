@@ -1,6 +1,5 @@
 import math
 
-import mpmath as mp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,11 +8,10 @@ from congruence_stacks.params import StackParams
 from congruence_stacks.qseries import (
     TruncatedSeries,
     _inv_one_minus_inplace,
+    _theta_terms,
     congruence_partition_gf,
     correction_gf,
-    evaluate,
     false_theta_gf,
-    series_mul,
     stack_gf,
     stack_recurrence,
     verify_decomposition,
@@ -51,6 +49,15 @@ def inv_one_minus(a: TruncatedSeries, d: int) -> TruncatedSeries:
     return TruncatedSeries(tuple(c))
 
 
+def product_with_terms(a: TruncatedSeries, terms: list[tuple[int, int]]) -> list[int]:
+    """Coefficients of a times the sparse series of (exponent, sign) terms, through a.order."""
+    out = [0] * (a.order + 1)
+    for e, sign in terms:
+        for i in range(e, a.order + 1):
+            out[i] += sign * a.coeffs[i - e]
+    return out
+
+
 def brute_partition_count(n: int, allowed: list[int]) -> int:
     """Unbounded partitions of n into parts from `allowed`; the oracle for F."""
     table = [1] + [0] * n
@@ -60,20 +67,12 @@ def brute_partition_count(n: int, allowed: list[int]) -> int:
     return table[n]
 
 
+def times_one_minus(a: TruncatedSeries, d: int) -> TruncatedSeries:
+    """a * (1 - q^d), written out coefficient by coefficient."""
+    return TruncatedSeries(tuple(c - (a.coeffs[i - d] if i >= d else 0) for i, c in enumerate(a.coeffs)))
+
+
 class TestSeriesAlgebra:
-    def test_mul_truncates_to_min_order(self):
-        a = TruncatedSeries((1, 1, 1))
-        b = TruncatedSeries((1, 2))
-        assert (a * b).order == 1
-        assert (a * b).coeffs == (1, 3)
-
-    def test_known_product(self):
-        a = TruncatedSeries((1, 1))
-        sq = a * a
-        assert sq.coeffs == (1, 2)
-        cube = TruncatedSeries((1, 1, 1, 1)) * TruncatedSeries((1, 1, 1, 1))
-        assert cube.coeffs == (1, 2, 3, 4)
-
     def test_mul_inv_one_minus_matches_geometric(self):
         a = TruncatedSeries((1,) + (0,) * 12)
         b = inv_one_minus(a, 3)
@@ -82,35 +81,16 @@ class TestSeriesAlgebra:
 
     def test_mul_inv_one_minus_is_inverse(self):
         s = TruncatedSeries((2, -1, 0, 5, 3, 0, 0, 1, 0, 0, 4))
-        inv = inv_one_minus(s, 2)
         # multiplying back by (1 - q^2) must recover the input
-        back = series_mul(inv, TruncatedSeries((1, 0, -1) + (0,) * (s.order - 2)))
-        assert back == s
-
-    def test_truncate(self):
-        s = TruncatedSeries((5, 4, 3, 2, 1))
-        assert s.truncate(2).coeffs == (5, 4, 3)
-        with pytest.raises(ValueError):
-            s.truncate(9)
-
-    @given(small_series, small_series)
-    def test_mul_commutes(self, a, b):
-        assert a * b == b * a
-
-    @given(small_series, small_series, small_series)
-    @settings(max_examples=60)
-    def test_mul_associates_and_distributes(self, a, b, c):
-        n = min(a.order, b.order, c.order)
-        a, b, c = a.truncate(n), b.truncate(n), c.truncate(n)
-        assert (a * b) * c == a * (b * c)
-        assert a * (b + c) == a * b + a * c
+        assert times_one_minus(inv_one_minus(s, 2), 2) == s
 
     @given(small_series, st.integers(1, 6))
     def test_inv_one_minus_agrees_with_series_mul(self, a, d):
-        if d > a.order:
-            return
-        geom = TruncatedSeries(tuple(1 if i % d == 0 else 0 for i in range(a.order + 1)))
-        assert inv_one_minus(a, d) == series_mul(a, geom)
+        # the product with the geometric series 1/(1 - q^d), written out:
+        # coefficient i is sum_{k >= 0} a[i - kd]
+        expected = tuple(sum(a.coeffs[i - k] for k in range(0, i + 1, d)) for i in range(a.order + 1))
+        assert inv_one_minus(a, d).coeffs == expected
+        assert times_one_minus(inv_one_minus(a, d), d) == a
 
 
 class TestStackSeries:
@@ -179,38 +159,54 @@ class TestPartitionFactor:
 
 class TestFalseThetaSeries:
     def test_support_modulus_three(self):
-        L = false_theta_gf(P13, 25)
-        assert list(L.nonzero_terms()) == [(0, 1), (1, -1), (5, 1), (12, -1), (22, 1)]
+        assert false_theta_gf(P13, 25) == [(0, 1), (1, -1), (5, 1), (12, -1), (22, 1)]
 
     def test_alternating_unit_coefficients(self):
         for r, m in ALL_PAIRS:
-            L = false_theta_gf(StackParams(r, m), 300)
-            signs = [c for _, c in L.nonzero_terms()]
+            signs = [c for _, c in false_theta_gf(StackParams(r, m), 300)]
             assert all(abs(c) == 1 for c in signs)
             assert all(a == -b for a, b in zip(signs, signs[1:]))
 
 
 class TestCorrectionSeries:
     def test_support_modulus_three(self):
-        assert tuple(correction_gf(P13, 40).nonzero_terms()) == (
+        assert correction_gf(P13, 40) == [
             (0, -1), (1, 1), (3, 1), (10, -1), (15, -1), (28, 1), (36, 1),
-        )
+        ]
 
     def test_support_modulus_four(self):
-        assert tuple(correction_gf(P14, 40).nonzero_terms()) == (
+        assert correction_gf(P14, 40) == [
             (0, -1), (2, 1), (5, 1), (15, -1), (22, -1), (40, 1),
-        )
+        ]
 
     def test_support_gap_modulus_three(self):
         # the triangular numbers T(3j) and T(3j+1)
-        assert tuple(correction_gf(StackParams(2, 3), 30).nonzero_terms()) == (
+        assert correction_gf(StackParams(2, 3), 30) == [
             (0, -1), (1, -1), (6, 1), (10, 1), (21, -1), (28, -1),
-        )
+        ]
 
     def test_coefficients_stay_in_unit_range(self):
         for r, m in ALL_PAIRS:
             R = correction_gf(StackParams(r, m), 500)
-            assert all(c in (-1, 0, 1) for c in R.coeffs)
+            assert all(c in (-1, 1) and 0 <= e <= 500 for e, c in R)
+
+
+class TestSparseTerms:
+    def test_exponents_ascend_strictly_with_unit_signs(self):
+        # L, R, P and T; stack_gf ends each row of its sparse products at the
+        # first exponent past order, which needs the exponents in ascending order
+        for r, m in ALL_PAIRS:
+            params = StackParams(r, m)
+            for name, terms in (
+                ("L", false_theta_gf(params, 2000)),
+                ("R", correction_gf(params, 2000)),
+                ("P", _theta_terms(3 * m, m, 2000)),
+                ("T", _theta_terms(m, r, 2000)),
+            ):
+                exponents = [e for e, _ in terms]
+                assert exponents == sorted(set(exponents)), (r, m, name)
+                assert 0 <= exponents[0] and exponents[-1] <= 2000, (r, m, name)
+                assert all(sign in (-1, 1) for _, sign in terms), (r, m, name)
 
 
 class TestDecomposition:
@@ -233,16 +229,6 @@ class TestDecomposition:
 
     def test_counts_track_product_within_one(self):
         F = congruence_partition_gf(P13, 300)
-        L = false_theta_gf(P13, 300)
         s = stack_gf(P13, 300)
-        h = series_mul(F, L)
+        h = product_with_terms(F, false_theta_gf(P13, 300))
         assert all(abs(s[n] - h[n]) <= 1 for n in range(301))
-
-
-class TestSerialization:
-    def test_evaluate_matches_direct_sum(self):
-        s = stack_gf(P13, 30)
-        with mp.workdps(30):
-            q = mp.mpf("0.21")
-            direct = sum(c * q ** i for i, c in enumerate(s.coeffs))
-            assert abs(evaluate(s, q) - direct) < mp.mpf("1e-25")
