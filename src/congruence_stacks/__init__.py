@@ -21,7 +21,6 @@ from .oracle import (
     StackWitness,
     count_stacks,
     enumerate_stacks,
-    witnesses_to_json,
 )
 from .bigfloat import LogValue10
 from .asymptotics import (
@@ -34,8 +33,6 @@ from .asymptotics import (
     singular_expansion_coeffs,
     asymptotic_sum,
     comparison_table,
-    records_to_csv,
-    records_to_json,
 )
 from .analytic import (
     DecayFit,
@@ -76,7 +73,6 @@ __all__ = [
     "StackWitness",
     "count_stacks",
     "enumerate_stacks",
-    "witnesses_to_json",
     "LogValue10",
     "ArcContext",
     "ComparisonRecord",
@@ -87,8 +83,6 @@ __all__ = [
     "singular_expansion_coeffs",
     "asymptotic_sum",
     "comparison_table",
-    "records_to_csv",
-    "records_to_json",
     "DecayFit",
     "RemainderCheck",
     "CircleProfile",

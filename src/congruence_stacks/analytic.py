@@ -540,18 +540,13 @@ class CircleProfile:
     def major_arc_contains_max(self) -> bool:
         return abs(self.argmax_nu) <= self.rho * self.kappa
 
-    def _window_argmax(self, center: float) -> int:
-        inside = [j for j, nu in enumerate(self.nus) if abs(nu - center) <= PEAK_HALFWIDTH]
-        if not inside:
-            raise ValueError(f"window around {center} contains no grid points")
-        return max(inside, key=self.log_magnitudes.__getitem__)
-
     def root_of_unity_peaks(self) -> dict[int, tuple[float, float]]:
         """Sampled peak near nu = 2 pi l / m for each l = 1 .. m - 1 that has one.
 
         The window for l spans PEAK_HALFWIDTH either side of its centre.  A
         window's maximum is a peak only when no grid neighbour, across the
-        seam nu = -pi = pi too, is higher; otherwise l is left out.
+        seam nu = -pi = pi too, is higher.  Otherwise l is left out, as it is
+        when a coarse grid puts no sample in the window.
         """
         vals = self.log_magnitudes
         last = len(vals) - 1
@@ -560,18 +555,15 @@ class CircleProfile:
             center = 2 * math.pi * ell / self.params.m
             if center > math.pi:
                 center -= 2 * math.pi
-            j = self._window_argmax(center)
+            inside = [j for j, nu in enumerate(self.nus) if abs(nu - center) <= PEAK_HALFWIDTH]
+            if not inside:
+                continue
+            j = max(inside, key=vals.__getitem__)
             left = vals[j - 1] if j > 0 else vals[last - 1]
             right = vals[j + 1] if j < last else vals[1]
             if vals[j] >= max(left, right):
                 out[ell] = (self.nus[j], vals[j])
         return out
-
-    def to_csv(self) -> str:
-        lines = ["nu,log_magnitude"]
-        for nu, val in zip(self.nus, self.log_magnitudes):
-            lines.append(f"{nu:.10f},{val:.6f}")
-        return "\n".join(lines) + "\n"
 
 
 def circle_profile(ctx: ArcContext, grid: int = 720) -> CircleProfile:

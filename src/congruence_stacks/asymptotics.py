@@ -22,12 +22,11 @@ quickly; relative errors are ordinary mpf values.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import mpmath as mp
 
@@ -301,30 +300,3 @@ def comparison_table(params: StackParams, ns: Sequence[int], dps: int = DEFAULT_
         rel = estimate.relative_error_against(exact, dps=dps)
         records.append(ComparisonRecord(n=n, exact=exact, estimate=estimate, relative_error=rel))
     return records
-
-
-_RECORD_FIELDS = ("n", "exact", "asymptotic_mantissa", "asymptotic_exp10", "relative_error")
-_RECORD_DIGITS = 10
-
-
-def _record_row(rec: ComparisonRecord) -> tuple:
-    """One record's values in _RECORD_FIELDS order."""
-    mant, e = rec.estimate.decompose()
-    return (
-        rec.n,
-        str(rec.exact),
-        mp.nstr(mant, _RECORD_DIGITS, strip_zeros=False),
-        e,
-        mp.nstr(rec.relative_error, _RECORD_DIGITS),
-    )
-
-
-def records_to_csv(records: Iterable[ComparisonRecord]) -> str:
-    """CSV rows with exact counts as decimal strings and a mantissa/exponent split."""
-    lines = [",".join(_RECORD_FIELDS)]
-    lines += [",".join(map(str, _record_row(rec))) for rec in records]
-    return "\n".join(lines) + "\n"
-
-
-def records_to_json(records: Iterable[ComparisonRecord]) -> str:
-    return json.dumps([dict(zip(_RECORD_FIELDS, _record_row(rec))) for rec in records])

@@ -44,18 +44,17 @@ from .analytic import (
 from .asymptotics import (
     MAX_EXPANSION_TERMS,
     ArcContext,
+    ComparisonRecord,
     _require_stacks,
     asymptotic_sum,
     bessel_i,
     comparison_table,
     main_term,
-    records_to_csv,
-    records_to_json,
     refined_main_term,
     singular_expansion_coeffs,
 )
 from .bigfloat import DEFAULT_DPS
-from .oracle import ENUMERATION_CAP, count_stacks, enumerate_stacks, witnesses_to_json
+from .oracle import ENUMERATION_CAP, count_stacks, enumerate_stacks
 from .params import StackParams
 from .qseries import stack_gf, verify_decomposition
 
@@ -75,10 +74,11 @@ MAX_DIRECT_COUNT_SIZE = 10**4
 # `profile` takes 7.5-11 s and 27 MB max RSS (same machine); n = 10^6 at the
 # default grid (work 7.2e5) takes 4.7 s
 MAX_PROFILE_WORK = 1_610_000
-# largest `decay` working precision, 8 pi^2/(m z_min log 10) + 40 digits, whose
-# cost grows like its 3.5th power: 1183 digits (m = 3, z_min = 0.01) take
-# 7.5-11.7 s and 21 MB max RSS, 802 digits 1.2-1.8 s (same machine)
-MAX_DECAY_DPS = 1200
+# largest working precision of every command: -P, CSTACKS_PRECISION and
+# `decay`'s 8 pi^2/(m z_min log 10) + 40 digits.  Costs grow steeply with it:
+# `decay` at 1183 digits (m = 3, z_min = 0.01) takes 7.5-11.7 s and 21 MB max
+# RSS, `verify all -P 1200` 13-15 s and 22 MB (same machine)
+MAX_DPS = 1200
 VERIFY_TARGETS = frozenset(
     ["decomposition", "theta", "transform", "eta", "falsetheta", "bessel", "contour", "oracle"]
 )
@@ -98,15 +98,42 @@ def _resolve_precision(args: argparse.Namespace) -> int:
     dps = args.precision if args.precision is not None else _default_precision()
     if dps < MIN_PRECISION:
         raise ValueError(f"precision must be at least {MIN_PRECISION} digits, got {dps}")
+    if dps > MAX_DPS:
+        raise ValueError(f"precision {dps} exceeds the working-precision bound MAX_DPS = {MAX_DPS}")
     return dps
 
 
 def _emit(text: str, args: argparse.Namespace) -> None:
-    if getattr(args, "output", None):
+    """The one output sink: text and a newline, to --output when given, else to stdout."""
+    if not args.output:
+        sys.stdout.write(text + "\n")
+        return
+    try:
         with open(args.output, "w") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
-    else:
-        print(text)
+            fh.write(text + "\n")
+    except OSError as exc:
+        raise ValueError(f"cannot write --output {args.output}: {exc.strerror or exc}") from exc
+
+
+def _csv(header: tuple[str, ...], rows) -> str:
+    """Comma separated header and rows, one line each, for `table` and `profile`."""
+    return "\n".join(",".join(map(str, row)) for row in [header, *rows])
+
+
+_RECORD_FIELDS = ("n", "exact", "asymptotic_mantissa", "asymptotic_exp10", "relative_error")
+_RECORD_DIGITS = 10
+
+
+def _record_row(rec: ComparisonRecord) -> tuple:
+    """One table record in _RECORD_FIELDS order, for CSV and JSON alike."""
+    mant, e = rec.estimate.decompose()
+    return (
+        rec.n,
+        str(rec.exact),
+        mp.nstr(mant, _RECORD_DIGITS, strip_zeros=False),
+        e,
+        mp.nstr(rec.relative_error, _RECORD_DIGITS),
+    )
 
 
 def _check_series_order(n: int) -> None:
@@ -132,7 +159,7 @@ def _add_common(parser: argparse.ArgumentParser, precision: bool = True) -> None
             type=int,
             default=None,
             help=f"working decimal precision (default env CSTACKS_PRECISION or {DEFAULT_DPS}, "
-            f"minimum {MIN_PRECISION})",
+            f"minimum {MIN_PRECISION}, at most {MAX_DPS})",
         )
     _add_output(parser)
 
@@ -254,7 +281,9 @@ def cmd_count(args: argparse.Namespace) -> int:
             "count": str(count),
         }
         if witnesses is not None:
-            payload["witnesses"] = json.loads(witnesses_to_json(witnesses))
+            payload["witnesses"] = [
+                {"left": list(w.left), "peak": w.peak, "right": list(w.right)} for w in witnesses
+            ]
         _emit(json.dumps(payload, indent=2), args)
     else:
         lines = [f"stacks of size {n} with parts {params}: {count}"]
@@ -278,9 +307,9 @@ def cmd_table(args: argparse.Namespace) -> int:
     _check_series_order(max(ns))
     records = comparison_table(params, ns, dps=dps)
     if args.format == "csv":
-        _emit(records_to_csv(records), args)
+        _emit(_csv(_RECORD_FIELDS, map(_record_row, records)), args)
     elif args.format == "json":
-        _emit(records_to_json(records), args)
+        _emit(json.dumps([dict(zip(_RECORD_FIELDS, _record_row(rec))) for rec in records]), args)
     else:
         lines = [f"{params}", f"{'n':>8}  {'exact':>28}  {'main term':>14}  {'rel error':>12}"]
         for rec in records:
@@ -449,13 +478,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
             worst = max(worst, false_theta_series_residual(params, tau, dps))
         suite.check("false theta vs integer series (3 points)", worst, tol)
         a, b = params.m, -(params.m + 2 * params.shift)
-        ok = True
         worst_ratio = mp.mpf(0)
         for y in ("0.05", "0.12", "0.20"):
             for xfrac in (mp.mpf(0), mp.mpf("0.5"), mp.mpf(-1)):
                 tau = mp.mpc(mp.mpf(y) * xfrac, mp.mpf(y))
                 chk = cubic_remainder_check(a, b, tau, dps)
-                ok = ok and chk.ok
                 worst_ratio = max(worst_ratio, chk.delta / chk.bound)
         suite.check(
             f"cubic remainder bound for indices ({a}, {b}) over 9 points",
@@ -526,7 +553,8 @@ def cmd_profile(args: argparse.Namespace) -> int:
     ctx = ArcContext.build(params, args.size, rho=args.rho)
     profile = circle_profile(ctx, grid=args.grid)
     if args.format == "csv":
-        _emit(profile.to_csv(), args)
+        rows = ((f"{nu:.10f}", f"{val:.6f}") for nu, val in zip(profile.nus, profile.log_magnitudes))
+        _emit(_csv(("nu", "log_magnitude"), rows), args)
         return 0
     kappa = float(ctx.kappa)
     lines = [
@@ -567,10 +595,8 @@ def cmd_decay(args: argparse.Namespace) -> int:
             continue
         # the z list and the precision of every fit are checked before the first one runs
         dps = decay_precision(params, zs)
-        if dps > MAX_DECAY_DPS:
-            raise ValueError(
-                f"z_min = {min(zs)} needs {dps} digits at m = {m}, above MAX_DECAY_DPS = {MAX_DECAY_DPS}"
-            )
+        if dps > MAX_DPS:
+            raise ValueError(f"z_min = {min(zs)} needs {dps} digits at m = {m}, above MAX_DPS = {MAX_DPS}")
         families.append((m, params))
     lines = [f"{'family':>18}  {'fitted':>10}  {'generic':>10}  {'ratio':>7}  {'points':>6}"]
     for m, params in families:

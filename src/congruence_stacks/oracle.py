@@ -13,7 +13,6 @@ serve as ground truth for the generating functions.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -155,12 +154,3 @@ def _partitions(total: int, parts: list[int]) -> Iterator[tuple[int, ...]]:
                 yield from rec(rest - p, i, prefix)
                 prefix.pop()
     yield from rec(total, len(parts) - 1, [])
-
-
-def witnesses_to_json(witnesses: list[StackWitness]) -> str:
-    return json.dumps(
-        [
-            {"left": list(w.left), "peak": w.peak, "right": list(w.right)}
-            for w in witnesses
-        ]
-    )

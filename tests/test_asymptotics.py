@@ -14,8 +14,6 @@ from congruence_stacks.asymptotics import (
     comparison_table,
     false_theta_coeffs,
     main_term,
-    records_to_csv,
-    records_to_json,
     refined_main_term,
     singular_expansion_coeffs,
 )
@@ -310,18 +308,3 @@ class TestComparisonTable:
         # part below it in class 3 mod 5
         with pytest.raises(ValueError, match="no stacks of size 5"):
             comparison_table(StackParams(2, 5), [5, 25])
-
-    def test_csv_shape(self):
-        records = comparison_table(P13, [10, 100])
-        lines = records_to_csv(records).strip().splitlines()
-        assert lines[0] == "n,exact,asymptotic_mantissa,asymptotic_exp10,relative_error"
-        assert len(lines) == 3
-        assert lines[1].startswith("10,10,")
-
-    def test_json_roundtrip_values(self):
-        import json
-
-        records = comparison_table(P13, [10])
-        payload = json.loads(records_to_json(records))
-        assert payload[0]["n"] == 10
-        assert int(payload[0]["exact"]) == 10

@@ -6,7 +6,8 @@ import pytest
 
 from congruence_stacks import cli
 from congruence_stacks.cli import build_parser, main
-from congruence_stacks.oracle import ENUMERATION_CAP
+from congruence_stacks.oracle import ENUMERATION_CAP, StackWitness, enumerate_stacks
+from congruence_stacks.params import StackParams
 
 
 def run(capsys, *argv):
@@ -38,7 +39,9 @@ class TestCount:
             capsys, "count", "--r", "1", "--m", "4", "-n", "12", "--witnesses", "--format", "json"
         )
         payload = json.loads(out)
-        assert len(payload["witnesses"]) == 7
+        assert payload["count"] == "7"
+        rebuilt = [StackWitness(tuple(d["left"]), d["peak"], tuple(d["right"])) for d in payload["witnesses"]]
+        assert rebuilt == enumerate_stacks(12, StackParams(1, 4))
 
     def test_witnesses_above_the_cap_exit_2_before_counting(self, capsys, monkeypatch):
         def stack_gf(params, order):
@@ -91,15 +94,21 @@ class TestTable:
 
     def test_csv(self, capsys):
         code, out, _ = run(capsys, "table", "--values", "10,100", "--format", "csv")
-        lines = out.strip().splitlines()
+        lines = out.splitlines()
         assert code == 0
-        assert lines[0].startswith("n,exact")
+        assert lines[0] == "n,exact,asymptotic_mantissa,asymptotic_exp10,relative_error"
         assert len(lines) == 3
+        assert lines[1].startswith("10,10,")
+        assert lines[2].startswith("100,3167122,")
+        assert out.endswith("\n") and not out.endswith("\n\n")
 
     def test_json(self, capsys):
-        code, out, _ = run(capsys, "table", "--values", "10", "--format", "json")
+        code, out, _ = run(capsys, "table", "--values", "10,100", "--format", "json")
         assert code == 0
-        assert json.loads(out)[0]["n"] == 10
+        payload = json.loads(out)
+        assert [row["n"] for row in payload] == [10, 100]
+        assert [int(row["exact"]) for row in payload] == [10, 3167122]
+        assert list(payload[0]) == ["n", "exact", "asymptotic_mantissa", "asymptotic_exp10", "relative_error"]
 
     def test_bad_values_exit_2(self, capsys):
         code, _, err = run(capsys, "table", "--values", "10,abc")
@@ -285,10 +294,25 @@ class TestProfile:
 
     def test_csv(self, capsys):
         code, out, _ = run(capsys, "profile", "-n", "50", "--grid", "72", "--format", "csv")
-        lines = out.strip().splitlines()
+        lines = out.splitlines()
         assert code == 0
         assert lines[0] == "nu,log_magnitude"
+        # grid + 1 samples from nu = -pi to pi
         assert len(lines) == 74
+        assert lines[1].startswith("-3.1415926536,") and lines[-1].startswith("3.1415926536,")
+        assert lines[37].startswith("0.0000000000,")
+        assert out.endswith("\n") and not out.endswith("\n\n")
+
+    @pytest.mark.parametrize("m, empty", [(11, 2), (13, 4)])
+    def test_coarse_grid_leaves_empty_windows_without_a_peak(self, capsys, m, empty):
+        # grid 8 samples nu = k pi/4, and none lies within 0.35 of 2 pi empty/m
+        code, out, err = run(capsys, "profile", "-r", "1", "-m", str(m), "--grid", "8")
+        assert code == 0, err
+        lines = out.splitlines()[3:]
+        assert len(lines) == m - 1
+        for ell, line in enumerate(lines, 1):
+            assert line.startswith((f"  peak near 2 pi {ell}/{m}:", f"  no peak within 0.35 of 2 pi {ell}/{m}"))
+        assert f"  no peak within 0.35 of 2 pi {empty}/{m}" in lines
 
     def test_odd_grid_exit_2(self, capsys):
         code, _, err = run(capsys, "profile", "-n", "50", "--grid", "73")
@@ -383,7 +407,7 @@ class TestDecay:
         code, out, err = run(capsys, "decay", "--moduli", "7,3", "--z-values", "0.3,0.009")
         assert code == 2
         assert out == ""
-        assert f"MAX_DECAY_DPS = {cli.MAX_DECAY_DPS}" in err
+        assert f"MAX_DPS = {cli.MAX_DPS}" in err
 
     def test_largest_documented_precision_stays_within_the_bound(self, monkeypatch):
         # m = 3 at z = 0.01 needs 1183 digits; stop at the first fit
@@ -393,6 +417,85 @@ class TestDecay:
         monkeypatch.setattr(cli, "product_decay_fit", started)
         with pytest.raises(RuntimeError, match="fit started"):
             main(["decay", "--moduli", "3", "--z-values", "0.3,0.01"])
+
+
+@pytest.mark.parametrize(
+    "argv, first_work",
+    [
+        (["table", "--values", "10"], "comparison_table"),
+        (["asym", "-n", "100"], "main_term"),
+        (["verify", "decomposition"], "verify_decomposition"),
+    ],
+    ids=["table", "asym", "verify"],
+)
+@pytest.mark.parametrize("via_env", [False, True], ids=["option", "env"])
+def test_precision_above_the_bound_exit_2_before_any_work(capsys, monkeypatch, argv, first_work, via_env):
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{first_work} ran although the precision is refused")
+
+    monkeypatch.setattr(cli, "MAX_DPS", 40)
+    monkeypatch.setattr(cli, first_work, refuse)
+    if via_env:
+        monkeypatch.setenv("CSTACKS_PRECISION", "41")
+    else:
+        argv = [*argv, "-P", "41"]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "MAX_DPS = 40" in err
+
+
+def test_largest_precision_stays_within_the_bound(monkeypatch):
+    # stop at the first piece of work: only the bound check runs
+    def started(*args, **kwargs):
+        raise RuntimeError("work started")
+
+    monkeypatch.setattr(cli, "comparison_table", started)
+    with pytest.raises(RuntimeError, match="work started"):
+        main(["table", "--values", "10", "-P", str(cli.MAX_DPS)])
+
+
+@pytest.mark.parametrize("name", ["missing/out", "."])
+def test_unwritable_output_exit_2_naming_the_path(capsys, tmp_path, name):
+    target = tmp_path / name
+    code, out, err = run(capsys, "count", "-n", "5", "--output", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and str(target) in err
+
+
+# one cheap command line per subcommand, for every --format it accepts
+CHEAP_ARGV = {
+    "count": ["-r", "1", "-m", "4", "-n", "12", "--witnesses"],
+    "table": ["--values", "10,20", "-P", "30"],
+    "asym": ["-n", "100", "--full", "--exact", "-P", "30"],
+    "verify": ["decomposition", "oracle", "--order", "20", "-P", "30"],
+    "profile": ["-n", "50", "--grid", "72"],
+    "decay": ["--moduli", "3", "--z-values", "0.3,0.2"],
+}
+
+
+def _subcommands() -> dict[str, argparse.ArgumentParser]:
+    (subparsers,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return subparsers.choices
+
+
+def _format_runs():
+    for command, sub in _subcommands().items():
+        formats = next((a.choices for a in sub._actions if a.dest == "format"), [None])
+        for fmt in formats:
+            argv = [command, *CHEAP_ARGV[command], *(["--format", fmt] if fmt else [])]
+            yield pytest.param(argv, id=f"{command}-{fmt or 'text'}")
+
+
+@pytest.mark.parametrize("argv", list(_format_runs()))
+def test_stdout_and_output_get_the_same_bytes(capsys, tmp_path, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    target = tmp_path / "out"
+    assert main([*argv, "--output", str(target)]) == 0
+    assert capsys.readouterr().out == ""
+    assert target.read_bytes() == out.encode()
 
 
 class ReadRecorder:
@@ -420,9 +523,9 @@ def test_every_option_is_read(tmp_path):
         "decay": ["-r", "1", "--moduli", "3", "--z-values", "0.3,0.2"],
     }
     parser = build_parser()
-    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    assert set(argvs) == set(subparsers.choices)
-    for command, sub in subparsers.choices.items():
+    subcommands = _subcommands()
+    assert set(argvs) == set(subcommands) == set(CHEAP_ARGV)
+    for command, sub in subcommands.items():
         argv = [command, *argvs[command], "--output", out]
         options = [a for a in sub._actions if a.dest != "help"]
         for action in options:

@@ -1,4 +1,3 @@
-import json
 import math
 
 import pytest
@@ -10,7 +9,6 @@ from congruence_stacks.oracle import (
     StackWitness,
     count_stacks,
     enumerate_stacks,
-    witnesses_to_json,
 )
 from congruence_stacks.params import StackParams
 from congruence_stacks.qseries import stack_gf, stack_recurrence
@@ -113,13 +111,6 @@ class TestEnumerationLimits:
             count_stacks(-1)
         with pytest.raises(ValueError):
             count_stacks(-1, P13)
-
-
-class TestWitnessSerialization:
-    def test_roundtrip(self):
-        ws = enumerate_stacks(9, P13)
-        rows = json.loads(witnesses_to_json(ws))
-        assert [StackWitness(tuple(d["left"]), d["peak"], tuple(d["right"])) for d in rows] == ws
 
 
 @given(st.integers(1, 18))
