@@ -22,7 +22,7 @@ exponential per term.  That recurrence and the q-Pochhammer product loop run
 in complex fixed point, on Python integers in units of 2^-wp with wp a few
 bits above mp.prec, and convert back to one mpc at the end: no mpmath object
 per term.  Residual checks return mpf values; fits and profile reports come
-back as small dataclasses.  The one exception is circle_profile, which wants
+back as small named tuples.  The one exception is circle_profile, which wants
 a float log magnitude and computes it in doubles.
 """
 
@@ -30,8 +30,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from collections import namedtuple
+from collections.abc import Callable, Sequence
 
 import mpmath as mp
 
@@ -282,16 +282,15 @@ def product_residual(params: StackParams, tau, dps: int = DEFAULT_DPS) -> mp.mpf
         return abs(ratio - 1)
 
 
-@dataclass(frozen=True)
-class DecayFit:
-    """Least-squares fit of log residual against 1/z along tau = iz/(2 pi)."""
+class DecayFit(namedtuple("DecayFit", "params slope expected points excluded dps")):
+    """Least-squares fit of log residual against 1/z along tau = iz/(2 pi).
 
-    params: StackParams
-    slope: float
-    expected: float          # -4 pi^2 / m, the modulus-level decay rate
-    points: tuple[tuple[float, float], ...]   # (1/z, log residual)
-    excluded: int            # points at the numerical noise floor, if any
-    dps: int
+    expected is -4 pi^2 / m, the modulus-level decay rate; points holds the
+    (1/z, log residual) pairs fitted and excluded counts the points at the
+    numerical noise floor, if any.
+    """
+
+    __slots__ = ()
 
 
 def decay_precision(params: StackParams, z_values: Sequence) -> int:
@@ -377,13 +376,10 @@ def cubic_model(a: int, b: int, z) -> mp.mpc:
     )
 
 
-@dataclass(frozen=True)
-class RemainderCheck:
-    a: int
-    b: int
-    tau: complex
-    delta: mp.mpf
-    bound: mp.mpf
+class RemainderCheck(namedtuple("RemainderCheck", "a b tau delta bound")):
+    """|f_{a,b}(tau) - cubic| (delta) against its bound c y^4, both mpf, at a complex tau."""
+
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -516,16 +512,10 @@ def contour_tail(ctx: ArcContext) -> mp.mpf:
         return ctx.prefactor / (4 * mp.pi) * 2 * mp.im(total)
 
 
-@dataclass(frozen=True)
-class CircleProfile:
-    """Log magnitude of F(q) L(q) q^{-n} sampled on |q| = e^{-kappa}."""
+class CircleProfile(namedtuple("CircleProfile", "params n kappa rho nus log_magnitudes")):
+    """Log magnitude of F(q) L(q) q^{-n} sampled on |q| = e^{-kappa}: floats at the angles nus."""
 
-    params: StackParams
-    n: int
-    kappa: float
-    rho: float
-    nus: tuple[float, ...]
-    log_magnitudes: tuple[float, ...]
+    __slots__ = ()
 
     @property
     def argmax_nu(self) -> float:

@@ -23,10 +23,10 @@ quickly; relative errors are ordinary mpf values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Sequence
 from fractions import Fraction
 from itertools import islice
-from typing import Sequence
 
 import mpmath as mp
 
@@ -44,23 +44,15 @@ def _arc_constants(params: StackParams) -> tuple[mp.mpf, Fraction, mp.mpf]:
     return mp.pi ** 2 / (3 * m), Fraction(r * (m - r), 2 * m) - Fraction(m, 12), 1 / mp.sin(mp.pi * r / m) / 2
 
 
-@dataclass(frozen=True)
-class ArcContext:
+class ArcContext(namedtuple("ArcContext", "params n A B prefactor kappa scale rho dps")):
     """The q = 1 arc at fixed (params, n): A, B, P, kappa and N (`scale`), as in the module docstring.
 
-    B is exact, the others have dps digits.  rho is the half-width of the
-    major arc |nu| <= rho kappa on the circle q = e^{-(kappa + i nu)}.
+    B is an exact Fraction, A, P, kappa and N are mpf values with dps digits.
+    rho, a float, is the half-width of the major arc |nu| <= rho kappa on the
+    circle q = e^{-(kappa + i nu)}.
     """
 
-    params: StackParams
-    n: int
-    A: mp.mpf
-    B: Fraction
-    prefactor: mp.mpf
-    kappa: mp.mpf
-    scale: mp.mpf
-    rho: float
-    dps: int
+    __slots__ = ()
 
     @classmethod
     def build(
@@ -266,14 +258,10 @@ def asymptotic_sum(
     return ArcContext.build(params, n, dps=dps).bessel_sum(alphas)
 
 
-@dataclass(frozen=True)
-class ComparisonRecord:
-    """Exact count against asymptotic estimate at one n."""
+class ComparisonRecord(namedtuple("ComparisonRecord", "n exact estimate relative_error")):
+    """Exact count against asymptotic estimate (a LogValue10) at one n, with the mpf relative error."""
 
-    n: int
-    exact: int
-    estimate: LogValue10
-    relative_error: mp.mpf
+    __slots__ = ()
 
 
 def _require_stacks(params: StackParams, n: int, exact: int) -> None:

@@ -15,7 +15,7 @@ length is known), and convert back to mpf once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 import mpmath as mp
@@ -29,11 +29,10 @@ def _fraction_to_mpf(x: Fraction) -> mp.mpf:
     return mp.mpf(x.numerator) / x.denominator
 
 
-@dataclass(frozen=True)
-class LogValue10:
-    """Positive real stored as its natural logarithm."""
+class LogValue10(namedtuple("LogValue10", "ln_value")):
+    """Positive real stored as its natural logarithm, an mpf."""
 
-    ln_value: mp.mpf
+    __slots__ = ()
 
     @classmethod
     def from_ln(cls, ln_value) -> "LogValue10":

@@ -15,7 +15,6 @@ Exit codes: 0 success, 1 a verification check failed, 2 invalid input.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import random
@@ -101,6 +100,19 @@ def _resolve_precision(args: argparse.Namespace) -> int:
     if dps > MAX_DPS:
         raise ValueError(f"precision {dps} exceeds the working-precision bound MAX_DPS = {MAX_DPS}")
     return dps
+
+
+def _check_output(path: str) -> None:
+    """Refuse an --output that cannot be a file before any work; _emit still opens it.
+
+    Opening it here instead would leave an empty file behind when the input
+    is refused later.
+    """
+    directory = os.path.dirname(path) or os.curdir
+    if not os.path.isdir(directory):
+        raise ValueError(f"cannot write --output {path}: directory {directory} does not exist")
+    if os.path.isdir(path):
+        raise ValueError(f"cannot write --output {path}: it is a directory")
 
 
 def _emit(text: str, args: argparse.Namespace) -> None:
@@ -273,6 +285,9 @@ def cmd_count(args: argparse.Namespace) -> int:
     witnesses = enumerate_stacks(n, params) if args.witnesses else None
     count = stack_gf(params, n)[n]
     if args.format == "json":
+        # imported here, as in table and asym, so text output never loads json
+        import json
+
         payload = {
             "r": params.r,
             "m": params.m,
@@ -309,6 +324,8 @@ def cmd_table(args: argparse.Namespace) -> int:
     if args.format == "csv":
         _emit(_csv(_RECORD_FIELDS, map(_record_row, records)), args)
     elif args.format == "json":
+        import json
+
         _emit(json.dumps([dict(zip(_RECORD_FIELDS, _record_row(rec))) for rec in records]), args)
     else:
         lines = [f"{params}", f"{'n':>8}  {'exact':>28}  {'main term':>14}  {'rel error':>12}"]
@@ -377,6 +394,8 @@ def cmd_asym(args: argparse.Namespace) -> int:
             rows.append(("rel error of expansion", mp.nstr(rel_full, 6)))
             data["expansion_relative_error"] = mp.nstr(rel_full, 12)
     if args.format == "json":
+        import json
+
         _emit(json.dumps(data, indent=2), args)
     else:
         width = max(len(label) for label, _ in rows)
@@ -617,6 +636,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.output:
+            _check_output(args.output)
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -13,33 +13,38 @@ serve as ground truth for the generating functions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+from collections import namedtuple
+from collections.abc import Iterator
 
 from .params import StackParams
 
 ENUMERATION_CAP = 30  # explicit listings blow up combinatorially past this
 
 
-@dataclass(frozen=True)
-class StackWitness:
-    left: tuple[int, ...]
-    peak: int
-    right: tuple[int, ...]
+class StackWitness(namedtuple("StackWitness", "left peak right")):
+    """One stack: the tuple of left parts, the peak and the tuple of right parts."""
 
-    def __post_init__(self) -> None:
-        if self.peak <= 0:
+    __slots__ = ()
+
+    def __new__(cls, left: tuple[int, ...], peak: int, right: tuple[int, ...]) -> StackWitness:
+        if peak <= 0:
             raise ValueError("peak must be positive")
-        if any(p <= 0 for p in self.left) or any(p <= 0 for p in self.right):
+        if any(p <= 0 for p in left) or any(p <= 0 for p in right):
             raise ValueError("parts must be positive")
-        if list(self.left) != sorted(self.left):
+        if list(left) != sorted(left):
             raise ValueError("left parts must be nondecreasing")
-        if list(self.right) != sorted(self.right, reverse=True):
+        if list(right) != sorted(right, reverse=True):
             raise ValueError("right parts must be nonincreasing")
-        if self.left and self.left[-1] > self.peak:
+        if left and left[-1] > peak:
             raise ValueError("left parts may not exceed the peak")
-        if self.right and self.right[0] >= self.peak:
+        if right and right[0] >= peak:
             raise ValueError("right parts must stay strictly below the peak")
+        return super().__new__(cls, left, peak, right)
+
+    @classmethod
+    def _make(cls, iterable) -> StackWitness:
+        # namedtuple's own _make, which _replace calls, would skip the checks in __new__
+        return cls(*iterable)
 
     @property
     def weight(self) -> int:

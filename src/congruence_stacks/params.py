@@ -13,31 +13,33 @@ no valid residue at all.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 
-@dataclass(frozen=True)
-class StackParams:
+class StackParams(namedtuple("StackParams", "r m")):
     """Validated (r, m) pair; raises ValueError naming the violated constraint."""
 
-    r: int
-    m: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, r: int, m: int) -> StackParams:
         # bool subclasses int, but True and False are not residues or moduli
-        if not all(isinstance(v, int) and not isinstance(v, bool) for v in (self.r, self.m)):
-            raise ValueError(f"r and m must be integers (not bool), got r={self.r!r}, m={self.m!r}")
-        if self.m <= 1:
-            raise ValueError(f"modulus m must exceed 1, got m={self.m}")
-        if not 0 < self.r < self.m:
-            raise ValueError(f"residue must satisfy 0 < r < m, got r={self.r}, m={self.m}")
-        if math.gcd(self.r, self.m) != 1:
-            raise ValueError(
-                f"r and m must be coprime, got gcd({self.r}, {self.m}) = {math.gcd(self.r, self.m)}"
-            )
-        if 2 * self.r == self.m:
+        if not all(isinstance(v, int) and not isinstance(v, bool) for v in (r, m)):
+            raise ValueError(f"r and m must be integers (not bool), got r={r!r}, m={m!r}")
+        if m <= 1:
+            raise ValueError(f"modulus m must exceed 1, got m={m}")
+        if not 0 < r < m:
+            raise ValueError(f"residue must satisfy 0 < r < m, got r={r}, m={m}")
+        if math.gcd(r, m) != 1:
+            raise ValueError(f"r and m must be coprime, got gcd({r}, {m}) = {math.gcd(r, m)}")
+        if 2 * r == m:
             # coprimality forces r = 1, m = 2 here; neither variant applies
             raise ValueError("no variant exists at 2r = m; the modulus must exceed 2")
+        return super().__new__(cls, r, m)
+
+    @classmethod
+    def _make(cls, iterable) -> StackParams:
+        # namedtuple's own _make, which _replace calls, would skip the checks in __new__
+        return cls(*iterable)
 
     @property
     def variant(self) -> str:

@@ -28,16 +28,42 @@ coefficient by coefficient.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .params import StackParams
 
 
-@dataclass(frozen=True)
 class TruncatedSeries:
-    """Power series modulo q^(order+1) with exact integer coefficients."""
+    """Power series modulo q^(order+1) with exact integer coefficients.
 
-    coeffs: tuple[int, ...]
+    Not a tuple: series[n] is the coefficient of q^n.
+    """
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: tuple[int, ...]) -> None:
+        object.__setattr__(self, "coeffs", coeffs)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, as __setattr__ refuses
+        return TruncatedSeries, (self.coeffs,)
+
+    def __repr__(self) -> str:
+        return f"TruncatedSeries(coeffs={self.coeffs!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __hash__(self) -> int:
+        return hash((self.coeffs,))
 
     @property
     def order(self) -> int:
@@ -214,14 +240,10 @@ def correction_gf(params: StackParams, order: int) -> list[tuple[int, int]]:
     return terms
 
 
-@dataclass(frozen=True)
-class DecompositionReport:
-    """Residual of S - (F*L + R) through a given order."""
+class DecompositionReport(namedtuple("DecompositionReport", "params order mismatches max_abs_residual")):
+    """Residual of S - (F*L + R) through a given order: the mismatched indices and the largest |residual|."""
 
-    params: StackParams
-    order: int
-    mismatches: tuple[int, ...]
-    max_abs_residual: int
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:

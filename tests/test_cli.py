@@ -456,12 +456,27 @@ def test_largest_precision_stays_within_the_bound(monkeypatch):
 
 
 @pytest.mark.parametrize("name", ["missing/out", "."])
-def test_unwritable_output_exit_2_naming_the_path(capsys, tmp_path, name):
+def test_unwritable_output_exit_2_naming_the_path(capsys, monkeypatch, tmp_path, name):
+    # the target is checked before the command's work, which here refuses to run
+    def refuse(args):
+        raise AssertionError(f"{args.command} ran although its --output is refused")
+
+    for command in _subcommands():
+        monkeypatch.setattr(cli, f"cmd_{command}", refuse)
     target = tmp_path / name
-    code, out, err = run(capsys, "count", "-n", "5", "--output", str(target))
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: ") and str(target) in err
+    for command, argv in CHEAP_ARGV.items():
+        code, out, err = run(capsys, command, *argv, "--output", str(target))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and str(target) in err
+
+
+def test_refused_input_leaves_no_output_file(capsys, tmp_path):
+    target = tmp_path / "out"
+    code, out, err = run(capsys, "count", "-n", "-1", "--output", str(target))
+    assert (code, out) == (2, "")
+    assert "size must be nonnegative" in err
+    assert not target.exists()
 
 
 # one cheap command line per subcommand, for every --format it accepts

@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import congruence_stacks
 
 
@@ -20,10 +22,38 @@ def test_all_lists_exactly_the_public_names_the_package_binds():
     assert set(names) == bound
 
 
-def test_import_leaves_json_unloaded():
-    # output formats live in cli, so the library itself loads no json
+def _run_python(*args: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter with the package on its path."""
     src = str(Path(congruence_stacks.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    code = "import sys, congruence_stacks; print('json' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert proc.stdout == "False\n"
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, check=True)
+
+
+# modules the package must not pull in for these: dataclasses brings inspect,
+# ast, dis and tokenize, and output formats live in cli, which loads json only
+# for --format json
+UNNEEDED_MODULES = ("dataclasses", "inspect", "json")
+
+
+@pytest.mark.parametrize(
+    "statement",
+    [
+        "import congruence_stacks",
+        "from congruence_stacks.cli import main; main(['count', '-n', '12', '-r', '1', '-m', '4', '--witnesses'])",
+        "from congruence_stacks.cli import main; main(['count', '-n', '3000', '-r', '2', '-m', '5'])",
+    ],
+    ids=["import", "count-witnesses", "count-3000"],
+)
+def test_unneeded_modules_stay_unloaded(statement):
+    code = f"import sys; {statement}; print(*[m for m in {UNNEEDED_MODULES!r} if m in sys.modules], file=sys.stderr)"
+    assert _run_python("-c", code).stderr == "\n"
+
+
+def test_table_json_in_a_fresh_interpreter():
+    # json is imported inside the JSON branch; its output is pinned byte for byte
+    proc = _run_python("-m", "congruence_stacks", "table", "--values", "10,20", "-P", "30", "--format", "json")
+    assert proc.stdout == (
+        '[{"n": 10, "exact": "10", "asymptotic_mantissa": "1.114747901", "asymptotic_exp10": 1, '
+        '"relative_error": "0.1147479007"}, {"n": 20, "exact": "96", "asymptotic_mantissa": "1.029984342", '
+        '"asymptotic_exp10": 2, "relative_error": "0.07290035653"}]\n'
+    )
