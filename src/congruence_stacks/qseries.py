@@ -29,6 +29,7 @@ coefficient by coefficient.
 from __future__ import annotations
 
 from collections import namedtuple
+from operator import itemgetter
 
 from .params import StackParams
 
@@ -102,26 +103,35 @@ def _theta_terms(period: int, a: int, order: int) -> list[tuple[int, int]]:
 
 
 def _divide_by_theta(num: list[int], theta: list[tuple[int, int]]) -> TruncatedSeries:
-    """num / T for a theta series T of _theta_terms, by sparse division in place.
+    """num / T for a theta series T of _theta_terms, by sparse division.
 
     T[0] = 1, so c[n] = num[n] - sum_{e>=1} T[e] c[n-e]; with the
     O(sqrt(order/m)) terms of T that is O(order^1.5 / sqrt(m)) integer
-    additions.
+    additions.  c grows behind a leading 0, so c[n-e] is c[-e] while c[n] is
+    made, and one itemgetter per sign gathers the c[n-e] of the terms with
+    e <= n; it is rebuilt only where the next term's exponent is reached.
+    num is emptied before the result is built, so at most two full-length
+    sequences are alive at once: num and c, then c and the result.
     """
-    plus = [e for e, sign in theta[1:] if sign > 0]
-    minus = [e for e, sign in theta[1:] if sign < 0]
-    for n in range(1, len(num)):
-        acc = num[n]
-        for e in minus:
-            if e > n:
-                break
-            acc += num[n - e]
-        for e in plus:
-            if e > n:
-                break
-            acc -= num[n - e]
-        num[n] = acc
-    return TruncatedSeries(tuple(num))
+    terms = theta[1:]
+    c = [0]
+    # indices into c of the terms with e <= n, by sign; the two reads of the
+    # leading 0 keep each itemgetter's result a tuple
+    minus, plus = [0, 0], [0, 0]
+    k = n = 0
+    while n < len(num):
+        while k < len(terms) and terms[k][0] <= n:
+            e, sign = terms[k]
+            (minus if sign < 0 else plus).append(-e)
+            k += 1
+        stop = terms[k][0] if k < len(terms) else len(num)
+        gather_minus, gather_plus = itemgetter(*minus), itemgetter(*plus)
+        for a in num[n:stop]:
+            c.append(a + sum(gather_minus(c)) - sum(gather_plus(c)))
+        n = stop
+    del c[0]
+    num.clear()
+    return TruncatedSeries(tuple(c))
 
 
 def congruence_partition_gf(params: StackParams, order: int) -> TruncatedSeries:

@@ -1,3 +1,4 @@
+import gc
 import inspect
 import os
 import subprocess
@@ -22,11 +23,11 @@ def test_all_lists_exactly_the_public_names_the_package_binds():
     assert set(names) == bound
 
 
-def _run_python(*args: str) -> subprocess.CompletedProcess:
+def _run_python(*args: str, check: bool = True) -> subprocess.CompletedProcess:
     """A fresh interpreter with the package on its path."""
     src = str(Path(congruence_stacks.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, check=True)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, check=check)
 
 
 # modules the package must not pull in for these: dataclasses brings inspect,
@@ -57,3 +58,56 @@ def test_table_json_in_a_fresh_interpreter():
         '"relative_error": "0.1147479007"}, {"n": 20, "exact": "96", "asymptotic_mantissa": "1.029984342", '
         '"asymptotic_exp10": 2, "relative_error": "0.07290035653"}]\n'
     )
+
+
+# The process entry point run() freezes the import heap with gc.freeze();
+# cli.main, called in-process, must not.
+
+
+def test_main_in_process_freezes_nothing(capsys):
+    from congruence_stacks.cli import main
+
+    assert gc.get_freeze_count() == 0
+    assert main(["count", "-n", "12", "-r", "1", "-m", "4"]) == 0
+    assert gc.get_freeze_count() == 0
+
+
+@pytest.mark.parametrize("code", [0, 1, 2])
+def test_run_freezes_before_dispatch_and_exits_with_mains_code(code):
+    stub = f"lambda: print(gc.get_freeze_count()) or {code}"
+    proc = _run_python(
+        "-c", f"import gc; from congruence_stacks import cli; cli.main = {stub}; cli.run()", check=False
+    )
+    assert proc.returncode == code
+    assert int(proc.stdout) > 0
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is new in Python 3.11")
+def test_cstacks_script_is_run():
+    import tomllib
+
+    pyproject = Path(__file__).parents[1] / "pyproject.toml"
+    with pyproject.open("rb") as fh:
+        scripts = tomllib.load(fh)["project"]["scripts"]
+    assert scripts["cstacks"] == "congruence_stacks.cli:run"
+
+
+def test_frozen_exit_still_writes_output_files(tmp_path):
+    # frozen objects are not finalized at exit; --output must still be complete
+    out = tmp_path / "out.csv"
+    proc = _run_python(
+        "-m", "congruence_stacks", "table", "--values", "10,20", "-P", "30", "--format", "csv", "--output", str(out)
+    )
+    assert proc.stdout == proc.stderr == ""
+    assert out.read_bytes() == (
+        b"n,exact,asymptotic_mantissa,asymptotic_exp10,relative_error\n"
+        b"10,10,1.114747901,1,0.1147479007\n"
+        b"20,96,1.029984342,2,0.07290035653\n"
+    )
+
+
+def test_frozen_exit_still_reports_invalid_input():
+    proc = _run_python("-m", "congruence_stacks", "count", "-n", "10", "-r", "2", "-m", "4", check=False)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "error: r and m must be coprime, got gcd(2, 4) = 2\n"

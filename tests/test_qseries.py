@@ -122,6 +122,14 @@ class TestStackSeries:
         params = StackParams(r, m)
         assert stack_gf(params, order) == stack_recurrence(params, order)
 
+    @pytest.mark.parametrize("order", [0, 1, 2, 300])
+    def test_matches_the_recurrence_at_every_small_modulus(self, order):
+        # at order 300 the first minus and first plus exponent of every
+        # family's theta series enter the division's gathers
+        for r, m in ALL_PAIRS:
+            params = StackParams(r, m)
+            assert stack_gf(params, order) == stack_recurrence(params, order), (r, m)
+
     def test_negative_order_rejected(self):
         for build in (stack_gf, stack_recurrence, congruence_partition_gf):
             with pytest.raises(ValueError):
