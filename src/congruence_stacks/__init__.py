@@ -34,28 +34,30 @@ from .asymptotics import (
     asymptotic_sum,
     comparison_table,
 )
-from .analytic import (
-    DecayFit,
-    RemainderCheck,
-    CircleProfile,
-    theta_sum,
-    theta_product,
-    theta_transform_residual,
-    dedekind_eta,
-    eta_inversion_residual,
-    congruence_product,
-    congruence_product_main,
-    product_residual,
-    decay_precision,
-    product_decay_fit,
-    false_theta,
-    cubic_model,
-    cubic_remainder_check,
-    false_theta_series_residual,
-    simpson_refine,
-    major_arc_integral,
-    contour_tail,
-    circle_profile,
+# analytic (the modular kernels and the contour numerics) is imported on first
+# use of one of these names: count, table and asym never load it
+_ANALYTIC_NAMES = (
+    "DecayFit",
+    "RemainderCheck",
+    "CircleProfile",
+    "theta_sum",
+    "theta_product",
+    "theta_transform_residual",
+    "dedekind_eta",
+    "eta_inversion_residual",
+    "congruence_product",
+    "congruence_product_main",
+    "product_residual",
+    "decay_precision",
+    "product_decay_fit",
+    "false_theta",
+    "cubic_model",
+    "cubic_remainder_check",
+    "false_theta_series_residual",
+    "simpson_refine",
+    "major_arc_integral",
+    "contour_tail",
+    "circle_profile",
 )
 
 __version__ = "0.1.0"
@@ -83,25 +85,18 @@ __all__ = [
     "singular_expansion_coeffs",
     "asymptotic_sum",
     "comparison_table",
-    "DecayFit",
-    "RemainderCheck",
-    "CircleProfile",
-    "theta_sum",
-    "theta_product",
-    "theta_transform_residual",
-    "dedekind_eta",
-    "eta_inversion_residual",
-    "congruence_product",
-    "congruence_product_main",
-    "product_residual",
-    "decay_precision",
-    "product_decay_fit",
-    "false_theta",
-    "cubic_model",
-    "cubic_remainder_check",
-    "false_theta_series_residual",
-    "simpson_refine",
-    "major_arc_integral",
-    "contour_tail",
-    "circle_profile",
+    *_ANALYTIC_NAMES,
 ]
+
+
+def __getattr__(name: str):
+    if name not in _ANALYTIC_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import analytic
+
+    value = globals()[name] = getattr(analytic, name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()).union(_ANALYTIC_NAMES))

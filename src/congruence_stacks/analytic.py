@@ -32,6 +32,8 @@ import cmath
 import math
 from collections import namedtuple
 from collections.abc import Callable, Sequence
+from itertools import repeat
+from operator import mul
 
 import mpmath as mp
 
@@ -569,15 +571,21 @@ def circle_profile(ctx: ArcContext, grid: int = 720) -> CircleProfile:
     params, n, kappa = ctx.params, ctx.n, float(ctx.kappa)
     top = _factor_count(kappa / (2 * math.pi), 17)  # the dropped tail sits below a double's rounding
     l_terms = false_theta_gf(params, top)
-    f_exponents = [e for start in (params.r, params.m - params.r) for e in range(start, top + 1, params.m)]
+    l_exps = [e for e, _ in l_terms]
+    signs = [sign for _, sign in l_terms]
+    f_exps = [e for start in (params.r, params.m - params.r) for e in range(start, top + 1, params.m)]
     # |1 - e^{a + ib}| = hypot(expm1(a), 2 e^{a/2} sin(b/2)) keeps every digit near q = 1
-    f_factors = [(e, math.expm1(-e * kappa), 2 * math.exp(-e * kappa / 2)) for e in f_exponents]
+    ds = [math.expm1(-e * kappa) for e in f_exps]
+    ss = [2 * math.exp(-e * kappa / 2) for e in f_exps]
     nus = [math.pi * (2 * j - grid) / grid for j in range(grid + 1)]
     half = []
+    # per angle, C-level map chains over the terms of L and the factors of F;
+    # e (nu / 2) equals e nu / 2 bit for bit, halving being exact
     for nu in nus[grid // 2:]:
         z = complex(-kappa, nu)
-        mag = abs(sum(sign * cmath.exp(e * z) for e, sign in l_terms))
-        log_f = -math.fsum(math.log(math.hypot(d, s * math.sin(e * nu / 2))) for e, d, s in f_factors)
+        mag = abs(sum(map(mul, signs, map(cmath.exp, map(mul, l_exps, repeat(z))))))
+        sines = map(math.sin, map(mul, f_exps, repeat(nu / 2)))
+        log_f = -math.fsum(map(math.log, map(math.hypot, ds, map(mul, ss, sines))))
         half.append(math.log(mag) + log_f + n * kappa if mag else -math.inf)
     # real coefficients make the magnitude even in nu, and nus[grid - j] == -nus[j] exactly
     logs = half[:0:-1] + half

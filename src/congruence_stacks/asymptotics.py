@@ -36,6 +36,7 @@ from .qseries import stack_gf
 
 MAX_EXPANSION_TERMS = 16
 HANKEL_RTOL = 1e-8  # bessel_i(method="hankel") refuses when its smallest term exceeds this
+REFINED_MIN_2N = 10  # refined_main_term refuses below this 2N, where its three-term bracket fails
 
 
 def _arc_constants(params: StackParams) -> tuple[mp.mpf, Fraction, mp.mpf]:
@@ -194,9 +195,9 @@ def refined_main_term(params: StackParams, n: int, dps: int = DEFAULT_DPS) -> Lo
     ctx = ArcContext.build(params, n, dps=dps)
     with mp.workdps(dps):
         x = 2 * ctx.scale
-        if x < 10:
+        if x < REFINED_MIN_2N:
             raise ValueError(
-                f"refined estimate needs 2N >= 10, got 2N = {mp.nstr(x, 6)}; increase n"
+                f"refined estimate needs 2N >= {REFINED_MIN_2N}, got 2N = {mp.nstr(x, 6)}; increase n"
             )
         bracket = sum(islice(_hankel_terms(1, x), 3))
         # alpha_0 = 1/2, and e^x / sqrt(2 pi x) is the Hankel form's prefactor

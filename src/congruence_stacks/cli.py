@@ -24,25 +24,9 @@ import sys
 import mpmath as mp
 
 from . import __version__
-from .analytic import (
-    GUARD,
-    PEAK_HALFWIDTH,
-    SIMPSON_RTOL,
-    circle_profile,
-    contour_tail,
-    cubic_remainder_check,
-    decay_precision,
-    dedekind_eta,
-    eta_inversion_residual,
-    false_theta_series_residual,
-    major_arc_integral,
-    product_decay_fit,
-    theta_product,
-    theta_sum,
-    theta_transform_residual,
-)
 from .asymptotics import (
     MAX_EXPANSION_TERMS,
+    REFINED_MIN_2N,
     ArcContext,
     ComparisonRecord,
     _require_stacks,
@@ -67,7 +51,7 @@ MAX_SERIES_ORDER = 10**5
 # `verify decomposition` takes 3.8 s and 22 MB max RSS (same machine)
 MAX_RECURRENCE_ORDER = 10**4
 # largest `asym --exact` size for the O(n^2) direct count count_stacks; there
-# `asym --exact` takes 7.1-8.2 s and 22 MB max RSS (same machine)
+# `asym --exact` takes 4.6-4.9 s and 21 MB max RSS (same machine)
 MAX_DIRECT_COUNT_SIZE = 10**4
 # largest `profile` work grid * sqrt(n), which its cost follows: the largest
 # run the former grid bound of 72 000 allowed at the default n = 500.  There
@@ -368,12 +352,17 @@ def cmd_asym(args: argparse.Namespace) -> int:
         rows.append(("growth scale", mp.nstr(ctx.scale, 8)))
         data["saddle_radius"] = mp.nstr(ctx.kappa, 12)
         data["growth_scale"] = mp.nstr(ctx.scale, 12)
-        refined = refined_main_term(params, n, dps=dps)
+        # below 2N = REFINED_MIN_2N only the refined term is undefined
+        if 2 * ctx.scale >= REFINED_MIN_2N:
+            refined = refined_main_term(params, n, dps=dps)
+            rows.append(("refined term", refined.format(6)))
+            data["refined_term"] = refined.format(10)
+        else:
+            rows.append(("refined term", f"unavailable (needs 2N >= {REFINED_MIN_2N})"))
+            data["refined_term"] = None
         alphas = singular_expansion_coeffs(params, max_order=args.terms - 1)
         bessel_form = ctx.bessel_sum(alphas[:1])
-        rows.append(("refined term", refined.format(6)))
         rows.append(("bessel form", bessel_form.format(6)))
-        data["refined_term"] = refined.format(10)
         data["bessel_form"] = bessel_form.format(10)
         full = asymptotic_sum(params, n, terms=args.terms, dps=dps)
         rows.append((f"expansion ({args.terms} terms)", full.format(6)))
@@ -437,6 +426,9 @@ def _sample_w(rng: random.Random) -> mp.mpc:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    # imported here, as in profile and decay: count, table and asym never load analytic
+    from . import analytic
+
     params = StackParams(args.r, args.m)
     dps = _resolve_precision(args)
     targets = set(args.targets or ["all"])
@@ -469,25 +461,25 @@ def cmd_verify(args: argparse.Namespace) -> int:
         for _ in range(4):
             tau = _sample_tau(rng)
             w = _sample_w(rng)
-            worst_pair = max(worst_pair, abs(theta_sum(w, tau, dps) - theta_product(w, tau, dps)))
-            worst_odd = max(worst_odd, abs(theta_sum(-w, tau, dps) + theta_sum(w, tau, dps)))
+            worst_pair = max(worst_pair, abs(analytic.theta_sum(w, tau, dps) - analytic.theta_product(w, tau, dps)))
+            worst_odd = max(worst_odd, abs(analytic.theta_sum(-w, tau, dps) + analytic.theta_sum(w, tau, dps)))
         suite.check("theta sum vs triple product (4 samples)", worst_pair, tol)
         suite.check("theta oddness in the elliptic variable", worst_odd, tol)
 
     if "transform" in targets:
         worst = mp.mpf(0)
         for _ in range(4):
-            worst = max(worst, theta_transform_residual(_sample_w(rng), _sample_tau(rng), dps))
+            worst = max(worst, analytic.theta_transform_residual(_sample_w(rng), _sample_tau(rng), dps))
         suite.check("theta modular transform (4 samples)", worst, tol)
 
     if "eta" in targets:
         worst = mp.mpf(0)
         for _ in range(4):
-            worst = max(worst, eta_inversion_residual(_sample_tau(rng), dps))
+            worst = max(worst, analytic.eta_inversion_residual(_sample_tau(rng), dps))
         suite.check("eta inversion (4 samples)", worst, tol)
-        with mp.workdps(dps + GUARD):
+        with mp.workdps(dps + analytic.GUARD):
             special = abs(
-                dedekind_eta(mp.mpc(0, 1), dps) - mp.gamma(mp.mpf(1) / 4) / (2 * mp.pi ** mp.mpf("0.75"))
+                analytic.dedekind_eta(mp.mpc(0, 1), dps) - mp.gamma(mp.mpf(1) / 4) / (2 * mp.pi ** mp.mpf("0.75"))
             )
         suite.check("eta at the fixed point of the inversion", special, tol)
 
@@ -495,14 +487,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
         worst = mp.mpf(0)
         for y in ("0.10", "0.14", "0.18"):
             tau = mp.mpc("0.01", y)
-            worst = max(worst, false_theta_series_residual(params, tau, dps))
+            worst = max(worst, analytic.false_theta_series_residual(params, tau, dps))
         suite.check("false theta vs integer series (3 points)", worst, tol)
         a, b = params.m, -(params.m + 2 * params.shift)
         worst_ratio = mp.mpf(0)
         for y in ("0.05", "0.12", "0.20"):
             for xfrac in (mp.mpf(0), mp.mpf("0.5"), mp.mpf(-1)):
                 tau = mp.mpc(mp.mpf(y) * xfrac, mp.mpf(y))
-                chk = cubic_remainder_check(a, b, tau, dps)
+                chk = analytic.cubic_remainder_check(a, b, tau, dps)
                 worst_ratio = max(worst_ratio, chk.delta / chk.bound)
         suite.check(
             f"cubic remainder bound for indices ({a}, {b}) over 9 points",
@@ -516,14 +508,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
         for order in range(4):
             for x in ("0.5", "3", "12", "30"):
                 xv = mp.mpf(x)
-                with mp.workdps(dps + GUARD):
+                with mp.workdps(dps + analytic.GUARD):
                     ref = mp.besseli(order, xv)
                     worst_series = max(worst_series, abs(bessel_i(order, xv, dps=dps) / ref - 1))
         suite.check("modified bessel series vs reference (orders 0..3)", worst_series, mp.mpf(10) ** (-(dps - 10)))
         worst_hankel = mp.mpf(0)
         for order in range(4):
             xv = mp.mpf(30)
-            with mp.workdps(dps + GUARD):
+            with mp.workdps(dps + analytic.GUARD):
                 a_val = bessel_i(order, xv, method="hankel", dps=dps)
                 s_val = bessel_i(order, xv, method="series", dps=dps)
                 worst_hankel = max(worst_hankel, abs(a_val / s_val - 1))
@@ -531,16 +523,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
     if "contour" in targets:
         ctx = ArcContext.build(params, args.size, rho=args.rho, dps=dps)
-        line = major_arc_integral(ctx) + contour_tail(ctx)
+        line = analytic.major_arc_integral(ctx) + analytic.contour_tail(ctx)
         bessel_form = ctx.bessel_sum(singular_expansion_coeffs(params, max_order=0))
-        with mp.workdps(dps + GUARD):
+        with mp.workdps(dps + analytic.GUARD):
             gap = abs(line / mp.exp(bessel_form.ln_value) - 1)
         suite.check(
             f"restricted contour vs bessel closed form at n = {args.size}, rho = {args.rho}",
             gap,
-            mp.mpf(SIMPSON_RTOL),
+            mp.mpf(analytic.SIMPSON_RTOL),
         )
-        prof = circle_profile(ctx, grid=720)
+        prof = analytic.circle_profile(ctx, grid=720)
         suite.check_flag(
             "integrand maximum lies on the major arc",
             prof.major_arc_contains_max,
@@ -563,6 +555,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_profile(args: argparse.Namespace) -> int:
+    from . import analytic
+
     params = StackParams(args.r, args.m)
     work = args.grid * math.sqrt(max(args.size, 0))
     if work > MAX_PROFILE_WORK:
@@ -571,7 +565,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
             f"MAX_PROFILE_WORK = {MAX_PROFILE_WORK}"
         )
     ctx = ArcContext.build(params, args.size, rho=args.rho)
-    profile = circle_profile(ctx, grid=args.grid)
+    profile = analytic.circle_profile(ctx, grid=args.grid)
     if args.format == "csv":
         rows = ((f"{nu:.10f}", f"{val:.6f}") for nu, val in zip(profile.nus, profile.log_magnitudes))
         _emit(_csv(("nu", "log_magnitude"), rows), args)
@@ -587,7 +581,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
     peaks = profile.root_of_unity_peaks()
     for ell in range(1, params.m):
         if ell not in peaks:
-            lines.append(f"  no peak within {PEAK_HALFWIDTH} of 2 pi {ell}/{params.m}")
+            lines.append(f"  no peak within {analytic.PEAK_HALFWIDTH} of 2 pi {ell}/{params.m}")
             continue
         nu, height = peaks[ell]
         lines.append(
@@ -599,6 +593,8 @@ def cmd_profile(args: argparse.Namespace) -> int:
 
 
 def cmd_decay(args: argparse.Namespace) -> int:
+    from . import analytic
+
     try:
         moduli = [int(v) for v in args.moduli.split(",") if v.strip()]
         zs = tuple(float(v) for v in args.z_values.split(",") if v.strip())
@@ -614,7 +610,7 @@ def cmd_decay(args: argparse.Namespace) -> int:
             families.append((m, exc))
             continue
         # the z list and the precision of every fit are checked before the first one runs
-        dps = decay_precision(params, zs)
+        dps = analytic.decay_precision(params, zs)
         if dps > MAX_DPS:
             raise ValueError(f"z_min = {min(zs)} needs {dps} digits at m = {m}, above MAX_DPS = {MAX_DPS}")
         families.append((m, params))
@@ -624,7 +620,7 @@ def cmd_decay(args: argparse.Namespace) -> int:
         if isinstance(params, ValueError):
             lines.append(f"{label:>18}  skipped: {params}")
             continue
-        fit = product_decay_fit(params, z_values=zs)
+        fit = analytic.product_decay_fit(params, z_values=zs)
         lines.append(
             f"{label:>18}  {fit.slope:>10.4f}  {fit.expected:>10.4f}  "
             f"{fit.slope / fit.expected:>7.4f}  {len(fit.points):>6}"

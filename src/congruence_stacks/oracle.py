@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterator
+from operator import mul
 
 from .params import StackParams
 
@@ -95,17 +96,17 @@ def _count_congruence(n: int, params: StackParams) -> int:
     k = 0
     while params.peak(k) <= n:
         peak = params.peak(k)
-        for j in range(peak, n + 1):
+        # peaks grow, so no later step reads either table above this rem
+        rem = n - peak
+        for j in range(peak, rem + 1):
             left[j] += left[j - peak]
         v = largest_right + m if largest_right else m - r
         while v < peak:
-            if v <= n:
-                for j in range(v, n + 1):
-                    right[j] += right[j - v]
+            for j in range(v, rem + 1):
+                right[j] += right[j - v]
             largest_right = v
             v += m
-        rem = n - peak
-        total += sum(left[a] * right[rem - a] for a in range(rem + 1))
+        total += sum(map(mul, left[:rem + 1], right[rem::-1]))
         k += 1
     return total
 

@@ -418,6 +418,22 @@ class TestContourTail:
                 assert abs(gamma / mp.gammainc(1 - k, x) - 1) < mp.mpf("1e-45")
 
 
+def _per_factor_reference(params, n, kappa):
+    """log |F L q^{-n}| at angle nu, in doubles, one generator term per factor of F and term of L."""
+    top = analytic._factor_count(kappa / (2 * math.pi), 17)
+    l_terms = false_theta_gf(params, top)
+    exponents = [e for start in (params.r, params.m - params.r) for e in range(start, top + 1, params.m)]
+    f_factors = [(e, math.expm1(-e * kappa), 2 * math.exp(-e * kappa / 2)) for e in exponents]
+
+    def log_magnitude(nu):
+        z = complex(-kappa, nu)
+        mag = abs(sum(sign * cmath.exp(e * z) for e, sign in l_terms))
+        log_f = -math.fsum(math.log(math.hypot(d, s * math.sin(e * nu / 2))) for e, d, s in f_factors)
+        return math.log(mag) + log_f + n * kappa
+
+    return log_magnitude
+
+
 @pytest.fixture(scope="module")
 def profile():
     return circle_profile(ArcContext.build(P13, 500, rho=0.5, dps=12), grid=720)
@@ -460,18 +476,31 @@ class TestCircleProfile:
     def test_mirrored_half_equals_the_per_angle_loop(self, params, n, grid):
         # nu < 0 is mirrored from nu > 0; here each such angle is evaluated as nu >= 0 is
         prof = circle_profile(ArcContext.build(params, n, rho=0.5, dps=12), grid=grid)
-        kappa = prof.kappa
-        top = analytic._factor_count(kappa / (2 * math.pi), 17)
-        l_terms = false_theta_gf(params, top)
-        exponents = [e for start in (params.r, params.m - params.r) for e in range(start, top + 1, params.m)]
-        f_factors = [(e, math.expm1(-e * kappa), 2 * math.exp(-e * kappa / 2)) for e in exponents]
+        reference = _per_factor_reference(params, n, prof.kappa)
         for j in range(grid // 2):
             nu = prof.nus[j]
             assert nu < 0
-            z = complex(-kappa, nu)
-            mag = abs(sum(sign * cmath.exp(e * z) for e, sign in l_terms))
-            log_f = -math.fsum(math.log(math.hypot(d, s * math.sin(e * nu / 2))) for e, d, s in f_factors)
-            assert prof.log_magnitudes[j] == math.log(mag) + log_f + n * kappa, (params, n, j)
+            assert prof.log_magnitudes[j] == reference(nu), (params, n, j)
+
+    @pytest.mark.parametrize(
+        "params, n, grid",
+        [
+            (P13, 200, 720),
+            (StackParams(2, 3), 200, 72),
+            (StackParams(3, 5), 1000, 8),
+            (StackParams(5, 12), 30, 8),
+            (StackParams(1, 7), 2000, 120),
+            (StackParams(7, 11), 2, 16),
+            (P13, 600_000, 8),
+        ],
+    )
+    def test_every_sample_equals_the_per_factor_reference(self, params, n, grid):
+        # the map chains add the same doubles in the same order as a generator per factor
+        prof = circle_profile(ArcContext.build(params, n, rho=0.5, dps=12), grid=grid)
+        reference = _per_factor_reference(params, n, prof.kappa)
+        assert len(prof.log_magnitudes) == grid + 1
+        for j, nu in enumerate(prof.nus):
+            assert prof.log_magnitudes[j] == reference(nu), (params, n, j)
 
     def test_peaks_see_across_the_seam_at_minus_one(self, monkeypatch):
         # this grid is spaced pi/4, so the windows must reach one step past their centres

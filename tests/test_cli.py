@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from congruence_stacks import cli
+from congruence_stacks import analytic, cli
 from congruence_stacks.cli import build_parser, main
 from congruence_stacks.oracle import ENUMERATION_CAP, StackWitness, enumerate_stacks
 from congruence_stacks.params import StackParams
@@ -159,6 +159,33 @@ class TestAsym:
         assert code == 0
         assert abs(float(json.loads(out)["expansion_relative_error"])) < bound
 
+    @pytest.mark.parametrize(
+        "argv, two_n",
+        [(["-n", "1", "-r", "1", "-m", "3"], 2.18), (["-n", "300", "-r", "1", "-m", "101"], 6.17)],
+    )
+    def test_full_below_the_refined_bound_prints_the_other_rows(self, capsys, argv, two_n):
+        # 2N < REFINED_MIN_2N: the refined term alone is unavailable, the command succeeds
+        code, out, err = run(capsys, "asym", *argv, "--full")
+        assert code == 0, err
+        rows = dict(line.strip().split("  ", 1) for line in out.splitlines()[1:])
+        assert rows["refined term"].strip() == "unavailable (needs 2N >= 10)"
+        assert abs(2 * float(rows["growth scale"]) - two_n) < 0.01
+        for label in ("main term", "bessel form", "expansion (4 terms)"):
+            assert float(rows[label]) > 0
+        code, out, err = run(capsys, "asym", *argv, "--full", "--format", "json")
+        assert code == 0, err
+        payload = json.loads(out)
+        assert payload["refined_term"] is None
+        assert list(payload)[7:9] == ["refined_term", "bessel_form"]
+        assert float(payload["bessel_form"]) > 0 and float(payload["expansion"]) > 0
+
+    def test_full_at_the_refined_bound_prints_the_refined_term(self, capsys):
+        # (1, 3) has 2N = 10.06 at n = 23 and 9.84 at n = 22
+        _, out, _ = run(capsys, "asym", "-n", "23", "--full", "--format", "json")
+        assert json.loads(out)["refined_term"] is not None
+        _, out, _ = run(capsys, "asym", "-n", "22", "--full", "--format", "json")
+        assert json.loads(out)["refined_term"] is None
+
     def test_terms_bound(self, capsys):
         code, _, err = run(capsys, "asym", "-n", "1000", "--full", "--terms", "17")
         assert code == 2
@@ -247,8 +274,8 @@ class TestVerify:
             raise AssertionError("a check ran although the order is refused")
 
         # decomposition is the first check of `verify all`, theta the first kernel
-        for name in ("verify_decomposition", "theta_sum"):
-            monkeypatch.setattr(cli, name, refuse)
+        monkeypatch.setattr(cli, "verify_decomposition", refuse)
+        monkeypatch.setattr(analytic, "theta_sum", refuse)
         code, out, err = run(capsys, "verify", "--order", str(cli.MAX_RECURRENCE_ORDER + 1))
         assert code == 2
         assert out == ""
@@ -323,7 +350,7 @@ class TestProfile:
         def refuse(*args, **kwargs):
             raise AssertionError("the profile was built although the grid is refused")
 
-        monkeypatch.setattr(cli, "circle_profile", refuse)
+        monkeypatch.setattr(analytic, "circle_profile", refuse)
         monkeypatch.setattr(cli.ArcContext, "build", refuse)
         # the default n is 500
         grid = 2 * int(cli.MAX_PROFILE_WORK / math.sqrt(500) / 2) + 2
@@ -336,7 +363,7 @@ class TestProfile:
         def refuse(*args, **kwargs):
             raise AssertionError("the profile was built although the size is refused")
 
-        monkeypatch.setattr(cli, "circle_profile", refuse)
+        monkeypatch.setattr(analytic, "circle_profile", refuse)
         monkeypatch.setattr(cli.ArcContext, "build", refuse)
         # the default grid is 720
         n = int((cli.MAX_PROFILE_WORK / 720) ** 2) + 1
@@ -402,7 +429,7 @@ class TestDecay:
         def refuse(*args, **kwargs):
             raise AssertionError("a fit ran although the precision is refused")
 
-        monkeypatch.setattr(cli, "product_decay_fit", refuse)
+        monkeypatch.setattr(analytic, "product_decay_fit", refuse)
         # z = 0.009 needs 584 digits at m = 7, listed first, and 1310 at m = 3
         code, out, err = run(capsys, "decay", "--moduli", "7,3", "--z-values", "0.3,0.009")
         assert code == 2
@@ -414,7 +441,7 @@ class TestDecay:
         def started(*args, **kwargs):
             raise RuntimeError("fit started")
 
-        monkeypatch.setattr(cli, "product_decay_fit", started)
+        monkeypatch.setattr(analytic, "product_decay_fit", started)
         with pytest.raises(RuntimeError, match="fit started"):
             main(["decay", "--moduli", "3", "--z-values", "0.3,0.01"])
 

@@ -90,6 +90,19 @@ class TestCongruenceCounts:
         for n in range(41):
             assert series[n] == recurrence[n] == count_stacks(n, params)
 
+    @pytest.mark.parametrize("r,m", COPRIME_PAIRS)
+    def test_matches_the_series_to_200(self, r, m):
+        # both tables stop at n - peak, and at these sizes some steps admit
+        # right parts larger than that
+        params = StackParams(r, m)
+        series = stack_gf(params, 200)
+        assert [count_stacks(n, params) for n in range(201)] == [series[n] for n in range(201)]
+
+    @pytest.mark.parametrize("pair", [(1, 3), (3, 5)], ids=["standard", "gap"])
+    def test_matches_the_series_at_1000(self, pair):
+        params = StackParams(*pair)
+        assert count_stacks(1000, params) == stack_gf(params, 1000)[1000]
+
     @pytest.mark.parametrize("r,m", [(1, 3), (1, 4), (2, 5), (3, 4)])
     def test_enumeration_matches_counts(self, r, m):
         params = StackParams(r, m)

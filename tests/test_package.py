@@ -31,23 +31,62 @@ def _run_python(*args: str, check: bool = True) -> subprocess.CompletedProcess:
 
 
 # modules the package must not pull in for these: dataclasses brings inspect,
-# ast, dis and tokenize, and output formats live in cli, which loads json only
-# for --format json
-UNNEEDED_MODULES = ("dataclasses", "inspect", "json")
+# ast, dis and tokenize; output formats live in cli, which loads json only
+# for --format json; and analytic, the modular kernels and the contour
+# numerics, loads only for verify, profile and decay.  (cmath is no such
+# module: mpmath, which the package imports, loads it.)
+ANALYTIC = "congruence_stacks.analytic"
+UNNEEDED_MODULES = ("dataclasses", "inspect", "json", ANALYTIC)
+
+
+def _main(*argv: str) -> str:
+    return f"from congruence_stacks.cli import main; main({list(argv)!r})"
 
 
 @pytest.mark.parametrize(
-    "statement",
+    "statement, needed",
     [
-        "import congruence_stacks",
-        "from congruence_stacks.cli import main; main(['count', '-n', '12', '-r', '1', '-m', '4', '--witnesses'])",
-        "from congruence_stacks.cli import main; main(['count', '-n', '3000', '-r', '2', '-m', '5'])",
+        ("import congruence_stacks", ()),
+        (_main("count", "-n", "12", "-r", "1", "-m", "4", "--witnesses"), ()),
+        (_main("count", "-n", "3000", "-r", "2", "-m", "5"), ()),
+        # the other commands of perfbench's exact workload
+        (_main("count", "-n", "10000"), ()),
+        (_main("table", "--values", "100,1000,10000"), ()),
+        (_main("table", "-r", "3", "-m", "5", "--values", "100,1000,5000", "--format", "json"), ("json",)),
+        (_main("asym", "-n", "1000", "--full", "--exact"), ()),
     ],
-    ids=["import", "count-witnesses", "count-3000"],
+    ids=["import", "count-witnesses", "count-3000", "count-10000", "table", "table-json", "asym-full-exact"],
 )
-def test_unneeded_modules_stay_unloaded(statement):
-    code = f"import sys; {statement}; print(*[m for m in {UNNEEDED_MODULES!r} if m in sys.modules], file=sys.stderr)"
+def test_unneeded_modules_stay_unloaded(statement, needed):
+    unneeded = tuple(m for m in UNNEEDED_MODULES if m not in needed)
+    code = f"import sys; {statement}; print(*[m for m in {unneeded!r} if m in sys.modules], file=sys.stderr)"
     assert _run_python("-c", code).stderr == "\n"
+
+
+def test_verify_loads_analytic():
+    code = f"import sys; {_main('verify', 'eta')}; print({ANALYTIC!r} in sys.modules, file=sys.stderr)"
+    assert _run_python("-c", code).stderr == "True\n"
+
+
+def test_analytic_names_load_on_first_use():
+    # a fresh interpreter, so the names are not bound yet
+    code = (
+        "import sys, congruence_stacks as cs; print(cs.__dict__.get('theta_sum'), end=' '); "
+        "from congruence_stacks import theta_sum; analytic = sys.modules['congruence_stacks.analytic']; "
+        "print(theta_sum is analytic.theta_sum is cs.__dict__['theta_sum'], "
+        "cs.circle_profile is analytic.circle_profile)"
+    )
+    assert _run_python("-c", code).stdout == "None True True\n"
+
+
+def test_dir_lists_the_lazy_names_before_they_load():
+    code = f"import sys, congruence_stacks as cs; print(set(cs.__all__) <= set(dir(cs)), {ANALYTIC!r} in sys.modules)"
+    assert _run_python("-c", code).stdout == "True False\n"
+
+
+def test_unknown_name_raises_the_standard_error():
+    with pytest.raises(AttributeError, match="^module 'congruence_stacks' has no attribute 'no_such_name'$"):
+        congruence_stacks.no_such_name
 
 
 def test_table_json_in_a_fresh_interpreter():
