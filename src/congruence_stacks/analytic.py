@@ -22,8 +22,10 @@ exponential per term.  That recurrence and the q-Pochhammer product loop run
 in complex fixed point, on Python integers in units of 2^-wp with wp a few
 bits above mp.prec, and convert back to one mpc at the end: no mpmath object
 per term.  Residual checks return mpf values; fits and profile reports come
-back as small named tuples.  The one exception is circle_profile, which wants
-a float log magnitude and computes it in doubles.
+back as small named tuples.  Two routes run in doubles: circle_profile, which
+wants a float log magnitude, and the integrand of major_arc_integral, which in
+Wright's normalised variable is e^{2N} times a function of size at most 1; the
+factor e^{2N} is applied once, in mpf, and the error bound is stated there.
 """
 
 from __future__ import annotations
@@ -426,13 +428,15 @@ def false_theta_series_residual(params: StackParams, tau, dps: int = DEFAULT_DPS
         return abs(via_false_theta - direct) / abs(direct)
 
 
-def simpson_refine(f: Callable[[mp.mpf], mp.mpf], a, b) -> tuple[mp.mpf, tuple[mp.mpf, ...]]:
+def simpson_refine(f: Callable[[mp.mpf], mp.mpf | float], a, b) -> tuple[mp.mpf, tuple[mp.mpf, ...]]:
     """Composite Simpson with panel doubling until successive estimates agree.
 
-    Returns (value, history of estimates).  Estimates are compared from
-    MIN_DOUBLINGS on.  Raises when MAX_DOUBLINGS cannot reach SIMPSON_RTOL;
-    the integrands used here are analytic, so failure indicates a
-    misconfigured interval rather than roughness.
+    The nodes are mpf and the sums are formed in mpf at the caller's
+    precision, so f may return mpf or float values.  Returns (value, history
+    of estimates).  Estimates are compared from MIN_DOUBLINGS on.  Raises
+    when MAX_DOUBLINGS cannot reach SIMPSON_RTOL; the integrands used here
+    are analytic, so failure indicates a misconfigured interval rather than
+    roughness.
     """
     a = mp.mpf(a)
     b = mp.mpf(b)
@@ -465,17 +469,35 @@ def major_arc_integral(ctx: ArcContext) -> mp.mpf:
     alpha_0 = 1/2 times the arc's P, A and B (the constant is csc(pi r/m)/(8 pi)),
     by Simpson refinement to SIMPSON_RTOL.  With contour_tail it makes up
     the whole line, the arc's one-term Bessel sum (P/2) kappa I_1(2N).
+
+    In Wright's normalised variable t = nu/kappa, with kappa = sqrt(A/B) and
+    N = sqrt(AB), the exponent is exactly N (2 - u) + i N t u, u = t^2/(1 + t^2),
+    so the integral is
+
+        (P/2)/(2 pi) 2 kappa e^{2N} int_0^rho e^{-N u} cos(N t u) dt,
+
+    with an integrand of size at most 1.  The integrand runs in doubles and the
+    factor in front once, in mpf.  A priori, the exponent N u and the phase
+    N t u carry an absolute error of about N 2^-52 at a node.  Each is a few
+    roundings of size 2^-53 relative, though, so the node's error is a few
+    2^-53 times (N u + N t u) e^{-N u} <= (1 + rho)/e, and it is small
+    relative to the integral wherever the integrand is not negligible: the
+    value agrees with the 65-digit complex integrand in nu to 6.3e-17 relative
+    for every coprime (r, m) with m <= 12 at n = 50, 200 and 1000, and for
+    (1, 3) and (5, 12) at n = 20000 and 10^6, with the same Simpson levels
+    (tests/test_analytic.py).
     """
+    scale = float(ctx.scale)
+
+    def integrand(t) -> float:
+        t = float(t)
+        u = t * t / (1 + t * t)
+        return math.exp(-scale * u) * math.cos(scale * t * u)
+
     with mp.workdps(ctx.dps + GUARD):
-        kappa, A, B = +ctx.kappa, +ctx.A, _fraction_to_mpf(ctx.B)
-
-        def integrand(nu):
-            zz = mp.mpc(kappa, nu)
-            return mp.re(mp.exp(B * zz + A / zz))
-
-        # even in nu, so integrate the half arc
-        half, _ = simpson_refine(integrand, mp.mpf(0), ctx.rho * kappa)
-        return ctx.prefactor / (4 * mp.pi) * 2 * half
+        # even in t, so integrate the half arc
+        half, _ = simpson_refine(integrand, mp.mpf(0), ctx.rho)
+        return ctx.prefactor / (4 * mp.pi) * 2 * ctx.kappa * mp.exp(2 * ctx.scale) * half
 
 
 def _upper_gamma_down(x):
@@ -488,18 +510,27 @@ def _upper_gamma_down(x):
         gamma = (power - gamma) / k
 
 
+def contour_tail_dps(ctx: ArcContext) -> int:
+    """Working precision of contour_tail: ctx.dps + GUARD and the digits its recurrence loses.
+
+    Stepping Gamma down from Gamma(0, x), x = -B (kappa + i rho kappa), loses
+    up to e^|x| relative, so |x|/log(10) more digits are carried: 9 at
+    n = 200 for (1, 3), 87 at n = 20000.  |x| = N hypot(1, rho) grows like
+    sqrt(n).
+    """
+    x_abs = float(ctx.B) * float(ctx.kappa) * math.hypot(1, ctx.rho)
+    return ctx.dps + GUARD + int(x_abs / math.log(10)) + 1
+
+
 def contour_tail(ctx: ArcContext) -> mp.mpf:
     """The q = 1 line beyond the major arc, |nu| > rho kappa, in major_arc_integral's units.
 
     With z0 = kappa + i rho kappa, e^{A/z} = sum_k A^k z^-k / k! gives
     int_{z0}^{kappa + i inf} e^{Bz + A/z} dz = -e^{B z0}/B (Abel-summed)
     + sum_{k>=1} (A^k/k!) (-B)^{k-1} Gamma(1-k, -B z0), summed to the working
-    precision; nu < -rho kappa is its conjugate.  Stepping Gamma down from
-    Gamma(0, x) loses up to e^|x| relative, so |x|/log(10) more digits are
-    carried: 9 at n = 200 for (1, 3), 87 at n = 20000.
+    precision, at contour_tail_dps digits; nu < -rho kappa is its conjugate.
     """
-    x_abs = float(ctx.B) * float(ctx.kappa) * math.hypot(1, ctx.rho)
-    with mp.workdps(ctx.dps + GUARD + int(x_abs / math.log(10)) + 1):
+    with mp.workdps(contour_tail_dps(ctx)):
         A, B = +ctx.A, _fraction_to_mpf(ctx.B)
         x = -B * mp.mpc(ctx.kappa, ctx.rho * ctx.kappa)
         total = -mp.exp(-x) / B
@@ -577,6 +608,8 @@ def circle_profile(ctx: ArcContext, grid: int = 720) -> CircleProfile:
     # |1 - e^{a + ib}| = hypot(expm1(a), 2 e^{a/2} sin(b/2)) keeps every digit near q = 1
     ds = [math.expm1(-e * kappa) for e in f_exps]
     ss = [2 * math.exp(-e * kappa / 2) for e in f_exps]
+    # float * float below, not int * float's slower path; exact, e < 2^53
+    f_exps = list(map(float, f_exps))
     nus = [math.pi * (2 * j - grid) / grid for j in range(grid + 1)]
     half = []
     # per angle, C-level map chains over the terms of L and the factors of F;

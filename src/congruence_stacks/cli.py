@@ -61,8 +61,15 @@ MAX_PROFILE_WORK = 1_610_000
 # largest working precision of every command: -P, CSTACKS_PRECISION and
 # `decay`'s 8 pi^2/(m z_min log 10) + 40 digits.  Costs grow steeply with it:
 # `decay` at 1183 digits (m = 3, z_min = 0.01) takes 7.5-11.7 s and 21 MB max
-# RSS, `verify all -P 1200` 13-15 s and 22 MB (same machine)
+# RSS, `verify all -P 1200` 14-18 s and 22 MB (same machine)
 MAX_DPS = 1200
+# grid of `verify contour`'s circle profile.  `verify` with the contour target
+# refuses an -n whose profile work is above MAX_PROFILE_WORK (n > 5 000 192)
+# or whose contour tail adds more than MAX_DPS digits to the working precision
+# (contour_tail_dps; at m = 3, n > 3 750 872, whatever -P).  At the largest
+# accepted n, `verify contour` takes 13 s at m = 3 and 19 s at m = 4 and
+# n = 5 000 192, 38 s at m = 3 and -P 1200, and 29 MB max RSS (same machine)
+CONTOUR_PROFILE_GRID = 720
 VERIFY_TARGETS = frozenset(
     ["decomposition", "theta", "transform", "eta", "falsetheta", "bessel", "contour", "oracle"]
 )
@@ -441,6 +448,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise ValueError(
             f"order {args.order} exceeds the recurrence bound MAX_RECURRENCE_ORDER = {MAX_RECURRENCE_ORDER}"
         )
+    # the contour check's two size bounds, before any check runs
+    if "contour" in targets:
+        _check_profile_work(CONTOUR_PROFILE_GRID, args.size)
+        ctx = ArcContext.build(params, args.size, rho=args.rho, dps=dps)
+        tail_dps = analytic.contour_tail_dps(ctx)
+        if tail_dps - dps > MAX_DPS:
+            raise ValueError(
+                f"the contour tail at n = {args.size} adds {tail_dps - dps} digits to the working precision "
+                f"{dps}, above the working-precision bound MAX_DPS = {MAX_DPS}"
+            )
     rng = random.Random(args.seed)
     suite = _Suite()
     tol = mp.mpf(10) ** (-dps)
@@ -522,7 +539,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
         suite.check("asymptotic bessel route at x = 30", worst_hankel, mp.mpf("1e-8"))
 
     if "contour" in targets:
-        ctx = ArcContext.build(params, args.size, rho=args.rho, dps=dps)
         line = analytic.major_arc_integral(ctx) + analytic.contour_tail(ctx)
         bessel_form = ctx.bessel_sum(singular_expansion_coeffs(params, max_order=0))
         with mp.workdps(dps + analytic.GUARD):
@@ -532,7 +548,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             gap,
             mp.mpf(analytic.SIMPSON_RTOL),
         )
-        prof = analytic.circle_profile(ctx, grid=720)
+        prof = analytic.circle_profile(ctx, grid=CONTOUR_PROFILE_GRID)
         suite.check_flag(
             "integrand maximum lies on the major arc",
             prof.major_arc_contains_max,
@@ -554,16 +570,21 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 1 if suite.failures else 0
 
 
+def _check_profile_work(grid: int, size: int) -> None:
+    """Refuse a circle profile whose work grid * sqrt(n) is above MAX_PROFILE_WORK."""
+    work = grid * math.sqrt(max(size, 0))
+    if work > MAX_PROFILE_WORK:
+        raise ValueError(
+            f"grid * sqrt(n) = {grid} * sqrt({size}) = {work:.0f} exceeds the profile bound "
+            f"MAX_PROFILE_WORK = {MAX_PROFILE_WORK}"
+        )
+
+
 def cmd_profile(args: argparse.Namespace) -> int:
     from . import analytic
 
     params = StackParams(args.r, args.m)
-    work = args.grid * math.sqrt(max(args.size, 0))
-    if work > MAX_PROFILE_WORK:
-        raise ValueError(
-            f"grid * sqrt(n) = {args.grid} * sqrt({args.size}) = {work:.0f} exceeds the profile bound "
-            f"MAX_PROFILE_WORK = {MAX_PROFILE_WORK}"
-        )
+    _check_profile_work(args.grid, args.size)
     ctx = ArcContext.build(params, args.size, rho=args.rho)
     profile = analytic.circle_profile(ctx, grid=args.grid)
     if args.format == "csv":

@@ -373,7 +373,53 @@ def one_term_bessel(ctx):
         return mp.exp(ctx.bessel_sum((Fraction(1, 2),)).ln_value)
 
 
+# every coprime (r, m) with m <= 12: 44 pairs
+COPRIME_PAIRS = [(r, m) for m in range(3, 13) for r in range(1, m) if math.gcd(r, m) == 1]
+
+
+def _mpmath_major_arc(ctx):
+    """major_arc_integral's value and Simpson history length, in nu, with 65-digit complex exponentials."""
+    with mp.workdps(65):
+        kappa, A, B = +ctx.kappa, +ctx.A, mp.mpf(ctx.B.numerator) / ctx.B.denominator
+
+        def integrand(nu):
+            zz = mp.mpc(kappa, nu)
+            return mp.re(mp.exp(B * zz + A / zz))
+
+        half, history = simpson_refine(integrand, mp.mpf(0), ctx.rho * kappa)
+        return ctx.prefactor / (4 * mp.pi) * 2 * half, len(history)
+
+
 class TestMajorArc:
+    @pytest.mark.parametrize(
+        "pairs, n",
+        [
+            (COPRIME_PAIRS, 50),
+            (COPRIME_PAIRS, 200),
+            (COPRIME_PAIRS, 1000),
+            ([(1, 3), (5, 12)], 20000),
+            ([(1, 3), (5, 12)], 10**6),
+        ],
+        ids=["all-50", "all-200", "all-1000", "two-20000", "two-1000000"],
+    )
+    def test_float_path_matches_the_mpmath_path(self, monkeypatch, pairs, n):
+        # the doubles carry a few units of 2^-53 relative; measured at most 6.3e-17
+        lengths = []
+
+        def spy(f, a, b):
+            value, history = simpson_refine(f, a, b)
+            lengths.append(len(history))
+            return value, history
+
+        monkeypatch.setattr(analytic, "simpson_refine", spy)
+        for pair in pairs:
+            ctx = ArcContext.build(StackParams(*pair), n, rho=0.9, dps=50)
+            value = major_arc_integral(ctx)
+            reference, length = _mpmath_major_arc(ctx)
+            with mp.workdps(65):
+                assert abs(value / reference - 1) <= mp.mpf("1e-13"), pair
+            assert lengths.pop() == length, pair
+
     def test_matches_bessel_form_at_200(self):
         ctx = ArcContext.build(P13, 200, rho=0.9, dps=50)
         h0 = major_arc_integral(ctx)
@@ -395,13 +441,11 @@ class TestContourTail:
     def test_closes_the_line_for_every_pair_at_the_defaults(self):
         # verify contour's defaults: n = 200, rho = 0.9; the bare arc misses by 2e-4 to 8e-3
         worst = mp.mpf(0)
-        for m in range(3, 13):
-            for r in range(1, m):
-                if math.gcd(r, m) == 1:
-                    ctx = ArcContext.build(StackParams(r, m), 200, rho=0.9, dps=50)
-                    with mp.workdps(65):
-                        line = major_arc_integral(ctx) + contour_tail(ctx)
-                        worst = max(worst, abs(line / one_term_bessel(ctx) - 1))
+        for pair in COPRIME_PAIRS:
+            ctx = ArcContext.build(StackParams(*pair), 200, rho=0.9, dps=50)
+            with mp.workdps(65):
+                line = major_arc_integral(ctx) + contour_tail(ctx)
+                worst = max(worst, abs(line / one_term_bessel(ctx) - 1))
         assert worst < analytic.SIMPSON_RTOL
 
     def test_closes_the_line_deep_in_the_regime(self):

@@ -281,6 +281,53 @@ class TestVerify:
         assert out == ""
         assert f"MAX_RECURRENCE_ORDER = {cli.MAX_RECURRENCE_ORDER}" in err
 
+    @pytest.mark.parametrize(
+        "argv, bound",
+        [
+            # n = 10^7 is above both bounds; the profile's is checked first
+            (["contour", "-n", "10000000"], "MAX_PROFILE_WORK"),
+            (["-n", "10000000"], "MAX_PROFILE_WORK"),
+            (["contour", "-n", "5000193", "-r", "1", "-m", "4"], "MAX_PROFILE_WORK"),
+            # the profile work is 1.39e6 here; the tail adds 1201 digits to -P
+            (["contour", "-n", "3750873"], "MAX_DPS"),
+            (["contour", "-n", "3750873", "-P", "1200"], "MAX_DPS"),
+        ],
+    )
+    def test_size_above_the_contour_bounds_exit_2_before_any_work(self, capsys, monkeypatch, argv, bound):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a check ran although the size is refused")
+
+        # decomposition is the first check of `verify all`, theta the first kernel
+        monkeypatch.setattr(cli, "verify_decomposition", refuse)
+        for name in ("theta_sum", "major_arc_integral", "contour_tail", "circle_profile"):
+            monkeypatch.setattr(analytic, name, refuse)
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == 2
+        assert out == ""
+        assert f"{bound} = {getattr(cli, bound)}" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["-n", "3750872"],
+            ["-n", "3750872", "-P", "1200"],
+            ["-n", "5000192", "-r", "1", "-m", "4"],
+        ],
+    )
+    def test_largest_accepted_contour_sizes_pass_the_bounds(self, argv, monkeypatch):
+        # stop at the first piece of contour work: only the bound checks run
+        def started(*args, **kwargs):
+            raise RuntimeError("work started")
+
+        monkeypatch.setattr(analytic, "major_arc_integral", started)
+        with pytest.raises(RuntimeError, match="work started"):
+            main(["verify", "contour", *argv])
+
+    def test_size_is_not_bounded_without_the_contour_target(self, capsys):
+        code, out, _ = run(capsys, "verify", "theta", "-n", "10000000")
+        assert code == 0
+        assert out.count("PASS") == 2 and "FAIL" not in out
+
     def test_seed_changes_samples_not_outcome(self, capsys):
         code1, out1, _ = run(capsys, "verify", "theta", "--seed", "1")
         code2, out2, _ = run(capsys, "verify", "theta", "--seed", "2")
