@@ -26,12 +26,16 @@ back as small named tuples.  Two routes run in doubles: circle_profile, which
 wants a float log magnitude, and the integrand of major_arc_integral, which in
 Wright's normalised variable is e^{2N} times a function of size at most 1; the
 factor e^{2N} is applied once, in mpf, and the error bound is stated there.
+
+The `cstacks verify` targets are the check functions of VERIFY_CHECKS, run in
+its order; each returns Check records, which cli only formats.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import random
 from collections import namedtuple
 from collections.abc import Callable, Sequence
 from itertools import repeat
@@ -39,21 +43,26 @@ from operator import mul
 
 import mpmath as mp
 
-from .asymptotics import ArcContext, _arc_constants, false_theta_coeffs
+from .asymptotics import ArcContext, _arc_constants, bessel_i, false_theta_coeffs, singular_expansion_coeffs
 from .bigfloat import DEFAULT_DPS, FIXED_EXTRA_BITS, _fraction_to_mpf
+from .oracle import count_stacks
 from .params import StackParams
-from .qseries import false_theta_gf
+from .qseries import false_theta_gf, stack_gf, verify_decomposition
 
 GUARD = 15
 PEAK_HALFWIDTH = 0.35  # half-width in nu of the window searched for each root-of-unity peak
 MIN_DOUBLINGS = 4  # Simpson levels run before a converged-looking pair is trusted
 MAX_DOUBLINGS = 18  # Simpson levels after which refinement gives up
 SIMPSON_RTOL = 1e-10  # relative agreement of successive Simpson estimates
+CONTOUR_PROFILE_GRID = 720  # grid of the contour check's circle profile
 
 
-def _require_upper_half(tau) -> None:
+def _require_upper_half(tau) -> mp.mpc:
+    """tau as an mpc at the current precision; raises unless Im(tau) > 0."""
+    tau = mp.mpc(tau)
     if not mp.im(tau) > 0:
         raise ValueError(f"tau must lie in the upper half plane, got {tau}")
+    return tau
 
 
 def _fixed(z, wp: int) -> tuple[int, int]:
@@ -167,8 +176,7 @@ def theta_sum(w, tau, dps: int = DEFAULT_DPS) -> mp.mpc:
     """
     digits = dps + GUARD
     with mp.workdps(digits):
-        tau_c = mp.mpc(tau)
-        _require_upper_half(tau_c)
+        tau_c = _require_upper_half(tau)
         y, iw = mp.im(tau_c), mp.im(mp.mpc(w))
         # the largest term sits at the half-integer nearest -Im(w) / y
         nu = mp.floor(-iw / y) + mp.mpf(1) / 2
@@ -187,8 +195,7 @@ def theta_product(w, tau, dps: int = DEFAULT_DPS) -> mp.mpc:
     """
     with mp.workdps(dps + GUARD):
         w = mp.mpc(w)
-        tau = mp.mpc(tau)
-        _require_upper_half(tau)
+        tau = _require_upper_half(tau)
         # factor k deviates from 1 by at most e^{2 pi |Im w|} |q|^k
         count = _factor_count(mp.im(tau), dps + GUARD, slack=2 * mp.pi * abs(mp.im(w)))
         q = mp.exp(2 * mp.pi * 1j * tau)
@@ -206,8 +213,7 @@ def theta_transform_residual(w, tau, dps: int = DEFAULT_DPS) -> mp.mpf:
     """
     with mp.workdps(dps + GUARD):
         w = mp.mpc(w)
-        tau = mp.mpc(tau)
-        _require_upper_half(tau)
+        tau = _require_upper_half(tau)
         lhs = theta_sum(w / tau, -1 / tau, dps=dps)
         rhs = -1j * mp.sqrt(-1j * tau) * mp.exp(mp.pi * 1j * w * w / tau) * theta_sum(w, tau, dps=dps)
         diff = abs(lhs - rhs)
@@ -227,8 +233,7 @@ def dedekind_eta(tau, dps: int = DEFAULT_DPS) -> mp.mpc:
     digits and cut where pi y (3k^2 - k) >= D log 10.
     """
     with mp.workdps(dps + GUARD):
-        tau = mp.mpc(tau)
-        _require_upper_half(tau)
+        tau = _require_upper_half(tau)
         y = mp.im(tau)
         digits = dps + GUARD + int(mp.pi / (12 * y * mp.log(10))) + 1
         k_max = int(mp.ceil((1 + mp.sqrt(1 + 12 * digits * mp.log(10) / (mp.pi * y))) / 6))
@@ -242,8 +247,7 @@ def dedekind_eta(tau, dps: int = DEFAULT_DPS) -> mp.mpc:
 def eta_inversion_residual(tau, dps: int = DEFAULT_DPS) -> mp.mpf:
     """Relative residual of eta(-1/tau) = sqrt(-i tau) eta(tau)."""
     with mp.workdps(dps + GUARD):
-        tau = mp.mpc(tau)
-        _require_upper_half(tau)
+        tau = _require_upper_half(tau)
         lhs = dedekind_eta(-1 / tau, dps=dps)
         rhs = mp.sqrt(-1j * tau) * dedekind_eta(tau, dps=dps)
         return abs(lhs - rhs) / abs(rhs)
@@ -252,8 +256,7 @@ def eta_inversion_residual(tau, dps: int = DEFAULT_DPS) -> mp.mpf:
 def congruence_product(params: StackParams, tau, dps: int = DEFAULT_DPS) -> mp.mpc:
     """F(tau): inverse product over exponents congruent to r and m - r mod m."""
     with mp.workdps(dps + GUARD):
-        tau = mp.mpc(tau)
-        _require_upper_half(tau)
+        tau = _require_upper_half(tau)
         q = mp.exp(2 * mp.pi * 1j * tau)
         top = _factor_count(mp.im(tau), dps + GUARD)
         qm = q ** params.m
@@ -271,8 +274,7 @@ def congruence_product_main(params: StackParams, tau, dps: int = DEFAULT_DPS) ->
     csc(pi r/m)/2 * e^{pi i tau (m/6 - r + r^2/m) + pi i/(6 m tau)}.
     """
     with mp.workdps(dps + GUARD):
-        tau = mp.mpc(tau)
-        _require_upper_half(tau)
+        tau = _require_upper_half(tau)
         A, offset, prefactor = _arc_constants(params)
         z = -2 * mp.pi * 1j * tau
         return prefactor * mp.exp(A / z + _fraction_to_mpf(offset) * z)
@@ -362,8 +364,7 @@ def false_theta(a: int, b: int, tau, dps: int = DEFAULT_DPS) -> mp.mpc:
     if a <= 0:
         raise ValueError("a must be positive")
     with mp.workdps(dps + GUARD):
-        tau = mp.mpc(tau)
-        _require_upper_half(tau)
+        tau = _require_upper_half(tau)
         y = mp.im(tau)
         target = (dps + GUARD) * mp.log(10)
         disc = b * b + 4 * a * target / (mp.pi * y)
@@ -396,8 +397,7 @@ def cubic_remainder_check(a: int, b: int, tau, dps: int = DEFAULT_DPS) -> Remain
     Valid on |Re tau| <= Im tau <= sqrt(3)/8; arguments outside raise.
     """
     with mp.workdps(dps + GUARD):
-        tau_c = mp.mpc(tau)
-        _require_upper_half(tau_c)
+        tau_c = _require_upper_half(tau)
         x, y = mp.re(tau_c), mp.im(tau_c)
         if not abs(x) <= y:
             raise ValueError(f"need |Re tau| <= Im tau, got {tau}")
@@ -417,8 +417,7 @@ def false_theta_series_residual(params: StackParams, tau, dps: int = DEFAULT_DPS
     from summing the integer series termwise at q.  Returns the relative gap.
     """
     with mp.workdps(dps + GUARD):
-        tau = mp.mpc(tau)
-        _require_upper_half(tau)
+        tau = _require_upper_half(tau)
         q = mp.exp(2 * mp.pi * 1j * tau)
         t = params.shift
         via_false_theta = -mp.power(q, t) * false_theta(params.m, -(params.m + 2 * t), tau, dps=dps)
@@ -623,3 +622,124 @@ def circle_profile(ctx: ArcContext, grid: int = 720) -> CircleProfile:
     # real coefficients make the magnitude even in nu, and nus[grid - j] == -nus[j] exactly
     logs = half[:0:-1] + half
     return CircleProfile(params, n, kappa, ctx.rho, tuple(nus), tuple(logs))
+
+
+class Check(namedtuple("Check", "name ok measured tolerance detail")):
+    """One verify check.  A measured check passes when measured <= tolerance; a yes/no check has both None."""
+
+    __slots__ = ()
+
+
+def _measured(name: str, measured, tolerance, detail: str = "") -> Check:
+    return Check(name, measured <= tolerance, measured, tolerance, detail)
+
+
+def _sample_tau(rng: random.Random) -> mp.mpc:
+    return mp.mpc(rng.uniform(-0.4, 0.4), rng.uniform(0.08, 0.6))
+
+
+def _sample_w(rng: random.Random) -> mp.mpc:
+    return mp.mpc(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5))
+
+
+def _check_decomposition(params, dps, rng, order, ctx) -> list[Check]:
+    report = verify_decomposition(params, order)
+    detail = "coefficients agree exactly" if report.ok else f"{len(report.mismatches)} mismatched coefficients"
+    return [Check(f"decomposition {params} to order {order}", report.ok, None, None, detail)]
+
+
+def _check_theta(params, dps, rng, order, ctx) -> list[Check]:
+    worst_pair = mp.mpf(0)
+    worst_odd = mp.mpf(0)
+    for _ in range(4):
+        tau = _sample_tau(rng)
+        w = _sample_w(rng)
+        worst_pair = max(worst_pair, abs(theta_sum(w, tau, dps) - theta_product(w, tau, dps)))
+        # theta_sum(w, tau) again, as perfbench's hand count of 12 theta_sum calls expects
+        worst_odd = max(worst_odd, abs(theta_sum(-w, tau, dps) + theta_sum(w, tau, dps)))
+    tol = mp.mpf(10) ** (-dps)
+    return [
+        _measured("theta sum vs triple product (4 samples)", worst_pair, tol),
+        _measured("theta oddness in the elliptic variable", worst_odd, tol),
+    ]
+
+
+def _check_transform(params, dps, rng, order, ctx) -> list[Check]:
+    worst = max(theta_transform_residual(_sample_w(rng), _sample_tau(rng), dps) for _ in range(4))
+    return [_measured("theta modular transform (4 samples)", worst, mp.mpf(10) ** (-dps))]
+
+
+def _check_eta(params, dps, rng, order, ctx) -> list[Check]:
+    worst = max(eta_inversion_residual(_sample_tau(rng), dps) for _ in range(4))
+    # eta(i) = Gamma(1/4) / (2 pi^{3/4}), at the fixed point of tau -> -1/tau
+    with mp.workdps(dps + GUARD):
+        special = abs(dedekind_eta(mp.mpc(0, 1), dps) - mp.gamma(mp.mpf(1) / 4) / (2 * mp.pi ** mp.mpf("0.75")))
+    tol = mp.mpf(10) ** (-dps)
+    return [
+        _measured("eta inversion (4 samples)", worst, tol),
+        _measured("eta at the fixed point of the inversion", special, tol),
+    ]
+
+
+def _check_falsetheta(params, dps, rng, order, ctx) -> list[Check]:
+    worst = max(false_theta_series_residual(params, mp.mpc("0.01", y), dps) for y in ("0.10", "0.14", "0.18"))
+    a, b = params.m, -(params.m + 2 * params.shift)
+    worst_ratio = mp.mpf(0)
+    for y in map(mp.mpf, ("0.05", "0.12", "0.20")):
+        for xfrac in (mp.mpf(0), mp.mpf("0.5"), mp.mpf(-1)):
+            chk = cubic_remainder_check(a, b, mp.mpc(y * xfrac, y), dps)
+            worst_ratio = max(worst_ratio, chk.delta / chk.bound)
+    ratio_name = f"cubic remainder bound for indices ({a}, {b}) over 9 points"
+    return [
+        _measured("false theta vs integer series (3 points)", worst, mp.mpf(10) ** (-dps)),
+        _measured(ratio_name, worst_ratio, mp.mpf(1), "delta over bound"),
+    ]
+
+
+def _check_bessel(params, dps, rng, order, ctx) -> list[Check]:
+    with mp.workdps(dps + GUARD):
+        xs = [mp.mpf(x) for x in ("0.5", "3", "12", "30")]
+        worst_series = max(abs(bessel_i(nu, x, dps=dps) / mp.besseli(nu, x) - 1) for nu in range(4) for x in xs)
+        ratios = [bessel_i(nu, xs[-1], method="hankel", dps=dps) / bessel_i(nu, xs[-1], dps=dps) for nu in range(4)]
+        worst_hankel = max(abs(ratio - 1) for ratio in ratios)
+    return [
+        _measured("modified bessel series vs reference (orders 0..3)", worst_series, mp.mpf(10) ** (-(dps - 10))),
+        _measured("asymptotic bessel route at x = 30", worst_hankel, mp.mpf("1e-8")),
+    ]
+
+
+def _check_contour(params, dps, rng, order, ctx) -> list[Check]:
+    """The arc plus its tail against the one-term Bessel form, and where the integrand peaks."""
+    line = major_arc_integral(ctx) + contour_tail(ctx)
+    bessel_form = ctx.bessel_sum(singular_expansion_coeffs(params, max_order=0))
+    with mp.workdps(dps + GUARD):
+        gap = abs(line / mp.exp(bessel_form.ln_value) - 1)
+    prof = circle_profile(ctx, grid=CONTOUR_PROFILE_GRID)
+    argmax = f"argmax nu = {prof.argmax_nu:.4f}"
+    return [
+        _measured(f"restricted contour vs bessel closed form at n = {ctx.n}, rho = {ctx.rho}", gap, SIMPSON_RTOL),
+        Check("integrand maximum lies on the major arc", prof.major_arc_contains_max, None, None, argmax),
+    ]
+
+
+def _check_oracle(params, dps, rng, order, ctx) -> list[Check]:
+    ok = True
+    for pp in (StackParams(r, m) for r, m in ((1, 3), (1, 4), (2, 5), (3, 4), (3, 5))):
+        series = stack_gf(pp, 40)
+        ok &= all(series[n] == count_stacks(n, pp) for n in range(41))
+    return [Check("generating function vs direct enumeration to n = 40 (5 parameter pairs)", ok, None, None, "")]
+
+
+# The verify targets in run order, each a function (params, dps, rng, order,
+# ctx) -> [Check]: rng draws the sample points, order is the decomposition's
+# series order and ctx the contour's q = 1 arc (None for the other targets).
+VERIFY_CHECKS: dict[str, Callable[..., list[Check]]] = {
+    "decomposition": _check_decomposition,
+    "theta": _check_theta,
+    "transform": _check_transform,
+    "eta": _check_eta,
+    "falsetheta": _check_falsetheta,
+    "bessel": _check_bessel,
+    "contour": _check_contour,
+    "oracle": _check_oracle,
+}

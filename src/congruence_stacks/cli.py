@@ -31,7 +31,6 @@ from .asymptotics import (
     ComparisonRecord,
     _require_stacks,
     asymptotic_sum,
-    bessel_i,
     comparison_table,
     main_term,
     refined_main_term,
@@ -40,7 +39,7 @@ from .asymptotics import (
 from .bigfloat import DEFAULT_DPS
 from .oracle import ENUMERATION_CAP, count_stacks, enumerate_stacks
 from .params import StackParams
-from .qseries import stack_gf, verify_decomposition
+from .qseries import stack_gf
 
 MIN_PRECISION = 30
 DEFAULT_SEED = 20260815
@@ -63,16 +62,14 @@ MAX_PROFILE_WORK = 1_610_000
 # `decay` at 1183 digits (m = 3, z_min = 0.01) takes 7.5-11.7 s and 21 MB max
 # RSS, `verify all -P 1200` 14-18 s and 22 MB (same machine)
 MAX_DPS = 1200
-# grid of `verify contour`'s circle profile.  `verify` with the contour target
-# refuses an -n whose profile work is above MAX_PROFILE_WORK (n > 5 000 192)
-# or whose contour tail adds more than MAX_DPS digits to the working precision
-# (contour_tail_dps; at m = 3, n > 3 750 872, whatever -P).  At the largest
-# accepted n, `verify contour` takes 13 s at m = 3 and 19 s at m = 4 and
-# n = 5 000 192, 38 s at m = 3 and -P 1200, and 29 MB max RSS (same machine)
-CONTOUR_PROFILE_GRID = 720
-VERIFY_TARGETS = frozenset(
-    ["decomposition", "theta", "transform", "eta", "falsetheta", "bessel", "contour", "oracle"]
-)
+# `verify` targets in run order, the keys of analytic.VERIFY_CHECKS; the parser
+# lists them without importing analytic.  The contour target refuses an -n whose
+# circle profile has work above MAX_PROFILE_WORK (n > 5 000 192) or whose tail
+# adds more than MAX_DPS digits to the working precision (contour_tail_dps; at
+# m = 3, n > 3 750 872, whatever -P).  At the largest accepted n, `verify
+# contour` takes 13 s at m = 3 and 19 s at m = 4 and n = 5 000 192, 38 s at
+# m = 3 and -P 1200, and 29 MB max RSS (same machine)
+VERIFY_TARGETS = ("decomposition", "theta", "transform", "eta", "falsetheta", "bessel", "contour", "oracle")
 
 
 def _default_precision() -> int:
@@ -402,34 +399,13 @@ def cmd_asym(args: argparse.Namespace) -> int:
     return 0
 
 
-class _Suite:
-    """Collects PASS/FAIL lines for the verify subcommand."""
-
-    def __init__(self) -> None:
-        self.lines: list[str] = []
-        self.failures = 0
-
-    def check(self, name: str, measured, tolerance, detail: str = "") -> None:
-        self.check_flag(
-            f"{name}: measured {mp.nstr(mp.mpf(measured), 4)} vs tolerance {mp.nstr(mp.mpf(tolerance), 4)}",
-            measured <= tolerance,
-            detail,
-        )
-
-    def check_flag(self, name: str, ok: bool, detail: str = "") -> None:
-        if not ok:
-            self.failures += 1
-        status = "PASS" if ok else "FAIL"
-        extra = f"  ({detail})" if detail else ""
-        self.lines.append(f"{status}  {name}{extra}")
-
-
-def _sample_tau(rng: random.Random) -> mp.mpc:
-    return mp.mpc(rng.uniform(-0.4, 0.4), rng.uniform(0.08, 0.6))
-
-
-def _sample_w(rng: random.Random) -> mp.mpc:
-    return mp.mpc(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5))
+def _check_line(check) -> str:
+    """An analytic.Check as its PASS/FAIL line, with measured against tolerance and the detail if it has them."""
+    line = f"{'PASS' if check.ok else 'FAIL'}  {check.name}"
+    if check.measured is not None:
+        measured, tolerance = (mp.nstr(mp.mpf(value), 4) for value in (check.measured, check.tolerance))
+        line += f": measured {measured} vs tolerance {tolerance}"
+    return line + (f"  ({check.detail})" if check.detail else "")
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -438,19 +414,19 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
     params = StackParams(args.r, args.m)
     dps = _resolve_precision(args)
-    targets = set(args.targets or ["all"])
-    unknown = targets - VERIFY_TARGETS - {"all"}
+    requested = set(args.targets or ["all"])
+    unknown = requested.difference(VERIFY_TARGETS, {"all"})
     if unknown:
         raise ValueError(f"unknown verify target(s): {', '.join(sorted(unknown))}")
-    if "all" in targets:
-        targets = set(VERIFY_TARGETS)
+    targets = [target for target in VERIFY_TARGETS if target in requested or "all" in requested]
     if args.order > MAX_RECURRENCE_ORDER:
         raise ValueError(
             f"order {args.order} exceeds the recurrence bound MAX_RECURRENCE_ORDER = {MAX_RECURRENCE_ORDER}"
         )
+    ctx = None
     # the contour check's two size bounds, before any check runs
     if "contour" in targets:
-        _check_profile_work(CONTOUR_PROFILE_GRID, args.size)
+        _check_profile_work(analytic.CONTOUR_PROFILE_GRID, args.size)
         ctx = ArcContext.build(params, args.size, rho=args.rho, dps=dps)
         tail_dps = analytic.contour_tail_dps(ctx)
         if tail_dps - dps > MAX_DPS:
@@ -459,115 +435,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 f"{dps}, above the working-precision bound MAX_DPS = {MAX_DPS}"
             )
     rng = random.Random(args.seed)
-    suite = _Suite()
-    tol = mp.mpf(10) ** (-dps)
-
-    if "decomposition" in targets:
-        report = verify_decomposition(params, args.order)
-        suite.check_flag(
-            f"decomposition {params} to order {args.order}",
-            report.ok,
-            f"{len(report.mismatches)} mismatched coefficients"
-            if not report.ok
-            else "coefficients agree exactly",
-        )
-
-    if "theta" in targets:
-        worst_pair = mp.mpf(0)
-        worst_odd = mp.mpf(0)
-        for _ in range(4):
-            tau = _sample_tau(rng)
-            w = _sample_w(rng)
-            worst_pair = max(worst_pair, abs(analytic.theta_sum(w, tau, dps) - analytic.theta_product(w, tau, dps)))
-            worst_odd = max(worst_odd, abs(analytic.theta_sum(-w, tau, dps) + analytic.theta_sum(w, tau, dps)))
-        suite.check("theta sum vs triple product (4 samples)", worst_pair, tol)
-        suite.check("theta oddness in the elliptic variable", worst_odd, tol)
-
-    if "transform" in targets:
-        worst = mp.mpf(0)
-        for _ in range(4):
-            worst = max(worst, analytic.theta_transform_residual(_sample_w(rng), _sample_tau(rng), dps))
-        suite.check("theta modular transform (4 samples)", worst, tol)
-
-    if "eta" in targets:
-        worst = mp.mpf(0)
-        for _ in range(4):
-            worst = max(worst, analytic.eta_inversion_residual(_sample_tau(rng), dps))
-        suite.check("eta inversion (4 samples)", worst, tol)
-        with mp.workdps(dps + analytic.GUARD):
-            special = abs(
-                analytic.dedekind_eta(mp.mpc(0, 1), dps) - mp.gamma(mp.mpf(1) / 4) / (2 * mp.pi ** mp.mpf("0.75"))
-            )
-        suite.check("eta at the fixed point of the inversion", special, tol)
-
-    if "falsetheta" in targets:
-        worst = mp.mpf(0)
-        for y in ("0.10", "0.14", "0.18"):
-            tau = mp.mpc("0.01", y)
-            worst = max(worst, analytic.false_theta_series_residual(params, tau, dps))
-        suite.check("false theta vs integer series (3 points)", worst, tol)
-        a, b = params.m, -(params.m + 2 * params.shift)
-        worst_ratio = mp.mpf(0)
-        for y in ("0.05", "0.12", "0.20"):
-            for xfrac in (mp.mpf(0), mp.mpf("0.5"), mp.mpf(-1)):
-                tau = mp.mpc(mp.mpf(y) * xfrac, mp.mpf(y))
-                chk = analytic.cubic_remainder_check(a, b, tau, dps)
-                worst_ratio = max(worst_ratio, chk.delta / chk.bound)
-        suite.check(
-            f"cubic remainder bound for indices ({a}, {b}) over 9 points",
-            worst_ratio,
-            mp.mpf(1),
-            "delta over bound",
-        )
-
-    if "bessel" in targets:
-        worst_series = mp.mpf(0)
-        for order in range(4):
-            for x in ("0.5", "3", "12", "30"):
-                xv = mp.mpf(x)
-                with mp.workdps(dps + analytic.GUARD):
-                    ref = mp.besseli(order, xv)
-                    worst_series = max(worst_series, abs(bessel_i(order, xv, dps=dps) / ref - 1))
-        suite.check("modified bessel series vs reference (orders 0..3)", worst_series, mp.mpf(10) ** (-(dps - 10)))
-        worst_hankel = mp.mpf(0)
-        for order in range(4):
-            xv = mp.mpf(30)
-            with mp.workdps(dps + analytic.GUARD):
-                a_val = bessel_i(order, xv, method="hankel", dps=dps)
-                s_val = bessel_i(order, xv, method="series", dps=dps)
-                worst_hankel = max(worst_hankel, abs(a_val / s_val - 1))
-        suite.check("asymptotic bessel route at x = 30", worst_hankel, mp.mpf("1e-8"))
-
-    if "contour" in targets:
-        line = analytic.major_arc_integral(ctx) + analytic.contour_tail(ctx)
-        bessel_form = ctx.bessel_sum(singular_expansion_coeffs(params, max_order=0))
-        with mp.workdps(dps + analytic.GUARD):
-            gap = abs(line / mp.exp(bessel_form.ln_value) - 1)
-        suite.check(
-            f"restricted contour vs bessel closed form at n = {args.size}, rho = {args.rho}",
-            gap,
-            mp.mpf(analytic.SIMPSON_RTOL),
-        )
-        prof = analytic.circle_profile(ctx, grid=CONTOUR_PROFILE_GRID)
-        suite.check_flag(
-            "integrand maximum lies on the major arc",
-            prof.major_arc_contains_max,
-            f"argmax nu = {prof.argmax_nu:.4f}",
-        )
-
-    if "oracle" in targets:
-        ok = True
-        for pair in ((1, 3), (1, 4), (2, 5), (3, 4), (3, 5)):
-            pp = StackParams(*pair)
-            series = stack_gf(pp, 40)
-            for n in range(41):
-                if series[n] != count_stacks(n, pp):
-                    ok = False
-        suite.check_flag("generating function vs direct enumeration to n = 40 (5 parameter pairs)", ok)
-
-    text = "\n".join(suite.lines + [f"{suite.failures} failure(s)" if suite.failures else "all checks passed"])
-    _emit(text, args)
-    return 1 if suite.failures else 0
+    checks = [
+        check for target in targets for check in analytic.VERIFY_CHECKS[target](params, dps, rng, args.order, ctx)
+    ]
+    failures = sum(not check.ok for check in checks)
+    lines = [*map(_check_line, checks), f"{failures} failure(s)" if failures else "all checks passed"]
+    _emit("\n".join(lines), args)
+    return 1 if failures else 0
 
 
 def _check_profile_work(grid: int, size: int) -> None:
@@ -635,6 +509,9 @@ def cmd_decay(args: argparse.Namespace) -> int:
         if dps > MAX_DPS:
             raise ValueError(f"z_min = {min(zs)} needs {dps} digits at m = {m}, above MAX_DPS = {MAX_DPS}")
         families.append((m, params))
+    if all(isinstance(params, ValueError) for _, params in families):
+        reasons = "; ".join(f"m = {m}: {exc}" for m, exc in families)
+        raise ValueError(f"--moduli lists no modulus that forms a valid family with -r {args.r} ({reasons})")
     lines = [f"{'family':>18}  {'fitted':>10}  {'generic':>10}  {'ratio':>7}  {'points':>6}"]
     for m, params in families:
         label = f"(r={args.r}, m={m})"

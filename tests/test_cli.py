@@ -1,6 +1,7 @@
 import argparse
 import json
 import math
+import re
 
 import pytest
 
@@ -231,7 +232,72 @@ class TestAsym:
         assert code == 2
 
 
+# the check names `verify all` prints at the defaults, in run order, and the
+# slice of them each target prints alone
+VERIFY_ALL_NAMES = [
+    "decomposition (r=1, m=3, standard) to order 400",
+    "theta sum vs triple product (4 samples)",
+    "theta oddness in the elliptic variable",
+    "theta modular transform (4 samples)",
+    "eta inversion (4 samples)",
+    "eta at the fixed point of the inversion",
+    "false theta vs integer series (3 points)",
+    "cubic remainder bound for indices (3, -7) over 9 points",
+    "modified bessel series vs reference (orders 0..3)",
+    "asymptotic bessel route at x = 30",
+    "restricted contour vs bessel closed form at n = 200, rho = 0.9",
+    "integrand maximum lies on the major arc",
+    "generating function vs direct enumeration to n = 40 (5 parameter pairs)",
+]
+VERIFY_SLICES = {
+    "decomposition": slice(0, 1),
+    "theta": slice(1, 3),
+    "transform": slice(3, 4),
+    "eta": slice(4, 6),
+    "falsetheta": slice(6, 8),
+    "bessel": slice(8, 10),
+    "contour": slice(10, 12),
+    "oracle": slice(12, 13),
+}
+CHECK_LINE = re.compile(r"^(?:PASS|FAIL)  (.*?)(?:: measured .*|  \(.*\))?$")
+
+
+def check_names(out: str) -> list[str]:
+    """The name of each PASS/FAIL line: the text before ": measured" or the two-space detail."""
+    return [m.group(1) for m in map(CHECK_LINE.match, out.splitlines()) if m]
+
+
 class TestVerify:
+    def test_targets_are_the_check_table_in_run_order(self):
+        assert tuple(analytic.VERIFY_CHECKS) == cli.VERIFY_TARGETS
+        assert list(VERIFY_SLICES) == list(cli.VERIFY_TARGETS)
+        assert [name for part in VERIFY_SLICES.values() for name in VERIFY_ALL_NAMES[part]] == VERIFY_ALL_NAMES
+
+    def test_all_prints_every_check_name_in_order(self, capsys):
+        code, out, _ = run(capsys, "verify", "all")
+        assert code == 0
+        assert check_names(out) == VERIFY_ALL_NAMES
+        assert out.splitlines()[-1] == "all checks passed"
+
+    @pytest.mark.parametrize("target", list(VERIFY_SLICES))
+    def test_each_target_prints_its_slice_of_the_names(self, capsys, target):
+        code, out, _ = run(capsys, "verify", target)
+        assert code == 0
+        assert check_names(out) == VERIFY_ALL_NAMES[VERIFY_SLICES[target]]
+
+    def test_targets_run_in_table_order_whatever_the_command_line_order(self, capsys):
+        _, forward, _ = run(capsys, "verify", "theta", "oracle")
+        _, backward, _ = run(capsys, "verify", "oracle", "theta")
+        assert check_names(backward) == check_names(forward) == [*VERIFY_ALL_NAMES[1:3], VERIFY_ALL_NAMES[12]]
+        assert backward == forward
+
+    def test_help_lists_the_targets_sorted(self):
+        targets = next(a for a in _subcommands()["verify"]._actions if a.dest == "targets")
+        assert targets.help == (
+            "suites to run: bessel, contour, decomposition, eta, falsetheta, oracle, theta, transform, "
+            "or all (default all)"
+        )
+
     def test_oracle_target(self, capsys):
         code, out, _ = run(capsys, "verify", "oracle")
         assert code == 0
@@ -274,7 +340,7 @@ class TestVerify:
             raise AssertionError("a check ran although the order is refused")
 
         # decomposition is the first check of `verify all`, theta the first kernel
-        monkeypatch.setattr(cli, "verify_decomposition", refuse)
+        monkeypatch.setattr(analytic, "verify_decomposition", refuse)
         monkeypatch.setattr(analytic, "theta_sum", refuse)
         code, out, err = run(capsys, "verify", "--order", str(cli.MAX_RECURRENCE_ORDER + 1))
         assert code == 2
@@ -298,7 +364,7 @@ class TestVerify:
             raise AssertionError("a check ran although the size is refused")
 
         # decomposition is the first check of `verify all`, theta the first kernel
-        monkeypatch.setattr(cli, "verify_decomposition", refuse)
+        monkeypatch.setattr(analytic, "verify_decomposition", refuse)
         for name in ("theta_sum", "major_arc_integral", "contour_tail", "circle_profile"):
             monkeypatch.setattr(analytic, name, refuse)
         code, out, err = run(capsys, "verify", *argv)
@@ -448,6 +514,17 @@ class TestDecay:
             "        (r=1, m=7)     -5.6398     -5.6398   1.0000       6",
         ]
 
+    def test_no_valid_family_exit_2_before_any_fit(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a fit ran although no modulus forms a valid family")
+
+        monkeypatch.setattr(analytic, "product_decay_fit", refuse)
+        code, out, err = run(capsys, "decay", "-r", "2", "--moduli", "4,6")
+        assert code == 2
+        assert out == ""
+        assert "--moduli lists no modulus that forms a valid family with -r 2" in err
+        assert "r and m must be coprime" in err
+
     def test_invalid_modulus_skipped(self, capsys):
         code, out, _ = run(capsys, "decay", "-r", "2", "--moduli", "3,4", "--z-values", "0.3,0.2")
         assert code == 0
@@ -494,21 +571,21 @@ class TestDecay:
 
 
 @pytest.mark.parametrize(
-    "argv, first_work",
+    "argv, module, first_work",
     [
-        (["table", "--values", "10"], "comparison_table"),
-        (["asym", "-n", "100"], "main_term"),
-        (["verify", "decomposition"], "verify_decomposition"),
+        (["table", "--values", "10"], cli, "comparison_table"),
+        (["asym", "-n", "100"], cli, "main_term"),
+        (["verify", "decomposition"], analytic, "verify_decomposition"),
     ],
     ids=["table", "asym", "verify"],
 )
 @pytest.mark.parametrize("via_env", [False, True], ids=["option", "env"])
-def test_precision_above_the_bound_exit_2_before_any_work(capsys, monkeypatch, argv, first_work, via_env):
+def test_precision_above_the_bound_exit_2_before_any_work(capsys, monkeypatch, argv, module, first_work, via_env):
     def refuse(*args, **kwargs):
         raise AssertionError(f"{first_work} ran although the precision is refused")
 
     monkeypatch.setattr(cli, "MAX_DPS", 40)
-    monkeypatch.setattr(cli, first_work, refuse)
+    monkeypatch.setattr(module, first_work, refuse)
     if via_env:
         monkeypatch.setenv("CSTACKS_PRECISION", "41")
     else:

@@ -7,7 +7,7 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-from congruence_stacks.analytic import CircleProfile, DecayFit, RemainderCheck
+from congruence_stacks.analytic import Check, CircleProfile, DecayFit, RemainderCheck
 from congruence_stacks.asymptotics import ArcContext, ComparisonRecord
 from congruence_stacks.bigfloat import LogValue10
 from congruence_stacks.oracle import StackWitness
@@ -63,6 +63,12 @@ RECORDS = [
         {"a": 3, "b": -7, "tau": 0.1j, "delta": mp.mpf(1), "bound": mp.mpf(2)},
         {"a": 3, "b": -7, "tau": 0.2j, "delta": mp.mpf(1), "bound": mp.mpf(2)},
         "RemainderCheck(a=3, b=-7, tau=0.1j, delta=mpf('1.0'), bound=mpf('2.0'))",
+    ),
+    (
+        Check,
+        {"name": "eta inversion", "ok": True, "measured": mp.mpf(1), "tolerance": mp.mpf(2), "detail": ""},
+        {"name": "eta inversion", "ok": False, "measured": mp.mpf(3), "tolerance": mp.mpf(2), "detail": ""},
+        "Check(name='eta inversion', ok=True, measured=mpf('1.0'), tolerance=mpf('2.0'), detail='')",
     ),
     (
         CircleProfile,
