@@ -23,9 +23,11 @@ in complex fixed point, on Python integers in units of 2^-wp with wp a few
 bits above mp.prec, and convert back to one mpc at the end: no mpmath object
 per term.  Residual checks return mpf values; fits and profile reports come
 back as small named tuples.  Two routes run in doubles: circle_profile, which
-wants a float log magnitude, and the integrand of major_arc_integral, which in
-Wright's normalised variable is e^{2N} times a function of size at most 1; the
-factor e^{2N} is applied once, in mpf, and the error bound is stated there.
+wants a float log magnitude, and the whole arc quadrature of
+major_arc_integral (integrand, nodes and Simpson sums), whose integrand in
+Wright's normalised variable is e^{2N} times a function of size at most 1;
+the factor e^{2N} is applied once, in mpf, and the error bound is stated
+there.  contour_tail stays in mpf.
 
 The `cstacks verify` targets are the check functions of VERIFY_CHECKS, run in
 its order; each returns Check records, which cli only formats.
@@ -427,36 +429,32 @@ def false_theta_series_residual(params: StackParams, tau, dps: int = DEFAULT_DPS
         return abs(via_false_theta - direct) / abs(direct)
 
 
-def simpson_refine(f: Callable[[mp.mpf], mp.mpf | float], a, b) -> tuple[mp.mpf, tuple[mp.mpf, ...]]:
+def simpson_refine(f: Callable[[float], float], a, b) -> tuple[float, tuple[float, ...]]:
     """Composite Simpson with panel doubling until successive estimates agree.
 
-    The nodes are mpf and the sums are formed in mpf at the caller's
-    precision, so f may return mpf or float values.  Returns (value, history
-    of estimates).  Estimates are compared from MIN_DOUBLINGS on.  Raises
-    when MAX_DOUBLINGS cannot reach SIMPSON_RTOL; the integrands used here
-    are analytic, so failure indicates a misconfigured interval rather than
-    roughness.
+    a and b are converted to float, and the nodes a + i h are doubles.  Each
+    level's values are added with the builtin sum, so an f that returns mpf
+    values is summed in mpf at the caller's precision and an f that returns
+    floats stays in doubles.  Returns (value, history of estimates).
+    Estimates are compared from MIN_DOUBLINGS on.  Raises when MAX_DOUBLINGS
+    cannot reach SIMPSON_RTOL; the integrands used here are analytic, so
+    failure indicates a misconfigured interval rather than roughness.
     """
-    a = mp.mpf(a)
-    b = mp.mpf(b)
-    history: list[mp.mpf] = []
+    a = float(a)
+    b = float(b)
+    history: list[float] = []
     fa, fb = f(a), f(b)
     # interior sums are reused: odd points of level k become even points of k+1
-    even_sum = mp.mpf(0)
+    even_sum = 0.0
     panels = 1
-    prev = None
     for level in range(MAX_DOUBLINGS + 1):
         panels = 2 ** level
         h = (b - a) / panels
-        odd_sum = mp.mpf(0)
-        for i in range(1, panels, 2):
-            odd_sum += f(a + i * h)
+        odd_sum = sum(map(f, [a + i * h for i in range(1, panels, 2)]))
         estimate = h / 3 * (fa + fb + 2 * even_sum + 4 * odd_sum)
         history.append(estimate)
-        if prev is not None and level >= MIN_DOUBLINGS:
-            if abs(estimate - prev) <= mp.mpf(SIMPSON_RTOL) * abs(estimate):
-                return estimate, tuple(history)
-        prev = estimate
+        if level >= MIN_DOUBLINGS and abs(estimate - history[-2]) <= SIMPSON_RTOL * abs(estimate):
+            return estimate, tuple(history)
         even_sum += odd_sum
     raise ValueError(f"Simpson refinement did not converge after {panels} panels")
 
@@ -475,27 +473,28 @@ def major_arc_integral(ctx: ArcContext) -> mp.mpf:
 
         (P/2)/(2 pi) 2 kappa e^{2N} int_0^rho e^{-N u} cos(N t u) dt,
 
-    with an integrand of size at most 1.  The integrand runs in doubles and the
-    factor in front once, in mpf.  A priori, the exponent N u and the phase
-    N t u carry an absolute error of about N 2^-52 at a node.  Each is a few
-    roundings of size 2^-53 relative, though, so the node's error is a few
-    2^-53 times (N u + N t u) e^{-N u} <= (1 + rho)/e, and it is small
-    relative to the integral wherever the integrand is not negligible: the
-    value agrees with the 65-digit complex integrand in nu to 6.3e-17 relative
-    for every coprime (r, m) with m <= 12 at n = 50, 200 and 1000, and for
-    (1, 3) and (5, 12) at n = 20000 and 10^6, with the same Simpson levels
-    (tests/test_analytic.py).
+    with an integrand of size at most 1.  The integrand, its nodes and the
+    Simpson sums run in doubles, and the factor in front once, in mpf.  A
+    priori, the exponent N u and the phase N t u carry an absolute error of
+    about N 2^-52 at a node.  Each is a few roundings of size 2^-53 relative,
+    though, so the node's error is a few 2^-53 times
+    (N u + N t u) e^{-N u} <= (1 + rho)/e, and it is small relative to the
+    integral wherever the integrand is not negligible; the double sums over
+    up to 2^MAX_DOUBLINGS nodes add a few units of 2^-53 per level.  The
+    value agrees with the 65-digit complex integrand in nu to 1.1e-15
+    relative for every coprime (r, m) with m <= 12 at n = 50, 200 and 1000,
+    and for (1, 3) and (5, 12) at n = 20000 and 10^6, with the same Simpson
+    levels (tests/test_analytic.py).
     """
     scale = float(ctx.scale)
 
-    def integrand(t) -> float:
-        t = float(t)
+    def integrand(t: float) -> float:
         u = t * t / (1 + t * t)
         return math.exp(-scale * u) * math.cos(scale * t * u)
 
+    # even in t, so integrate the half arc
+    half, _ = simpson_refine(integrand, 0, ctx.rho)
     with mp.workdps(ctx.dps + GUARD):
-        # even in t, so integrate the half arc
-        half, _ = simpson_refine(integrand, mp.mpf(0), ctx.rho)
         return ctx.prefactor / (4 * mp.pi) * 2 * ctx.kappa * mp.exp(2 * ctx.scale) * half
 
 

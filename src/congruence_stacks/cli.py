@@ -52,6 +52,10 @@ MAX_RECURRENCE_ORDER = 10**4
 # largest `asym --exact` size for the O(n^2) direct count count_stacks; there
 # `asym --exact` takes 4.6-4.9 s and 21 MB max RSS (same machine)
 MAX_DIRECT_COUNT_SIZE = 10**4
+# largest `asym --full` size: its Bessel series grow with n and with -P.  There
+# `asym --full --terms 16` takes 0.8 s and `asym --full --terms 16 -P 1200` 17 s,
+# 20 MB max RSS (same machine); `asym` without --full stays unbounded (0.1-0.2 s at 10^10)
+MAX_EXPANSION_SIZE = 10**7
 # largest `profile` work grid * sqrt(n), which its cost follows: the largest
 # run the former grid bound of 72 000 allowed at the default n = 500.  There
 # `profile` takes 7.5-11 s and 27 MB max RSS (same machine); n = 10^6 at the
@@ -202,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_asym.add_argument(
         "--full",
         action="store_true",
-        help="include the refined term and the multi-term expansion",
+        help=f"include the refined term and the multi-term expansion (only for n <= {MAX_EXPANSION_SIZE})",
     )
     p_asym.add_argument(
         "--terms",
@@ -341,6 +345,8 @@ def cmd_asym(args: argparse.Namespace) -> int:
         raise ValueError(
             f"size {n} exceeds the direct-count bound of --exact MAX_DIRECT_COUNT_SIZE = {MAX_DIRECT_COUNT_SIZE}"
         )
+    if args.full and n > MAX_EXPANSION_SIZE:
+        raise ValueError(f"size {n} exceeds the expansion bound of --full MAX_EXPANSION_SIZE = {MAX_EXPANSION_SIZE}")
     x = main_term(params, n, dps=dps)
     rows: list[tuple[str, str]] = [("main term", x.format(6))]
     data: dict[str, object] = {

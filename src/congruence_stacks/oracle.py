@@ -2,9 +2,12 @@
 
 A stack of n is a unimodal sequence summing to n: nondecreasing left parts,
 a peak, nonincreasing right parts, where every copy of the maximum is kept on
-the left of the split (right parts are strictly below the peak).  In
-congruence mode the peak and left parts lie in r mod m and the right parts in
--r mod m; in plain mode (params=None) parts are unrestricted.
+the left of the split (right parts are strictly below the peak).  A family is
+read as three numbers (first peak, step, first right part): peaks and left
+parts run first, first + step, ..., right parts first right part, first right
+part + step, ...  A congruence family (r, m) is (r, m, m - r), so peak and left
+parts lie in r mod m and right parts in -r mod m; the plain stacks
+(params=None), with unrestricted parts, are the family (1, 1, 1).
 
 count_stacks is a bounded-knapsack dynamic program; enumerate_stacks lists
 the witnesses themselves.  Both implement the definition directly so they can
@@ -63,51 +66,31 @@ class StackWitness(namedtuple("StackWitness", "left peak right")):
                 raise ValueError(f"right part {p} not in {m - r} mod {m}")
 
 
+def _family(params: StackParams | None) -> tuple[int, int, int]:
+    """(first peak, step, first right part) of the family; plain stacks are (1, 1, 1)."""
+    if params is None:
+        return 1, 1, 1
+    return params.r, params.m, params.m - params.r
+
+
 def count_stacks(n: int, params: StackParams | None = None) -> int:
     """Number of stacks of n (congruence mode when params given, else plain)."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if n == 0:
-        return 0
-    if params is None:
-        return _count_plain(n)
-    return _count_congruence(n, params)
-
-
-def _count_plain(n: int) -> int:
-    # table[j]: partitions of j into parts <= c, grown one part bound at a time
-    table = [1] + [0] * n
-    total = 0
-    for c in range(1, n + 1):
-        prev = table.copy()  # parts <= c - 1, for the right side
-        for j in range(c, n + 1):
-            table[j] += table[j - c]
-        rem = n - c
-        total += sum(table[a] * prev[rem - a] for a in range(rem + 1))
-    return total
-
-
-def _count_congruence(n: int, params: StackParams) -> int:
-    m, r = params.m, params.r
+    first, step, next_right = _family(params)
     left = [1] + [0] * n    # partitions into left parts admitted so far
     right = [1] + [0] * n   # partitions into right parts admitted so far
-    largest_right = 0
     total = 0
-    k = 0
-    while params.peak(k) <= n:
-        peak = params.peak(k)
+    for peak in range(first, n + 1, step):
         # peaks grow, so no later step reads either table above this rem
         rem = n - peak
         for j in range(peak, rem + 1):
             left[j] += left[j - peak]
-        v = largest_right + m if largest_right else m - r
-        while v < peak:
-            for j in range(v, rem + 1):
-                right[j] += right[j - v]
-            largest_right = v
-            v += m
+        while next_right < peak:  # admit the right parts below this peak
+            for j in range(next_right, rem + 1):
+                right[j] += right[j - next_right]
+            next_right += step
         total += sum(map(mul, left[:rem + 1], right[rem::-1]))
-        k += 1
     return total
 
 
@@ -117,31 +100,18 @@ def enumerate_stacks(n: int, params: StackParams | None = None) -> list[StackWit
         raise ValueError("n must be nonnegative")
     if n > ENUMERATION_CAP:
         raise ValueError(f"explicit enumeration capped at n <= {ENUMERATION_CAP}")
+    first, step, first_right = _family(params)
     out: list[StackWitness] = []
-    for peak in _admissible_peaks(n, params):
+    for peak in range(first, n + 1, step):
         rem = n - peak
-        if params is None:
-            left_parts = list(range(1, peak + 1))
-            right_parts = list(range(1, peak))
-        else:
-            left_parts = list(range(params.r, peak + 1, params.m))
-            right_parts = list(range(params.m - params.r, peak, params.m))
+        left_parts = list(range(first, peak + 1, step))
+        right_parts = list(range(first_right, peak, step))
         for a in range(rem + 1):
             for lhs in _partitions(a, left_parts):
                 ascending = tuple(reversed(lhs))
                 for rhs in _partitions(rem - a, right_parts):
                     out.append(StackWitness(ascending, peak, rhs))
     return out
-
-
-def _admissible_peaks(n: int, params: StackParams | None) -> Iterator[int]:
-    if params is None:
-        yield from range(1, n + 1)
-    else:
-        k = 0
-        while params.peak(k) <= n:
-            yield params.peak(k)
-            k += 1
 
 
 def _partitions(total: int, parts: list[int]) -> Iterator[tuple[int, ...]]:

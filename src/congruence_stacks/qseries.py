@@ -182,9 +182,9 @@ def stack_gf(params: StackParams, order: int) -> TruncatedSeries:
 def stack_recurrence(params: StackParams, order: int) -> TruncatedSeries:
     """The stack series summed over the peaks; an oracle for stack_gf.
 
-    The k-th summand is accumulated from a running product over the inverse
+    Each peak's summand is accumulated from a running product over the inverse
     factors (1 - q^e)^(-1); factors and accumulation are capped at the
-    shrinking window order - peak(k), which keeps the whole construction at
+    shrinking window order - peak, which keeps the whole construction at
     O(order^2 / m) integer additions.
     """
     if order < 0:
@@ -192,9 +192,7 @@ def stack_recurrence(params: StackParams, order: int) -> TruncatedSeries:
     acc = [0] * (order + 1)
     prod = [0] * (order + 1)
     prod[0] = 1
-    k = 0
-    while params.peak(k) <= order:
-        peak = params.peak(k)
+    for peak in range(params.r, order + 1, params.m):
         hi = order - peak
         _inv_one_minus_inplace(prod, peak, hi)
         right = peak - params.shift
@@ -203,7 +201,6 @@ def stack_recurrence(params: StackParams, order: int) -> TruncatedSeries:
         for i in range(hi + 1):
             if prod[i]:
                 acc[i + peak] += prod[i]
-        k += 1
     return TruncatedSeries(tuple(acc))
 
 

@@ -205,6 +205,26 @@ class TestAsym:
         assert out == ""
         assert f"MAX_DIRECT_COUNT_SIZE = {cli.MAX_DIRECT_COUNT_SIZE}" in err
 
+    def test_full_above_the_expansion_bound_exit_2_before_any_work(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the expansion started although the size is refused")
+
+        monkeypatch.setattr(cli, "main_term", refuse)
+        monkeypatch.setattr(cli.ArcContext, "build", refuse)
+        code, out, err = run(capsys, "asym", "-n", "10000001", "--full")
+        assert code == 2
+        assert out == ""
+        assert "MAX_EXPANSION_SIZE = 10000000" in err
+
+    def test_largest_full_size_stays_within_the_bound(self, monkeypatch):
+        # stop at the first piece of work: only the bound check runs
+        def started(*args, **kwargs):
+            raise RuntimeError("main term started")
+
+        monkeypatch.setattr(cli, "main_term", started)
+        with pytest.raises(RuntimeError, match="main term started"):
+            main(["asym", "-n", "10000000", "--full"])
+
     def test_exact_with_no_stacks_exit_2(self, capsys):
         # (2, 3) has no stack of size 1: the peak alone is 2
         code, out, err = run(capsys, "asym", "-n", "1", "-r", "2", "-m", "3", "--exact")

@@ -55,12 +55,34 @@ class TestWitness:
             w.check_congruence(StackParams(2, 5))
 
 
+def _plain_stack_series(order):
+    """sum_{c>=1} q^c / ((q;q)_c (q;q)_{c-1}) through q^order, built densely.
+
+    The peak c contributes q^c, left parts <= c give 1/(q;q)_c and right parts
+    < c give 1/(q;q)_{c-1}.
+    """
+    series = [0] * (order + 1)
+    inverse = [1] + [0] * order  # 1/((q;q)_c (q;q)_{c-1}), one c at a time
+    for c in range(1, order + 1):
+        for part in filter(None, (c, c - 1)):  # (q;q)_0 = 1 adds no factor
+            for j in range(part, order + 1):
+                inverse[j] += inverse[j - part]
+        for j in range(order + 1 - c):
+            series[j + c] += inverse[j]
+    return series
+
+
 class TestPlainCounts:
     def test_first_values(self):
         assert [count_stacks(n) for n in range(11)] == [0, 1, 2, 4, 8, 15, 27, 47, 79, 130, 209]
 
     def test_figure_example(self):
         assert count_stacks(4) == 8
+
+    def test_matches_the_generating_function(self):
+        series = _plain_stack_series(300)
+        for n in [*range(61), 100, 200, 300]:
+            assert count_stacks(n) == series[n], n
 
     def test_enumeration_matches_counts(self):
         for n in range(1, 13):
