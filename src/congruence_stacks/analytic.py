@@ -23,7 +23,8 @@ in complex fixed point, on Python integers in units of 2^-wp with wp a few
 bits above mp.prec, and convert back to one mpc at the end: no mpmath object
 per term.  Residual checks return mpf values; fits and profile reports come
 back as small named tuples.  Two routes run in doubles: circle_profile, which
-wants a float log magnitude, and the whole arc quadrature of
+wants a float log magnitude and sums the far factors of F as a Lambert
+series, and the whole arc quadrature of
 major_arc_integral (integrand, nodes and Simpson sums), whose integrand in
 Wright's normalised variable is e^{2N} times a function of size at most 1;
 the factor e^{2N} is applied once, in mpf, and the error bound is stated
@@ -41,7 +42,7 @@ import random
 from collections import namedtuple
 from collections.abc import Callable, Sequence
 from itertools import repeat
-from operator import mul
+from operator import add, mul, truediv
 
 import mpmath as mp
 
@@ -56,6 +57,7 @@ PEAK_HALFWIDTH = 0.35  # half-width in nu of the window searched for each root-o
 MIN_DOUBLINGS = 4  # Simpson levels run before a converged-looking pair is trusted
 MAX_DOUBLINGS = 18  # Simpson levels after which refinement gives up
 SIMPSON_RTOL = 1e-10  # relative agreement of successive Simpson estimates
+PROFILE_HEAD_FLOOR = 1e-2  # circle_profile sums F's factors with |q^k| >= this one by one, the rest in closed form
 CONTOUR_PROFILE_GRID = 720  # grid of the contour check's circle profile
 
 
@@ -587,37 +589,94 @@ class CircleProfile(namedtuple("CircleProfile", "params n kappa rho nus log_magn
         return out
 
 
+def _lambert_split(params: StackParams, kappa: float) -> tuple[list[range], list[int], int]:
+    """circle_profile's split of F's factors 1 - q^k, |q| = e^{-kappa}, into head and tail.
+
+    Returns the head's exponents in each class s of k = s mod m, s = r and
+    m - r (the k with |q^k| >= PROFILE_HEAD_FLOOR), the first exponent k_s
+    past the head in each class, and the number J of Lambert terms the tail
+    takes.  With x = |q^{k_s}| < PROFILE_HEAD_FLOOR, the larger of the two,
+    and |1 - q^{jm}| >= 1 - |q|^{jm}, whose product with j grows with j, the
+    terms of both classes past J sum to at most
+    2 x^{J+1} / ((J + 1)(1 - |q|^{(J+1) m})(1 - x)); J is the least that puts
+    this below 1e-17, the cut the profile makes in L.
+    """
+    m = params.m
+    last = int(math.log(1 / PROFILE_HEAD_FLOOR) / kappa)
+    heads = [range(s, last + 1, m) for s in (params.r, m - params.r)]
+    firsts = [head.start + m * len(head) for head in heads]
+    x = math.exp(-min(firsts) * kappa)
+    terms = 0
+    while 2 * x ** (terms + 1) / ((terms + 1) * -math.expm1(-(terms + 1) * m * kappa) * (1 - x)) > 1e-17:
+        terms += 1
+    return heads, firsts, terms
+
+
 def circle_profile(ctx: ArcContext, grid: int = 720) -> CircleProfile:
     """Sample log |F L q^{-n}| in doubles at grid+1 angles nu = pi (2j - grid)/grid.
 
     grid must be even so nu = 0 is sampled exactly.  The result does not
-    depend on ctx.dps.  log |F| is summed factor by factor, because |F|
-    itself leaves double range once n reaches a few 10^5.  Only nu >= 0 is
-    evaluated; nu < 0 is its mirror image.
+    depend on ctx.dps.  log |F| is a sum of logs, because |F| itself leaves
+    double range once n reaches a few 10^5.  Its head, the factors with
+    |q^k| >= PROFILE_HEAD_FLOOR, is summed factor by factor; in each class of
+    exponents the factors from k_s on, the first past the head, make up the
+    Lambert series
+
+        -sum_{k >= k_s, k = k_s mod m} log |1 - q^k| = Re sum_{j >= 1} (1/j) q^{j k_s} / (1 - q^{jm}),
+
+    cut after the J terms _lambert_split picks.  Only nu >= 0 is evaluated;
+    nu < 0 is its mirror image.
+
+    Error, measured over every coprime (r, m) with m <= 12: the samples
+    differ from the sum over every factor of F (to the cut of L) by at most
+    2.1e-15 times max(1, principal_log) for n <= 10^6, and 5.8e-15 times it
+    at n = 5 10^6; tests/test_analytic.py holds them to 4e-15 and 1e-14.
+    The rounding of the tail's phases j k_s nu sets this, and it grows about
+    like sqrt(n).  Against 30-digit mpmath kernels, at the roots of unity
+    too, where 1 - q^{jm} is smallest, the samples err by at most 1.0e-14
+    at n = 200, 1.4e-12 at n = 2 10^4 and 8.8e-11 at n = 10^6, as the sum
+    over every factor does; the largest errors come from L's sum, which
+    cancels where |L| is small.
     """
     if grid < 8 or grid % 2:
         raise ValueError("grid must be even and at least 8")
     params, n, kappa = ctx.params, ctx.n, float(ctx.kappa)
-    top = _factor_count(kappa / (2 * math.pi), 17)  # the dropped tail sits below a double's rounding
+    m = params.m
+    top = _factor_count(kappa / (2 * math.pi), 17)  # L's dropped terms sit below a double's rounding
     l_terms = false_theta_gf(params, top)
     l_exps = [e for e, _ in l_terms]
     signs = [sign for _, sign in l_terms]
-    f_exps = [e for start in (params.r, params.m - params.r) for e in range(start, top + 1, params.m)]
+    heads, firsts, terms = _lambert_split(params, kappa)
+    f_exps = [e for head in heads for e in head]
     # |1 - e^{a + ib}| = hypot(expm1(a), 2 e^{a/2} sin(b/2)) keeps every digit near q = 1
     ds = [math.expm1(-e * kappa) for e in f_exps]
     ss = [2 * math.exp(-e * kappa / 2) for e in f_exps]
     # float * float below, not int * float's slower path; exact, e < 2^53
     f_exps = list(map(float, f_exps))
+    js = range(1, terms + 1)
+    r_exps, mr_exps = ([float(j * k) for j in js] for k in firsts)
+    jms = [float(j * m) for j in js]
+    # j (1 - q^{jm}) = j (1 - |q|^{jm}) + 2j |q|^{jm} sin(b/2)^2 - 2ij |q|^{jm} sin(b/2) cos(b/2), b = jm nu:
+    # its real part adds two terms >= 0, so no digit cancels near a root of unity
+    jc1 = [-j * math.expm1(-j * m * kappa) for j in js]
+    jc2 = [2 * j * math.exp(-j * m * kappa) for j in js]
+    jc2_neg = [-c for c in jc2]
     nus = [math.pi * (2 * j - grid) / grid for j in range(grid + 1)]
     half = []
-    # per angle, C-level map chains over the terms of L and the factors of F;
-    # e (nu / 2) equals e nu / 2 bit for bit, halving being exact
+    # per angle, C-level map chains over the terms of L, the head of F and the
+    # tail's terms; e (nu / 2) equals e nu / 2 bit for bit, halving being exact
     for nu in nus[grid // 2:]:
         z = complex(-kappa, nu)
         mag = abs(sum(map(mul, signs, map(cmath.exp, map(mul, l_exps, repeat(z))))))
-        sines = map(math.sin, map(mul, f_exps, repeat(nu / 2)))
-        log_f = -math.fsum(map(math.log, map(math.hypot, ds, map(mul, ss, sines))))
-        half.append(math.log(mag) + log_f + n * kappa if mag else -math.inf)
+        half_nu = nu / 2
+        sines = map(math.sin, map(mul, f_exps, repeat(half_nu)))
+        head = math.fsum(map(math.log, map(math.hypot, ds, map(mul, ss, sines))))
+        s = list(map(math.sin, map(mul, jms, repeat(half_nu))))
+        c = map(math.cos, map(mul, jms, repeat(half_nu)))
+        dens = map(complex, map(add, jc1, map(mul, jc2, map(mul, s, s))), map(mul, jc2_neg, map(mul, s, c)))
+        nums = map(add, map(cmath.exp, map(mul, r_exps, repeat(z))), map(cmath.exp, map(mul, mr_exps, repeat(z))))
+        tail = sum(map(truediv, nums, dens)).real
+        half.append(math.log(mag) + (tail - head) + n * kappa if mag else -math.inf)
     # real coefficients make the magnitude even in nu, and nus[grid - j] == -nus[j] exactly
     logs = half[:0:-1] + half
     return CircleProfile(params, n, kappa, ctx.rho, tuple(nus), tuple(logs))

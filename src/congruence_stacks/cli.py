@@ -56,10 +56,12 @@ MAX_DIRECT_COUNT_SIZE = 10**4
 # `asym --full --terms 16` takes 0.8 s and `asym --full --terms 16 -P 1200` 17 s,
 # 20 MB max RSS (same machine); `asym` without --full stays unbounded (0.1-0.2 s at 10^10)
 MAX_EXPANSION_SIZE = 10**7
-# largest `profile` work grid * sqrt(n), which its cost follows: the largest
-# run the former grid bound of 72 000 allowed at the default n = 500.  There
-# `profile` takes 7.5-11 s and 27 MB max RSS (same machine); n = 10^6 at the
-# default grid (work 7.2e5) takes 4.7 s
+# largest `profile` work grid * max(1, sqrt(n)): the largest run the former
+# grid bound of 72 000 allowed at the default n = 500.  Each angle costs a
+# fixed part and a part growing like sqrt(n), so n = 0 at grid 1 610 000 is
+# the costliest run the bound allows, 8.8 s and 156 MB max RSS; grid 72 000
+# at n = 500 takes 1.4 s, n = 5 000 192 at the default grid 0.8 s and
+# n = 10^6 at the default grid (work 7.2e5) 0.5 s (same machine)
 MAX_PROFILE_WORK = 1_610_000
 # largest working precision of every command: -P, CSTACKS_PRECISION and
 # `decay`'s 8 pi^2/(m z_min log 10) + 40 digits.  Costs grow steeply with it:
@@ -71,8 +73,8 @@ MAX_DPS = 1200
 # circle profile has work above MAX_PROFILE_WORK (n > 5 000 192) or whose tail
 # adds more than MAX_DPS digits to the working precision (contour_tail_dps; at
 # m = 3, n > 3 750 872, whatever -P).  At the largest accepted n, `verify
-# contour` takes 13 s at m = 3 and 19 s at m = 4 and n = 5 000 192, 38 s at
-# m = 3 and -P 1200, and 29 MB max RSS (same machine)
+# contour` takes 5.2 s at m = 3 and 6.7 s at m = 4 and n = 5 000 192, 18 s at
+# m = 3 and -P 1200, and 21 MB max RSS (same machine)
 VERIFY_TARGETS = ("decomposition", "theta", "transform", "eta", "falsetheta", "bessel", "contour", "oracle")
 
 
@@ -249,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--grid",
         type=int,
         default=720,
-        help=f"angular sample count, even (default 720); grid * sqrt(n) is at most {MAX_PROFILE_WORK}",
+        help=f"angular sample count, even (default 720); grid * max(1, sqrt(n)) is at most {MAX_PROFILE_WORK}",
     )
     p_profile.add_argument("--format", choices=["text", "csv"], default="text", help="csv lists every sample")
     p_profile.set_defaults(func=cmd_profile)
@@ -451,11 +453,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _check_profile_work(grid: int, size: int) -> None:
-    """Refuse a circle profile whose work grid * sqrt(n) is above MAX_PROFILE_WORK."""
-    work = grid * math.sqrt(max(size, 0))
+    """Refuse a circle profile whose work grid * max(1, sqrt(n)) is above MAX_PROFILE_WORK.
+
+    Each of the grid / 2 + 1 angles costs at least a few terms whatever n,
+    so n <= 1 counts as 1.
+    """
+    work = grid * max(1.0, math.sqrt(max(size, 0)))
     if work > MAX_PROFILE_WORK:
         raise ValueError(
-            f"grid * sqrt(n) = {grid} * sqrt({size}) = {work:.0f} exceeds the profile bound "
+            f"grid * max(1, sqrt(n)) = {grid} * max(1, sqrt({size})) = {work:.0f} exceeds the profile bound "
             f"MAX_PROFILE_WORK = {MAX_PROFILE_WORK}"
         )
 

@@ -51,9 +51,5 @@ class StackParams(namedtuple("StackParams", "r m")):
         """t = 2r mod m, a peak minus the largest right part below it."""
         return 2 * self.r % self.m
 
-    def peak(self, k: int) -> int:
-        """k-th admissible peak value, k >= 0."""
-        return k * self.m + self.r
-
     def __str__(self) -> str:
         return f"(r={self.r}, m={self.m}, {self.variant})"

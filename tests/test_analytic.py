@@ -5,7 +5,7 @@ from itertools import islice
 
 import mpmath as mp
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from congruence_stacks import analytic
@@ -468,8 +468,12 @@ class TestContourTail:
                 assert abs(gamma / mp.gammainc(1 - k, x) - 1) < mp.mpf("1e-45")
 
 
-def _per_factor_reference(params, n, kappa):
-    """log |F L q^{-n}| at angle nu, in doubles, one generator term per factor of F and term of L."""
+def _all_factor_reference(params, n, kappa):
+    """log |F L q^{-n}| at angle nu, in doubles, one generator term per factor of F and term of L.
+
+    Every factor of F up to the cut of L, with no closed-form tail: the sum
+    circle_profile's head and Lambert tail are held to.
+    """
     top = analytic._factor_count(kappa / (2 * math.pi), 17)
     l_terms = false_theta_gf(params, top)
     exponents = [e for start in (params.r, params.m - params.r) for e in range(start, top + 1, params.m)]
@@ -482,6 +486,46 @@ def _per_factor_reference(params, n, kappa):
         return math.log(mag) + log_f + n * kappa
 
     return log_magnitude
+
+
+def _head_tail_reference(params, n, kappa):
+    """circle_profile's formula at angle nu, one generator term per term of L, head factor and tail term."""
+    m = params.m
+    l_terms = false_theta_gf(params, analytic._factor_count(kappa / (2 * math.pi), 17))
+    heads, firsts, terms = analytic._lambert_split(params, kappa)
+    f_factors = [(e, math.expm1(-e * kappa), 2 * math.exp(-e * kappa / 2)) for head in heads for e in head]
+
+    def log_magnitude(nu):
+        z = complex(-kappa, nu)
+        mag = abs(sum(sign * cmath.exp(e * z) for e, sign in l_terms))
+        head = math.fsum(math.log(math.hypot(d, s * math.sin(e * nu / 2))) for e, d, s in f_factors)
+        tail = 0
+        for j in range(1, terms + 1):
+            # j (1 - q^{jm}), with its real part a sum of two terms >= 0
+            c1 = -j * math.expm1(-j * m * kappa)
+            c2 = 2 * j * math.exp(-j * m * kappa)
+            s, c = math.sin(j * m * nu / 2), math.cos(j * m * nu / 2)
+            den = complex(c1 + c2 * (s * s), -c2 * (s * c))
+            tail += (cmath.exp(j * firsts[0] * z) + cmath.exp(j * firsts[1] * z)) / den
+        return math.log(mag) + (tail.real - head) + n * kappa
+
+    return log_magnitude
+
+
+def _all_factor_bound(n):
+    """circle_profile's stated distance from _all_factor_reference, in units of max(1, principal_log)."""
+    return 4e-15 if n <= 1_000_000 else 1e-14
+
+
+PROFILE_CASES = [
+    (P13, 200, 720),
+    (StackParams(2, 3), 200, 72),
+    (StackParams(3, 5), 1000, 8),
+    (StackParams(5, 12), 30, 8),
+    (StackParams(1, 7), 2000, 120),
+    (StackParams(7, 11), 2, 16),
+    (P13, 600_000, 8),
+]
 
 
 @pytest.fixture(scope="module")
@@ -508,6 +552,14 @@ class TestCircleProfile:
             (P13, 600_000, 8, (4, 1)),
             # a gap pair, where t = 2r - m
             (StackParams(2, 3), 200, 72, (0, 24, 36, 7)),
+            # the roots of unity nu = 2 pi l/m, l >= 0 (nu < 0 is the mirror image),
+            # where 1 - q^{jm} in the tail of F is smallest: grid 2m puts l on m + 2l
+            (StackParams(1, 7), 20_000, 14, (7, 9, 11, 13)),
+            (StackParams(5, 12), 20_000, 24, (12, 14, 16, 18, 20, 22, 24)),
+            (StackParams(1, 7), 1_000_000, 14, (7, 9, 11, 13)),
+            (StackParams(5, 12), 1_000_000, 24, (12, 14, 16, 18, 20, 22, 24)),
+            # grid 72 puts nu = 0, 2 pi/3 and pi on index 36, 60 and 72
+            (P13, 1_000_000, 72, (36, 60, 72, 7)),
         ]
         for params, n, grid, indices in cases:
             prof = circle_profile(ArcContext.build(params, n, rho=0.5, dps=12), grid=grid)
@@ -526,31 +578,48 @@ class TestCircleProfile:
     def test_mirrored_half_equals_the_per_angle_loop(self, params, n, grid):
         # nu < 0 is mirrored from nu > 0; here each such angle is evaluated as nu >= 0 is
         prof = circle_profile(ArcContext.build(params, n, rho=0.5, dps=12), grid=grid)
-        reference = _per_factor_reference(params, n, prof.kappa)
+        reference = _head_tail_reference(params, n, prof.kappa)
         for j in range(grid // 2):
             nu = prof.nus[j]
             assert nu < 0
             assert prof.log_magnitudes[j] == reference(nu), (params, n, j)
 
-    @pytest.mark.parametrize(
-        "params, n, grid",
-        [
-            (P13, 200, 720),
-            (StackParams(2, 3), 200, 72),
-            (StackParams(3, 5), 1000, 8),
-            (StackParams(5, 12), 30, 8),
-            (StackParams(1, 7), 2000, 120),
-            (StackParams(7, 11), 2, 16),
-            (P13, 600_000, 8),
-        ],
-    )
+    @pytest.mark.parametrize("params, n, grid", PROFILE_CASES)
     def test_every_sample_equals_the_per_factor_reference(self, params, n, grid):
-        # the map chains add the same doubles in the same order as a generator per factor
+        # the map chains add the same doubles in the same order as a generator per term
         prof = circle_profile(ArcContext.build(params, n, rho=0.5, dps=12), grid=grid)
-        reference = _per_factor_reference(params, n, prof.kappa)
+        reference = _head_tail_reference(params, n, prof.kappa)
         assert len(prof.log_magnitudes) == grid + 1
         for j, nu in enumerate(prof.nus):
             assert prof.log_magnitudes[j] == reference(nu), (params, n, j)
+
+    @pytest.mark.parametrize(
+        "params, n, grid",
+        [*PROFILE_CASES, (P13, 1_000_000, 16), (StackParams(5, 12), 1_000_000, 16), (P13, 5_000_000, 8)],
+    )
+    def test_within_the_stated_bound_of_the_all_factor_sum(self, params, n, grid):
+        prof = circle_profile(ArcContext.build(params, n, rho=0.5, dps=12), grid=grid)
+        reference = _all_factor_reference(params, n, prof.kappa)
+        bound = _all_factor_bound(n) * max(1, prof.principal_log)
+        for j, nu in enumerate(prof.nus[grid // 2 :], grid // 2):
+            assert abs(prof.log_magnitudes[j] - reference(nu)) <= bound, (params, n, j)
+
+    @given(st.sampled_from(COPRIME_PAIRS), st.integers(0, 1_000_000), st.integers(4, 12))
+    @settings(max_examples=20, deadline=None)
+    def test_head_and_tail_hold_for_every_pair(self, pair, n, half):
+        params, grid = StackParams(*pair), 2 * half
+        try:
+            ctx = ArcContext.build(params, n, rho=0.5, dps=12)
+        except ValueError:
+            assume(False)  # n = 0 has no saddle for 18 of the pairs
+        prof = circle_profile(ctx, grid=grid)
+        all_factors = _all_factor_reference(params, n, prof.kappa)
+        head_tail = _head_tail_reference(params, n, prof.kappa)
+        bound = _all_factor_bound(n) * max(1, prof.principal_log)
+        for j in range(half, grid + 1):
+            assert abs(prof.log_magnitudes[j] - all_factors(prof.nus[j])) <= bound, j
+            # nu < 0 is the mirror image of nu > 0 bit for bit
+            assert head_tail(prof.nus[grid - j]) == prof.log_magnitudes[j], j
 
     def test_peaks_see_across_the_seam_at_minus_one(self, monkeypatch):
         # this grid is spaced pi/4, so the windows must reach one step past their centres

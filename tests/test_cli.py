@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import math
 import re
@@ -474,6 +475,63 @@ class TestProfile:
             assert line.startswith((f"  peak near 2 pi {ell}/{m}:", f"  no peak within 0.35 of 2 pi {ell}/{m}"))
         assert f"  no peak within 0.35 of 2 pi {empty}/{m}" in lines
 
+    # the default run, tied peaks at 2 pi 2/12 and 2 pi 3/12, and n = 10^6; the CSV lists
+    # every sample to six decimals, as the sum over every factor of F gives them too
+    @pytest.mark.parametrize(
+        "argv, text, csv_sha256",
+        [
+            (
+                [],
+                [
+                    "family (r=1, m=3, standard), n = 500, kappa = 0.046828",
+                    "maximum at nu = +0.0000 (major arc |nu| <= 0.0234: inside)",
+                    "principal log magnitude 45.581",
+                    "  peak near 2 pi 1/3: nu = +2.3562, log magnitude 24.286 (21.295 below)",
+                    "  peak near 2 pi 2/3: nu = -2.3562, log magnitude 24.286 (21.295 below)",
+                ],
+                "68493c3196cecfe845955baae3c60cb8025a097614e9e11e3849cbd2c0952f9d",
+            ),
+            (
+                ["-n", "1", "-r", "5", "-m", "12"],
+                [
+                    "family (r=5, m=12, standard), n = 1, kappa = 0.433581",
+                    "maximum at nu = -1.2828 (major arc |nu| <= 0.2168: OUTSIDE)",
+                    "principal log magnitude 0.827",
+                    "  no peak within 0.35 of 2 pi 1/12",
+                    "  peak near 2 pi 2/12: nu = +1.2828, log magnitude 0.827 (0.000 below)",
+                    "  peak near 2 pi 3/12: nu = +1.2828, log magnitude 0.827 (0.000 below)",
+                    "  no peak within 0.35 of 2 pi 4/12",
+                    "  peak near 2 pi 5/12: nu = +2.3387, log magnitude 0.562 (0.264 below)",
+                    "  no peak within 0.35 of 2 pi 6/12",
+                    "  peak near 2 pi 7/12: nu = -2.3387, log magnitude 0.562 (0.264 below)",
+                    "  no peak within 0.35 of 2 pi 8/12",
+                    "  peak near 2 pi 9/12: nu = -1.2828, log magnitude 0.827 (0.000 below)",
+                    "  peak near 2 pi 10/12: nu = -1.2828, log magnitude 0.827 (0.000 below)",
+                    "  no peak within 0.35 of 2 pi 11/12",
+                ],
+                "9a502835d15f2ef034ed2a5b828028c0d6b6d212367707ef34003356faf75f25",
+            ),
+            (
+                ["-n", "1000000", "--grid", "72"],
+                [
+                    "family (r=1, m=3, standard), n = 1000000, kappa = 0.001047",
+                    "maximum at nu = +0.0000 (major arc |nu| <= 0.0005: inside)",
+                    "principal log magnitude 2093.152",
+                    "  peak near 2 pi 1/3: nu = +2.3562, log magnitude 1063.636 (1029.517 below)",
+                    "  peak near 2 pi 2/3: nu = -2.3562, log magnitude 1063.636 (1029.517 below)",
+                ],
+                "2ea84f83bb16202c2042e61a56a9bb0d95c663029ab36e7e7a1616c8fa073c43",
+            ),
+        ],
+    )
+    def test_output_bytes_are_pinned(self, capsys, argv, text, csv_sha256):
+        code, out, _ = run(capsys, "profile", *argv)
+        assert (code, out.splitlines()) == (0, text)
+        assert out.endswith("\n") and not out.endswith("\n\n")
+        code, out, _ = run(capsys, "profile", *argv, "--format", "csv")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == csv_sha256
+
     def test_odd_grid_exit_2(self, capsys):
         code, _, err = run(capsys, "profile", "-n", "50", "--grid", "73")
         assert code == 2
@@ -492,6 +550,18 @@ class TestProfile:
         assert out == ""
         assert f"MAX_PROFILE_WORK = {cli.MAX_PROFILE_WORK}" in err
 
+    def test_grid_above_the_profile_bound_at_n_0_exit_2_before_any_work(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the profile was built although the grid is refused")
+
+        monkeypatch.setattr(analytic, "circle_profile", refuse)
+        monkeypatch.setattr(cli.ArcContext, "build", refuse)
+        # sqrt(0) = 0 would let every grid through; n = 0 counts as 1
+        code, out, err = run(capsys, "profile", "-n", "0", "--grid", str(cli.MAX_PROFILE_WORK + 2))
+        assert code == 2
+        assert out == ""
+        assert f"MAX_PROFILE_WORK = {cli.MAX_PROFILE_WORK}" in err
+
     def test_size_above_the_profile_bound_exit_2_before_any_work(self, capsys, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("the profile was built although the size is refused")
@@ -505,7 +575,10 @@ class TestProfile:
         assert out == ""
         assert f"MAX_PROFILE_WORK = {cli.MAX_PROFILE_WORK}" in err
 
-    @pytest.mark.parametrize("argv", [["-n", "1000000"], ["-n", "1000000", "--grid", "8"]])
+    @pytest.mark.parametrize(
+        "argv",
+        [["-n", "1000000"], ["-n", "1000000", "--grid", "8"], ["-n", "0", "--grid", str(cli.MAX_PROFILE_WORK)]],
+    )
     def test_largest_documented_sizes_stay_within_the_bound(self, argv, monkeypatch):
         # stop at the first piece of work: only the bound check runs
         def started(*args, **kwargs):

