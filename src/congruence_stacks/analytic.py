@@ -24,11 +24,10 @@ bits above mp.prec, and convert back to one mpc at the end: no mpmath object
 per term.  Residual checks return mpf values; fits and profile reports come
 back as small named tuples.  Two routes run in doubles: circle_profile, which
 wants a float log magnitude and sums the far factors of F as a Lambert
-series, and the whole arc quadrature of
-major_arc_integral (integrand, nodes and Simpson sums), whose integrand in
-Wright's normalised variable is e^{2N} times a function of size at most 1;
-the factor e^{2N} is applied once, in mpf, and the error bound is stated
-there.  contour_tail stays in mpf.
+series, and the q = 1 line of the contour check, major_arc_integral plus
+contour_tail: both integrate in Wright's normalised variable with the one
+rule simpson_refine, a real integrand on the arc and a complex one on the
+tail's ray, each of size at most 1 times a factor applied once, in mpf.
 
 The `cstacks verify` targets are the check functions of VERIFY_CHECKS, run in
 its order; each returns Check records, which cli only formats.
@@ -59,6 +58,7 @@ MAX_DOUBLINGS = 18  # Simpson levels after which refinement gives up
 SIMPSON_RTOL = 1e-10  # relative agreement of successive Simpson estimates
 PROFILE_HEAD_FLOOR = 1e-2  # circle_profile sums F's factors with |q^k| >= this one by one, the rest in closed form
 CONTOUR_PROFILE_GRID = 720  # grid of the contour check's circle profile
+RAY_CUT = 40  # contour_tail cuts its ray where the bound e^{-c x} on the integrand reaches e^-RAY_CUT
 
 
 def _require_upper_half(tau) -> mp.mpc:
@@ -431,13 +431,14 @@ def false_theta_series_residual(params: StackParams, tau, dps: int = DEFAULT_DPS
         return abs(via_false_theta - direct) / abs(direct)
 
 
-def simpson_refine(f: Callable[[float], float], a, b) -> tuple[float, tuple[float, ...]]:
+def simpson_refine(f: Callable[[float], float | complex], a, b) -> tuple[complex, tuple[complex, ...]]:
     """Composite Simpson with panel doubling until successive estimates agree.
 
     a and b are converted to float, and the nodes a + i h are doubles.  Each
     level's values are added with the builtin sum, so an f that returns mpf
     values is summed in mpf at the caller's precision and an f that returns
-    floats stays in doubles.  Returns (value, history of estimates).
+    floats or complex values stays in doubles; abs compares complex estimates
+    by modulus.  Returns (value, history of estimates).
     Estimates are compared from MIN_DOUBLINGS on.  Raises when MAX_DOUBLINGS
     cannot reach SIMPSON_RTOL; the integrands used here are analytic, so
     failure indicates a misconfigured interval rather than roughness.
@@ -461,13 +462,26 @@ def simpson_refine(f: Callable[[float], float], a, b) -> tuple[float, tuple[floa
     raise ValueError(f"Simpson refinement did not converge after {panels} panels")
 
 
+def _arc_integral(ctx: ArcContext, t0: float, t1: float) -> mp.mpf:
+    """The line over t0 <= |nu|/kappa <= t1: major_arc_integral's formula with these limits."""
+    scale = float(ctx.scale)
+
+    def integrand(t: float) -> float:
+        u = t * t / (1 + t * t)
+        return math.exp(-scale * u) * math.cos(scale * t * u)
+
+    half, _ = simpson_refine(integrand, t0, t1)
+    with mp.workdps(ctx.dps + GUARD):
+        return ctx.prefactor / (4 * mp.pi) * 2 * ctx.kappa * mp.exp(2 * ctx.scale) * half
+
+
 def major_arc_integral(ctx: ArcContext) -> mp.mpf:
     """Numeric leading contour piece h_0 over the restricted arc |nu| <= rho kappa.
 
     Evaluates (P/2)/(2 pi) int e^{B (kappa + i nu) + A/(kappa + i nu)} d nu,
     alpha_0 = 1/2 times the arc's P, A and B (the constant is csc(pi r/m)/(8 pi)),
-    by Simpson refinement to SIMPSON_RTOL.  With contour_tail it makes up
-    the whole line, the arc's one-term Bessel sum (P/2) kappa I_1(2N).
+    by Simpson refinement to SIMPSON_RTOL.  Added to contour_tail, the rest
+    of the line, it gives the arc's one-term Bessel sum (P/2) kappa I_1(2N).
 
     In Wright's normalised variable t = nu/kappa, with kappa = sqrt(A/B) and
     N = sqrt(AB), the exponent is exactly N (2 - u) + i N t u, u = t^2/(1 + t^2),
@@ -475,11 +489,11 @@ def major_arc_integral(ctx: ArcContext) -> mp.mpf:
 
         (P/2)/(2 pi) 2 kappa e^{2N} int_0^rho e^{-N u} cos(N t u) dt,
 
-    with an integrand of size at most 1.  The integrand, its nodes and the
-    Simpson sums run in doubles, and the factor in front once, in mpf.  A
-    priori, the exponent N u and the phase N t u carry an absolute error of
-    about N 2^-52 at a node.  Each is a few roundings of size 2^-53 relative,
-    though, so the node's error is a few 2^-53 times
+    with an integrand of size at most 1 (_arc_integral).  The integrand, its
+    nodes and the Simpson sums run in doubles, and the factor in front once,
+    in mpf.  A priori, the exponent N u and the phase N t u carry an absolute
+    error of about N 2^-52 at a node.  Each is a few roundings of size 2^-53
+    relative, though, so the node's error is a few 2^-53 times
     (N u + N t u) e^{-N u} <= (1 + rho)/e, and it is small relative to the
     integral wherever the integrand is not negligible; the double sums over
     up to 2^MAX_DOUBLINGS nodes add a few units of 2^-53 per level.  The
@@ -488,61 +502,57 @@ def major_arc_integral(ctx: ArcContext) -> mp.mpf:
     and for (1, 3) and (5, 12) at n = 20000 and 10^6, with the same Simpson
     levels (tests/test_analytic.py).
     """
-    scale = float(ctx.scale)
-
-    def integrand(t: float) -> float:
-        u = t * t / (1 + t * t)
-        return math.exp(-scale * u) * math.cos(scale * t * u)
-
     # even in t, so integrate the half arc
-    half, _ = simpson_refine(integrand, 0, ctx.rho)
-    with mp.workdps(ctx.dps + GUARD):
-        return ctx.prefactor / (4 * mp.pi) * 2 * ctx.kappa * mp.exp(2 * ctx.scale) * half
-
-
-def _upper_gamma_down(x):
-    """Gamma(0, x) = E_1(x), Gamma(-1, x), ...: Gamma(-k, x) = (x^-k e^-x - Gamma(1-k, x))/k."""
-    gamma, power, k = mp.e1(x), mp.exp(-x), 0
-    while True:
-        yield gamma
-        k += 1
-        power /= x  # x^-k e^-x
-        gamma = (power - gamma) / k
-
-
-def contour_tail_dps(ctx: ArcContext) -> int:
-    """Working precision of contour_tail: ctx.dps + GUARD and the digits its recurrence loses.
-
-    Stepping Gamma down from Gamma(0, x), x = -B (kappa + i rho kappa), loses
-    up to e^|x| relative, so |x|/log(10) more digits are carried: 9 at
-    n = 200 for (1, 3), 87 at n = 20000.  |x| = N hypot(1, rho) grows like
-    sqrt(n).
-    """
-    x_abs = float(ctx.B) * float(ctx.kappa) * math.hypot(1, ctx.rho)
-    return ctx.dps + GUARD + int(x_abs / math.log(10)) + 1
+    return _arc_integral(ctx, 0, ctx.rho)
 
 
 def contour_tail(ctx: ArcContext) -> mp.mpf:
     """The q = 1 line beyond the major arc, |nu| > rho kappa, in major_arc_integral's units.
 
-    With z0 = kappa + i rho kappa, e^{A/z} = sum_k A^k z^-k / k! gives
-    int_{z0}^{kappa + i inf} e^{Bz + A/z} dz = -e^{B z0}/B (Abel-summed)
-    + sum_{k>=1} (A^k/k!) (-B)^{k-1} Gamma(1-k, -B z0), summed to the working
-    precision, at contour_tail_dps digits; nu < -rho kappa is its conjugate.
+    In Wright's variable w = z/kappa the exponent Bz + A/z is N (w + 1/w), and
+    the tail nu > rho kappa is the Abel-summed kappa int e^{N (w + 1/w)} dw up
+    the line Re w = 1; nu < -rho kappa is its conjugate.  With rho* = max(rho,
+    1/2) and w* = 1 + i rho*, the integrand is analytic for Im w >= rho* and
+    e^{Bz} decays as Re z -> -inf, so the line above w* equals the ray w = w* - x/N:
+
+        -(kappa/N) e^{N (w* + 1/w*)} int_0^inf g(x) dx,  g(x) = exp(x/(w w*) - x).
+
+    Re(w + 1/w) falls along the ray at rate c >= 1 - 1/(8 rho*^2) >= 1/2, so
+    |g(x)| <= e^{-cx}, and the cut at X = RAY_CUT/c leaves at most
+    e^{-RAY_CUT}/c.  g has no cancellation and no large factor of N; it runs
+    in complex doubles in s, x = X s^3, which puts nodes where g varies on the
+    scale N rho* near 0 when N is small: 2^8 to 2^10 panels for N from 0.1 to
+    2400.  The factor in front, below e^{2N} in modulus and with a phase that
+    can exceed 1000 rad, is applied once, in mpf.  Below rho = 1/2, Re(w + 1/w)
+    would first rise along the ray (by 3.1 at rho = 0.1), so the line's piece
+    rho <= t <= 1/2 is integrated as the arc is.
+
+    Against the incomplete-gamma series at two agreeing precisions
+    (tests/test_analytic.py) the error is at most 5.9e-12 of the tail's scale,
+    P/(2 pi) times the ray's (kappa/N) |e^{N (w* + 1/w*)}| plus the vertical
+    piece's integral of |integrand|, for every coprime (r, m) with m <= 12 at
+    n = 0 to 1000 and rho = 0.1 to 0.99, and 3.2e-14 of it for (1, 3) and
+    (5, 12) from n = 2 10^4 to 4 937 777.
     """
-    with mp.workdps(contour_tail_dps(ctx)):
-        A, B = +ctx.A, _fraction_to_mpf(ctx.B)
-        x = -B * mp.mpc(ctx.kappa, ctx.rho * ctx.kappa)
-        total = -mp.exp(-x) / B
-        coeff = -1 / B  # A^k/k! (-B)^(k-1) at k = 0
-        for k, gamma in enumerate(_upper_gamma_down(x), 1):
-            coeff *= -A * B / k
-            term = coeff * gamma
-            total += term
-            if abs(term) < mp.eps * abs(total):
-                break
+    start = max(ctx.rho, 0.5)
+    w_star = complex(1, start)
+    cut = RAY_CUT / (1 - 1 / (8 * start * start))
+    # w w* = w*^2 - x w*/N
+    square, step = w_star * w_star, w_star / float(ctx.scale)
+
+    def integrand(s: float) -> complex:
+        x = cut * s * s * s
+        return 3 * cut * s * s * cmath.exp(x / (square - step * x) - x)
+
+    ray, _ = simpson_refine(integrand, 0, 1)
+    with mp.workdps(ctx.dps + GUARD):
+        w0 = mp.mpc(w_star)
+        total = -ctx.kappa / ctx.scale * mp.exp(ctx.scale * (w0 + 1 / w0)) * mp.mpc(ray)
         # dz = i d nu, so the two tails in nu add up to 2 Im(total)
-        return ctx.prefactor / (4 * mp.pi) * 2 * mp.im(total)
+        tail = ctx.prefactor / (4 * mp.pi) * 2 * mp.im(total)
+        if ctx.rho < start:
+            tail += _arc_integral(ctx, ctx.rho, start)
+        return tail
 
 
 class CircleProfile(namedtuple("CircleProfile", "params n kappa rho nus log_magnitudes")):

@@ -56,25 +56,23 @@ MAX_DIRECT_COUNT_SIZE = 10**4
 # `asym --full --terms 16` takes 0.8 s and `asym --full --terms 16 -P 1200` 17 s,
 # 20 MB max RSS (same machine); `asym` without --full stays unbounded (0.1-0.2 s at 10^10)
 MAX_EXPANSION_SIZE = 10**7
-# largest `profile` work grid * max(1, sqrt(n)): the largest run the former
-# grid bound of 72 000 allowed at the default n = 500.  Each angle costs a
-# fixed part and a part growing like sqrt(n), so n = 0 at grid 1 610 000 is
-# the costliest run the bound allows, 8.8 s and 156 MB max RSS; grid 72 000
-# at n = 500 takes 1.4 s, n = 5 000 192 at the default grid 0.8 s and
-# n = 10^6 at the default grid (work 7.2e5) 0.5 s (same machine)
+# largest `profile` work grid * (PROFILE_FIXED_WORK + sqrt(n)).  An angle costs
+# about 15 us, the tail and a few terms of L, plus 1.1 us sqrt(n), the factors
+# of F one by one; PROFILE_FIXED_WORK is their ratio, fitted at n = 0 and 500.
+# The edges then cost alike: grid 115 000 at n = 0 takes 0.7 s and 30 MB max
+# RSS, grid 44 278 at n = 500 0.9 s, n = 4 937 777 at grid 720 0.8 s (same machine)
+PROFILE_FIXED_WORK = 14
 MAX_PROFILE_WORK = 1_610_000
 # largest working precision of every command: -P, CSTACKS_PRECISION and
 # `decay`'s 8 pi^2/(m z_min log 10) + 40 digits.  Costs grow steeply with it:
 # `decay` at 1183 digits (m = 3, z_min = 0.01) takes 7.5-11.7 s and 21 MB max
-# RSS, `verify all -P 1200` 14-18 s and 22 MB (same machine)
+# RSS, `verify all -P 1200` 11-13 s and 21 MB (same machine)
 MAX_DPS = 1200
 # `verify` targets in run order, the keys of analytic.VERIFY_CHECKS; the parser
 # lists them without importing analytic.  The contour target refuses an -n whose
-# circle profile has work above MAX_PROFILE_WORK (n > 5 000 192) or whose tail
-# adds more than MAX_DPS digits to the working precision (contour_tail_dps; at
-# m = 3, n > 3 750 872, whatever -P).  At the largest accepted n, `verify
-# contour` takes 5.2 s at m = 3 and 6.7 s at m = 4 and n = 5 000 192, 18 s at
-# m = 3 and -P 1200, and 21 MB max RSS (same machine)
+# grid-720 circle profile has work above MAX_PROFILE_WORK (n > 4 937 777,
+# whatever -P and m).  There `verify contour` takes 0.8-1.3 s, most of it the
+# profile, and 1.2-1.9 s at -P 1200, 21 MB max RSS (same machine)
 VERIFY_TARGETS = ("decomposition", "theta", "transform", "eta", "falsetheta", "bessel", "contour", "oracle")
 
 
@@ -251,7 +249,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--grid",
         type=int,
         default=720,
-        help=f"angular sample count, even (default 720); grid * max(1, sqrt(n)) is at most {MAX_PROFILE_WORK}",
+        help=f"angular sample count, even (default 720); grid * ({PROFILE_FIXED_WORK} + sqrt(n)) "
+        f"is at most {MAX_PROFILE_WORK}",
     )
     p_profile.add_argument("--format", choices=["text", "csv"], default="text", help="csv lists every sample")
     p_profile.set_defaults(func=cmd_profile)
@@ -432,16 +431,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
             f"order {args.order} exceeds the recurrence bound MAX_RECURRENCE_ORDER = {MAX_RECURRENCE_ORDER}"
         )
     ctx = None
-    # the contour check's two size bounds, before any check runs
+    # the contour check's size bound, before any check runs
     if "contour" in targets:
         _check_profile_work(analytic.CONTOUR_PROFILE_GRID, args.size)
         ctx = ArcContext.build(params, args.size, rho=args.rho, dps=dps)
-        tail_dps = analytic.contour_tail_dps(ctx)
-        if tail_dps - dps > MAX_DPS:
-            raise ValueError(
-                f"the contour tail at n = {args.size} adds {tail_dps - dps} digits to the working precision "
-                f"{dps}, above the working-precision bound MAX_DPS = {MAX_DPS}"
-            )
     rng = random.Random(args.seed)
     checks = [
         check for target in targets for check in analytic.VERIFY_CHECKS[target](params, dps, rng, args.order, ctx)
@@ -453,16 +446,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _check_profile_work(grid: int, size: int) -> None:
-    """Refuse a circle profile whose work grid * max(1, sqrt(n)) is above MAX_PROFILE_WORK.
-
-    Each of the grid / 2 + 1 angles costs at least a few terms whatever n,
-    so n <= 1 counts as 1.
-    """
-    work = grid * max(1.0, math.sqrt(max(size, 0)))
+    """Refuse a circle profile whose work grid * (PROFILE_FIXED_WORK + sqrt(n)) is above MAX_PROFILE_WORK."""
+    work = grid * (PROFILE_FIXED_WORK + math.sqrt(max(size, 0)))
     if work > MAX_PROFILE_WORK:
         raise ValueError(
-            f"grid * max(1, sqrt(n)) = {grid} * max(1, sqrt({size})) = {work:.0f} exceeds the profile bound "
-            f"MAX_PROFILE_WORK = {MAX_PROFILE_WORK}"
+            f"grid * ({PROFILE_FIXED_WORK} + sqrt(n)) = {grid} * ({PROFILE_FIXED_WORK} + sqrt({size})) = {work:.10g} "
+            f"exceeds the profile bound MAX_PROFILE_WORK = {MAX_PROFILE_WORK}"
         )
 
 

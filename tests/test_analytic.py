@@ -443,6 +443,92 @@ class TestMajorArc:
         assert gaps[1] < gaps[0]
 
 
+def _upper_gamma_down(x):
+    """Gamma(0, x) = E_1(x), Gamma(-1, x), ...: Gamma(-k, x) = (x^-k e^-x - Gamma(1-k, x))/k."""
+    gamma, power, k = mp.e1(x), mp.exp(-x), 0
+    while True:
+        yield gamma
+        k += 1
+        power /= x  # x^-k e^-x
+        gamma = (power - gamma) / k
+
+
+def _series_tail(ctx, dps):
+    """contour_tail's value from the incomplete-gamma series, at dps digits.
+
+    With z0 = kappa + i rho kappa, e^{A/z} = sum_k A^k z^-k / k! gives
+    int_{z0}^{kappa + i inf} e^{Bz + A/z} dz = -e^{B z0}/B (Abel-summed)
+    + sum_{k>=1} (A^k/k!) (-B)^{k-1} Gamma(1-k, -B z0).  Stepping Gamma down
+    loses up to e^|x| relative, x = -B z0, and the k-sum cancels too, so the
+    precision must be shown right, as _reference_tail does.
+    """
+    with mp.workdps(dps):
+        A, B = +ctx.A, mp.mpf(ctx.B.numerator) / ctx.B.denominator
+        x = -B * mp.mpc(ctx.kappa, ctx.rho * ctx.kappa)
+        total = -mp.exp(-x) / B
+        coeff = -1 / B  # A^k/k! (-B)^(k-1) at k = 0
+        for k, gamma in enumerate(_upper_gamma_down(x), 1):
+            coeff *= -A * B / k
+            term = coeff * gamma
+            total += term
+            if abs(term) < mp.eps * abs(total):
+                break
+        # dz = i d nu, so the two tails in nu add up to 2 Im(total)
+        return ctx.prefactor / (4 * mp.pi) * 2 * mp.im(total)
+
+
+def _tail_scale(ctx):
+    """The size contour_tail's error is measured against: P/(2 pi) times the integral of its integrand's modulus.
+
+    The ray's part is its bound (kappa/N) |e^{N (w* + 1/w*)}|, w* = 1 + i rho*,
+    rho* = max(rho, 1/2); below rho = 1/2 the vertical piece adds
+    kappa e^{2N} int_rho^{1/2} e^{-N u} dt.  The tail changes sign with n, so
+    its own size is no measure near a zero.
+    """
+    with mp.workdps(30):
+        start = max(ctx.rho, 0.5)
+        w_star = mp.mpc(1, start)
+        N = ctx.scale
+        size = ctx.kappa / N * abs(mp.exp(N * (w_star + 1 / w_star)))
+        if ctx.rho < start:
+            size += ctx.kappa * mp.exp(2 * N) * mp.quad(lambda t: mp.exp(-N * t * t / (1 + t * t)), [ctx.rho, start])
+        return ctx.prefactor / (2 * mp.pi) * size
+
+
+def _reference_tail(ctx):
+    """_series_tail at 35 + 2d digits, d = |x|/log(10) the digits the recurrence loses, shown right by 20 + 2d.
+
+    The two precisions agree to 1e-27 to 1e-31 of _tail_scale for every
+    coprime (r, m) with m <= 12 at n = 200; they must agree to 1e-20 of it.
+    """
+    d = int(float(ctx.B) * float(ctx.kappa) * math.hypot(1, ctx.rho) / math.log(10)) + 1
+    low, high = _series_tail(ctx, 20 + 2 * d), _series_tail(ctx, 35 + 2 * d)
+    with mp.workdps(40):
+        assert abs(low - high) <= mp.mpf("1e-20") * _tail_scale(ctx)
+    return high
+
+
+# contour_tail at the defaults (-P 50, rho = 0.9) against the series at two
+# precisions, 200 + 15 + d and 1200 + 15 + d digits with d as in
+# _reference_tail; they agree to every digit written.  At n = 2 10^6 the
+# series at 65 + d digits, the former production precision, is off by
+# 6.4e-4, and at 3 750 872 it has the wrong sign (-1.90e1381).
+LARGE_N_TAILS = [
+    # 1081 and 2081 digits
+    ((1, 3), 2 * 10**6, "1.131840871941861988102202e+991"),
+    # 1400 and 2400 digits
+    ((1, 3), 3750872, "2.87693390910894310206891e+1359"),
+    # 827 and 1827 digits
+    ((1, 3), 10**6, "-2.574482220806238643510505e+698"),
+    # 521 and 1521 digits
+    ((5, 12), 10**6, "-1.035247902923726664910498e+345"),
+    # the largest n verify contour accepts: 1575 and 2575 digits
+    ((1, 3), 4937777, "-7.143788910207908932128248e+1560"),
+    # 895 and 1895 digits
+    ((5, 12), 4937777, "-6.020619005685992856163259e+774"),
+]
+
+
 class TestContourTail:
     def test_closes_the_line_for_every_pair_at_the_defaults(self):
         # verify contour's defaults: n = 200, rho = 0.9; the bare arc misses by 2e-4 to 8e-3
@@ -455,16 +541,43 @@ class TestContourTail:
         assert worst < analytic.SIMPSON_RTOL
 
     def test_closes_the_line_deep_in_the_regime(self):
-        # the downward Gamma recurrence loses about e^|x| = 1e87 here, beyond dps + GUARD
+        # the ray's start e^{N (w* + 1/w*)} is about 1e94 here, e^{2N} about 1e177
         ctx = ArcContext.build(P13, 20000, rho=0.9, dps=50)
         with mp.workdps(65):
             line = major_arc_integral(ctx) + contour_tail(ctx)
             assert abs(line / one_term_bessel(ctx) - 1) < analytic.SIMPSON_RTOL
 
+    @pytest.mark.parametrize("rho", [0.1, 0.3, 0.5, 0.9, 0.99])
+    def test_matches_the_series_for_every_pair(self, rho):
+        # measured at most 3.6e-12 of the scale below rho = 1/2, where the vertical piece carries the tail,
+        # and 7e-14 from rho = 1/2 on
+        for pair in COPRIME_PAIRS:
+            ctx = ArcContext.build(StackParams(*pair), 200, rho=rho, dps=50)
+            reference = _reference_tail(ctx)
+            with mp.workdps(65):
+                assert abs(contour_tail(ctx) - reference) <= analytic.SIMPSON_RTOL * _tail_scale(ctx), pair
+
+    @pytest.mark.parametrize("pair", [(1, 3), (5, 12)])
+    def test_matches_the_series_deep_in_the_regime(self, pair):
+        # 3.1e-14 and 3.5e-14 relative
+        ctx = ArcContext.build(StackParams(*pair), 20000, rho=0.9, dps=50)
+        reference = _reference_tail(ctx)
+        with mp.workdps(65):
+            assert abs(contour_tail(ctx) - reference) <= analytic.SIMPSON_RTOL * _tail_scale(ctx)
+
+    @pytest.mark.parametrize(
+        "pair, n, reference", LARGE_N_TAILS, ids=[f"{r}-{m}-{n}" for (r, m), n, _ in LARGE_N_TAILS]
+    )
+    def test_matches_the_series_at_large_n(self, pair, n, reference):
+        # at most 3.2e-14 of the scale, 4.7e-15 to 2.3e-12 relative
+        ctx = ArcContext.build(StackParams(*pair), n, rho=0.9, dps=50)
+        with mp.workdps(65):
+            assert abs(contour_tail(ctx) - mp.mpf(reference)) <= analytic.SIMPSON_RTOL * _tail_scale(ctx)
+
     def test_gamma_recurrence_matches_mpmath(self):
         x = mp.mpc(-14, -12)
         with mp.workdps(50):
-            for k, gamma in enumerate(islice(analytic._upper_gamma_down(x), 6), 1):
+            for k, gamma in enumerate(islice(_upper_gamma_down(x), 6), 1):
                 assert abs(gamma / mp.gammainc(1 - k, x) - 1) < mp.mpf("1e-45")
 
 

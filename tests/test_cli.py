@@ -371,13 +371,12 @@ class TestVerify:
     @pytest.mark.parametrize(
         "argv, bound",
         [
-            # n = 10^7 is above both bounds; the profile's is checked first
+            # the grid-720 profile's bound is the contour's one size bound: n <= 4 937 777, whatever -P and m
             (["contour", "-n", "10000000"], "MAX_PROFILE_WORK"),
             (["-n", "10000000"], "MAX_PROFILE_WORK"),
-            (["contour", "-n", "5000193", "-r", "1", "-m", "4"], "MAX_PROFILE_WORK"),
-            # the profile work is 1.39e6 here; the tail adds 1201 digits to -P
-            (["contour", "-n", "3750873"], "MAX_DPS"),
-            (["contour", "-n", "3750873", "-P", "1200"], "MAX_DPS"),
+            (["contour", "-n", "4937778", "-r", "1", "-m", "4"], "MAX_PROFILE_WORK"),
+            (["contour", "-n", "4937778"], "MAX_PROFILE_WORK"),
+            (["contour", "-n", "4937778", "-P", "1200"], "MAX_PROFILE_WORK"),
         ],
     )
     def test_size_above_the_contour_bounds_exit_2_before_any_work(self, capsys, monkeypatch, argv, bound):
@@ -396,9 +395,9 @@ class TestVerify:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["-n", "3750872"],
-            ["-n", "3750872", "-P", "1200"],
-            ["-n", "5000192", "-r", "1", "-m", "4"],
+            ["-n", "4937777"],
+            ["-n", "4937777", "-P", "1200"],
+            ["-n", "4937777", "-r", "1", "-m", "4"],
         ],
     )
     def test_largest_accepted_contour_sizes_pass_the_bounds(self, argv, monkeypatch):
@@ -409,6 +408,14 @@ class TestVerify:
         monkeypatch.setattr(analytic, "major_arc_integral", started)
         with pytest.raises(RuntimeError, match="work started"):
             main(["verify", "contour", *argv])
+
+    @pytest.mark.parametrize("rho", ["0.1", "0.3"])
+    def test_contour_passes_below_the_ray_start(self, capsys, rho):
+        # below rho = 1/2 the tail adds the vertical piece rho <= t <= 1/2 to its ray
+        code, out, _ = run(capsys, "verify", "contour", "--rho", rho)
+        assert code == 0
+        assert out.count("PASS") == 2 and "FAIL" not in out
+        assert f"rho = {rho}" in out
 
     def test_size_is_not_bounded_without_the_contour_target(self, capsys):
         code, out, _ = run(capsys, "verify", "theta", "-n", "10000000")
@@ -543,8 +550,8 @@ class TestProfile:
 
         monkeypatch.setattr(analytic, "circle_profile", refuse)
         monkeypatch.setattr(cli.ArcContext, "build", refuse)
-        # the default n is 500
-        grid = 2 * int(cli.MAX_PROFILE_WORK / math.sqrt(500) / 2) + 2
+        # the default n is 500: the first even grid above 44 278
+        grid = 2 * int(cli.MAX_PROFILE_WORK / (cli.PROFILE_FIXED_WORK + math.sqrt(500)) / 2) + 2
         code, out, err = run(capsys, "profile", "--grid", str(grid))
         assert code == 2
         assert out == ""
@@ -556,8 +563,9 @@ class TestProfile:
 
         monkeypatch.setattr(analytic, "circle_profile", refuse)
         monkeypatch.setattr(cli.ArcContext, "build", refuse)
-        # sqrt(0) = 0 would let every grid through; n = 0 counts as 1
-        code, out, err = run(capsys, "profile", "-n", "0", "--grid", str(cli.MAX_PROFILE_WORK + 2))
+        # each angle's fixed cost bounds the grid at n = 0: the first even grid above 115 000
+        grid = 2 * int(cli.MAX_PROFILE_WORK / cli.PROFILE_FIXED_WORK / 2) + 2
+        code, out, err = run(capsys, "profile", "-n", "0", "--grid", str(grid))
         assert code == 2
         assert out == ""
         assert f"MAX_PROFILE_WORK = {cli.MAX_PROFILE_WORK}" in err
@@ -568,8 +576,8 @@ class TestProfile:
 
         monkeypatch.setattr(analytic, "circle_profile", refuse)
         monkeypatch.setattr(cli.ArcContext, "build", refuse)
-        # the default grid is 720
-        n = int((cli.MAX_PROFILE_WORK / 720) ** 2) + 1
+        # the default grid is 720: n = 4 937 778
+        n = int((cli.MAX_PROFILE_WORK / 720 - cli.PROFILE_FIXED_WORK) ** 2) + 1
         code, out, err = run(capsys, "profile", "-n", str(n))
         assert code == 2
         assert out == ""
@@ -577,7 +585,13 @@ class TestProfile:
 
     @pytest.mark.parametrize(
         "argv",
-        [["-n", "1000000"], ["-n", "1000000", "--grid", "8"], ["-n", "0", "--grid", str(cli.MAX_PROFILE_WORK)]],
+        [
+            ["-n", "1000000"],
+            ["-n", "1000000", "--grid", "8"],
+            ["-n", "0", "--grid", "115000"],
+            ["--grid", "44278"],
+            ["-n", "4937777"],
+        ],
     )
     def test_largest_documented_sizes_stay_within_the_bound(self, argv, monkeypatch):
         # stop at the first piece of work: only the bound check runs
