@@ -424,10 +424,10 @@ def false_theta_series_residual(params: StackParams, tau, dps: int = DEFAULT_DPS
         tau = _require_upper_half(tau)
         q = mp.exp(2 * mp.pi * 1j * tau)
         t = params.shift
-        via_false_theta = -mp.power(q, t) * false_theta(params.m, -(params.m + 2 * t), tau, dps=dps)
+        via_false_theta = -q ** t * false_theta(params.m, -(params.m + 2 * t), tau, dps=dps)
         direct = mp.mpc(0)
         for e, sign in false_theta_gf(params, _factor_count(mp.im(tau), dps + GUARD)):
-            direct += sign * mp.power(q, e)
+            direct += sign * q ** e
         return abs(via_false_theta - direct) / abs(direct)
 
 
@@ -737,11 +737,22 @@ def _check_transform(params, dps, rng, order, ctx) -> list[Check]:
     return [_measured("theta modular transform (4 samples)", worst, mp.mpf(10) ** (-dps))]
 
 
+def _gamma_quarter() -> mp.mpf:
+    """Gamma(1/4) at the ambient precision, from Gauss's Gamma(1/4)^2 = (2 pi)^{3/2} / AGM(1, sqrt 2).
+
+    The identity is in Borwein & Borwein, Pi and the AGM (1987).  It needs one
+    AGM and no gamma coefficient table, and it shares nothing with
+    dedekind_eta's pentagonal series, so the eta check stays independent.
+    """
+    two_pi = 2 * mp.pi
+    return mp.sqrt(two_pi * mp.sqrt(two_pi) / mp.agm(1, mp.sqrt(2)))
+
+
 def _check_eta(params, dps, rng, order, ctx) -> list[Check]:
     worst = max(eta_inversion_residual(_sample_tau(rng), dps) for _ in range(4))
     # eta(i) = Gamma(1/4) / (2 pi^{3/4}), at the fixed point of tau -> -1/tau
     with mp.workdps(dps + GUARD):
-        special = abs(dedekind_eta(mp.mpc(0, 1), dps) - mp.gamma(mp.mpf(1) / 4) / (2 * mp.pi ** mp.mpf("0.75")))
+        special = abs(dedekind_eta(mp.mpc(0, 1), dps) - _gamma_quarter() / (2 * mp.pi ** mp.mpf("0.75")))
     tol = mp.mpf(10) ** (-dps)
     return [
         _measured("eta inversion (4 samples)", worst, tol),
@@ -767,9 +778,10 @@ def _check_falsetheta(params, dps, rng, order, ctx) -> list[Check]:
 def _check_bessel(params, dps, rng, order, ctx) -> list[Check]:
     with mp.workdps(dps + GUARD):
         xs = [mp.mpf(x) for x in ("0.5", "3", "12", "30")]
-        worst_series = max(abs(bessel_i(nu, x, dps=dps) / mp.besseli(nu, x) - 1) for nu in range(4) for x in xs)
-        ratios = [bessel_i(nu, xs[-1], method="hankel", dps=dps) / bessel_i(nu, xs[-1], dps=dps) for nu in range(4)]
-        worst_hankel = max(abs(ratio - 1) for ratio in ratios)
+        series = [[bessel_i(nu, x, dps=dps) for x in xs] for nu in range(4)]
+        worst_series = max(abs(value / mp.besseli(nu, x) - 1) for nu in range(4) for x, value in zip(xs, series[nu]))
+        # the Hankel route at x = 30 against the series values above
+        worst_hankel = max(abs(bessel_i(nu, xs[-1], method="hankel", dps=dps) / series[nu][-1] - 1) for nu in range(4))
     return [
         _measured("modified bessel series vs reference (orders 0..3)", worst_series, mp.mpf(10) ** (-(dps - 10))),
         _measured("asymptotic bessel route at x = 30", worst_hankel, mp.mpf("1e-8")),

@@ -26,6 +26,7 @@ import math
 from collections import namedtuple
 from collections.abc import Sequence
 from fractions import Fraction
+from functools import cache
 from itertools import islice
 
 import mpmath as mp
@@ -93,7 +94,8 @@ def bessel_i(order: int, x, method: str = "series", dps: int = DEFAULT_DPS) -> m
 
     method="series" sums the ascending series (all terms positive, no
     cancellation); method="hankel" uses the large-x asymptotic expansion
-    truncated at its smallest term.  Negative orders reduce through
+    truncated at its smallest term.  Both sums run in fixed point and apply
+    their prefactor once, in mpf.  Negative orders reduce through
     I_{-k} = I_k.  The hankel route raises when the smallest term is still
     above HANKEL_RTOL, i.e. the asymptotic regime is violated.
     """
@@ -137,21 +139,34 @@ def _bessel_series(k: int, x, dps: int) -> mp.mpf:
 
 
 def _hankel_terms(k: int, x):
-    """Terms 1, -(4k^2 - 1)/(8x), ... of I_k(x) sqrt(2 pi x) e^{-x} as x -> inf, each from the last."""
+    """Terms 1, -(4k^2 - 1)/(8x), ... of I_k(x) sqrt(2 pi x) e^{-x} as x -> inf, each from the last.
+
+    The terms are Python integers in units of 2^-wp, wp = mp.prec +
+    FIXED_EXTRA_BITS at the ambient precision, as in _bessel_series; 1/(8x)
+    is rounded to that unit once, and each term is truncated toward zero, so a
+    term below 2^-wp is 0.
+    """
+    wp = mp.mp.prec + FIXED_EXTRA_BITS
+    step = (1 / (8 * mp.mpf(x))).to_fixed(wp)
     mu = 4 * k * k
-    term = mp.mpf(1)
+    term = 1 << wp
     j = 0
     while True:
         yield term
         j += 1
-        term = -term * (mu - (2 * j - 1) ** 2) / (8 * j * x)
+        product = term * (mu - (2 * j - 1) ** 2) * step
+        term = (abs(product) >> wp) // j
+        if product > 0:
+            term = -term
 
 
 def _bessel_hankel(k: int, x, dps: int) -> mp.mpf:
+    """I_k(x) from the Hankel terms up to the first that is not smaller than the last, or 4 floor(x) + 20 of them."""
     with mp.workdps(dps + 10):
         x = mp.mpf(x)
         if x <= 0:
             raise ValueError("hankel expansion needs x > 0")
+        wp = mp.mp.prec + FIXED_EXTRA_BITS
         terms = _hankel_terms(k, x)
         total = smallest = next(terms)
         for j, term in enumerate(terms, 1):
@@ -161,12 +176,13 @@ def _bessel_hankel(k: int, x, dps: int) -> mp.mpf:
             smallest = abs(term)
             if j > 4 * int(x) + 20:
                 break
+        smallest = mp.ldexp(smallest, -wp)
         if smallest > HANKEL_RTOL:
             raise ValueError(
                 f"asymptotic regime violated: smallest Hankel term {mp.nstr(smallest, 3)} "
                 f"exceeds rtol {HANKEL_RTOL} at x={mp.nstr(x, 6)}, order {k}"
             )
-        return mp.exp(x) / mp.sqrt(2 * mp.pi * x) * total
+        return mp.exp(x) / mp.sqrt(2 * mp.pi * x) * mp.ldexp(total, -wp)
 
 
 def main_term(params: StackParams, n: int, dps: int = DEFAULT_DPS) -> LogValue10:
@@ -199,14 +215,15 @@ def refined_main_term(params: StackParams, n: int, dps: int = DEFAULT_DPS) -> Lo
             raise ValueError(
                 f"refined estimate needs 2N >= {REFINED_MIN_2N}, got 2N = {mp.nstr(x, 6)}; increase n"
             )
-        bracket = sum(islice(_hankel_terms(1, x), 3))
+        bracket = mp.ldexp(sum(islice(_hankel_terms(1, x), 3)), -(mp.mp.prec + FIXED_EXTRA_BITS))
         # alpha_0 = 1/2, and e^x / sqrt(2 pi x) is the Hankel form's prefactor
         front = ctx.prefactor / 2 * ctx.kappa / mp.sqrt(2 * mp.pi * x)
         return LogValue10.from_ln(mp.log(front) + x + mp.log(bracket))
 
 
+@cache
 def false_theta_coeffs(a: int, b: int, max_order: int) -> tuple[Fraction, ...]:
-    """Exact c_0 .. c_max_order of f_{a,b}(e^{-z}) ~ sum_k c_k z^k as z -> 0+.
+    """Exact c_0 .. c_max_order of f_{a,b}(e^{-z}) ~ sum_k c_k z^k as z -> 0+, memoised.
 
     Expanding each term (-1)^n e^{-z (a n^2 + b n)/2} in z and Abel-summing the
     alternating power sums, sum_{n>=1} (-1)^n n^s = -eta(-s), gives

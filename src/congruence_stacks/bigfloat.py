@@ -7,8 +7,9 @@ they trouble mpmath.  LogValue10 keeps the natural log as the source of truth
 pair for display and CSV export; at the default precision the mantissa
 carries at least 30 significant digits.
 
-FIXED_EXTRA_BITS is the one setting of the fixed-point loops in analytic and
-asymptotics: they run on Python integers in units of 2^-wp, with wp the
+FIXED_EXTRA_BITS is the one setting of the fixed-point loops: analytic's
+theta-type sums and q-Pochhammer product, and asymptotics' Bessel series and
+Hankel expansion.  They run on Python integers in units of 2^-wp, with wp the
 ambient mp.prec plus these bits (plus log2 of the loop length where the loop
 length is known), and convert back to mpf once.
 """

@@ -66,7 +66,8 @@ MAX_PROFILE_WORK = 1_610_000
 # largest working precision of every command: -P, CSTACKS_PRECISION and
 # `decay`'s 8 pi^2/(m z_min log 10) + 40 digits.  Costs grow steeply with it:
 # `decay` at 1183 digits (m = 3, z_min = 0.01) takes 7.5-11.7 s and 21 MB max
-# RSS, `verify all -P 1200` 11-13 s and 21 MB (same machine)
+# RSS, `verify all -P 1200` 4.4-6.7 s and 21 MB, about 40% of it theta_product's
+# q-Pochhammer loops (same machine)
 MAX_DPS = 1200
 # `verify` targets in run order, the keys of analytic.VERIFY_CHECKS; the parser
 # lists them without importing analytic.  The contour target refuses an -n whose

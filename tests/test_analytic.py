@@ -163,6 +163,12 @@ class TestEta:
             expected = mp.gamma(mp.mpf(1) / 4) / (2 * mp.pi ** mp.mpf("0.75"))
             assert abs(dedekind_eta(mp.mpc(0, 1), 50) - expected) < mp.mpf("1e-45")
 
+    @pytest.mark.parametrize("dps", [65, 115])
+    def test_agm_gamma_quarter_equals_mpmath_gamma(self, dps):
+        # the eta check's Gamma(1/4), at the working precisions of `verify` at -P 50 and 100
+        with mp.workdps(dps):
+            assert abs(analytic._gamma_quarter() - mp.gamma(mp.mpf(1) / 4)) <= mp.mpf(10) ** -dps
+
     @given(taus)
     @settings(max_examples=10, deadline=None)
     def test_inversion_randomized(self, tau):

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from congruence_stacks import asymptotics
 from congruence_stacks.analytic import false_theta
 from congruence_stacks.asymptotics import (
+    HANKEL_RTOL,
     MAX_EXPANSION_TERMS,
     ArcContext,
     asymptotic_sum,
@@ -17,17 +19,47 @@ from congruence_stacks.asymptotics import (
     refined_main_term,
     singular_expansion_coeffs,
 )
+from congruence_stacks.bigfloat import FIXED_EXTRA_BITS
 from congruence_stacks.params import StackParams
 from congruence_stacks.qseries import stack_gf
 
 P13 = StackParams(1, 3)
 P14 = StackParams(1, 4)
+HANKEL_CASES = [(k, x, dps) for dps in (50, 100, 1200) for x in (30, 66, 1000) for k in range(17)]
 
 valid_pairs = st.sampled_from([(1, 3), (1, 4), (1, 5), (2, 5), (2, 7), (3, 7), (1, 7)])
 
 
 def arc(params, n, dps=50):
     return ArcContext.build(params, n, dps=dps)
+
+
+def mpf_hankel(k, x, dps):
+    """The truncated Hankel sum of bessel_i(k, x, "hankel", dps), summed in mpf at dps + 30 digits.
+
+    Returns (I_k(x) estimate, terms read, smallest term kept).  The truncation
+    is the production one: stop at the first term not smaller than the last,
+    or after 4 floor(x) + 20 terms, where a term below the unit 2^-wp of the
+    fixed-point sum (wp = mp.prec + FIXED_EXTRA_BITS at dps + 10 digits) is 0.
+    """
+    with mp.workdps(dps + 10):
+        unit = mp.ldexp(1, -(mp.mp.prec + FIXED_EXTRA_BITS))
+    with mp.workdps(dps + 30):
+        x = mp.mpf(x)
+        term = total = smallest = mp.mpf(1)
+        read = j = 1
+        while True:
+            term = -term * (4 * k * k - (2 * j - 1) ** 2) / (8 * j * x)
+            read += 1
+            size = abs(term) if abs(term) >= unit else 0
+            if size >= smallest:
+                break
+            total += term
+            smallest = size
+            if j > 4 * int(x) + 20:
+                break
+            j += 1
+        return mp.exp(x) / mp.sqrt(2 * mp.pi * x) * total, read, smallest
 
 
 class TestSaddle:
@@ -105,6 +137,29 @@ class TestBessel:
             xv = mp.mpf(x)
             ref = mp.besseli(order, xv)
             assert abs(bessel_i(order, xv, dps=dps) / ref - 1) <= mp.mpf(10) ** -dps
+
+    @pytest.mark.parametrize("k, x, dps", HANKEL_CASES)
+    def test_fixed_point_hankel_sum_equals_the_mpf_sum(self, k, x, dps, monkeypatch):
+        read = 0
+        terms = asymptotics._hankel_terms
+
+        def counted(*args):
+            nonlocal read
+            for term in terms(*args):
+                read += 1
+                yield term
+
+        monkeypatch.setattr(asymptotics, "_hankel_terms", counted)
+        ref, ref_read, smallest = mpf_hankel(k, x, dps)
+        if smallest > HANKEL_RTOL:
+            # the terms grow from the first on (order 16 at x = 30 and 66): both refuse
+            with pytest.raises(ValueError, match="asymptotic regime violated"):
+                bessel_i(k, x, method="hankel", dps=dps)
+        else:
+            value = bessel_i(k, x, method="hankel", dps=dps)
+            with mp.workdps(dps + 10):
+                assert abs(value / ref - 1) <= mp.mpf(10) ** -dps
+        assert read == ref_read
 
     def test_negative_order_equals_positive(self):
         with mp.workdps(50):

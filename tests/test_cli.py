@@ -4,6 +4,7 @@ import json
 import math
 import re
 
+import mpmath as mp
 import pytest
 
 from congruence_stacks import analytic, cli
@@ -421,6 +422,33 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "theta", "-n", "10000000")
         assert code == 0
         assert out.count("PASS") == 2 and "FAIL" not in out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["all", "--seed", "21"],
+            ["theta", "transform", "eta", "falsetheta", "bessel", "-r", "2", "-m", "5", "-P", "100", "--seed", "21"],
+        ],
+    )
+    def test_benchmark_commands_call_neither_gamma_nor_power(self, capsys, monkeypatch, argv):
+        # the perfbench `verify` workload: Gamma(1/4) comes from the AGM, which costs
+        # under 5 ms at 1215 digits, where mp.gamma first builds a coefficient table
+        # for 6-7 s; the false theta series takes integer powers of q
+        def refuse(*args, **kwargs):
+            raise AssertionError("a verify reference took the general mpmath route")
+
+        monkeypatch.setattr(mp, "gamma", refuse)
+        monkeypatch.setattr(mp, "power", refuse)
+        code, out, _ = run(capsys, "verify", *argv)
+        assert code == 0
+        assert "FAIL" not in out
+
+    def test_eta_at_the_largest_precision(self, capsys):
+        # about 0.2 s: Gamma(1/4) comes from the AGM, not from mp.gamma's table
+        code, out, _ = run(capsys, "verify", "eta", "-P", str(cli.MAX_DPS))
+        assert code == 0
+        assert check_names(out) == VERIFY_ALL_NAMES[VERIFY_SLICES["eta"]]
+        assert [line.split()[0] for line in out.splitlines() if CHECK_LINE.match(line)] == ["PASS", "PASS"]
 
     def test_seed_changes_samples_not_outcome(self, capsys):
         code1, out1, _ = run(capsys, "verify", "theta", "--seed", "1")
