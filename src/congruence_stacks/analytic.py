@@ -16,7 +16,12 @@ computation inside a single mpmath context with guard digits, including the
 construction of derived points like -1/tau.  Truncation cutoffs are derived
 from the requested precision: Gaussian tail bounds for the theta, false theta
 and eta sums (eta's is pi y (3k^2 - k) >= D log 10, D the dps plus guard and
-cancellation digits), geometric bounds for the products.  The three sums are
+cancellation digits), geometric bounds for the products.  Every such
+decision, and theta_sum's count of lost digits, is made in doubles from
+float(Im tau) and float(Im w), with no mpmath call; each equals the mpf
+formula it replaced over the tested sweep (tests/test_analytic.py).  An
+Im tau that leaves double range, or a cutoff that does (theta's, only past
+10^150 terms), raises ValueError.  The three sums are
 sum_n (+-1)^n X^{n^2} Y^n and are summed by their term ratio, with no
 exponential per term.  That recurrence and the q-Pochhammer product loop run
 in complex fixed point, on Python integers in units of 2^-wp with wp a few
@@ -110,15 +115,37 @@ def _pochhammer(a, q, count: int, acc=1):
     return mp.mpc(mp.ldexp(pr, e), mp.ldexp(pi, e))
 
 
-def _factor_count(y, digits: int, slack=0) -> int:
-    """Smallest K with e^slack |q|^K / (1 - |q|) <= 10^-digits, |q| = e^{-2 pi y}.
+def _im_double(tau) -> float:
+    """Im(tau) > 0 as a double, the variable every truncation cutoff is sized in.
+
+    Raises when Im(tau) leaves double range, where it rounds to 0 or to
+    infinity: no cutoff can be sized there.
+    """
+    y = float(mp.im(tau))
+    if not 0 < y < math.inf:
+        raise ValueError(f"Im(tau) = {mp.nstr(mp.im(tau), 5)} is outside double range, where truncation cutoffs are sized")
+    return y
+
+
+def _cutoff(value: float) -> int:
+    """ceil(value), a truncation cutoff sized in doubles; raises when it left double range."""
+    if not math.isfinite(value):
+        raise ValueError(
+            "a truncation cutoff is outside double range: Im(tau) is too close to 0, or |Im w| or an index too large"
+        )
+    return math.ceil(value)
+
+
+def _factor_count(y: float, digits: int, slack: float = 0.0) -> int:
+    """Smallest K with e^slack |q|^K / (1 - |q|) <= 10^-digits, |q| = e^{-2 pi y}, in doubles.
 
     When the k-th factor of a product deviates from 1 by at most
     e^slack |q|^k, the factors from K on move it by a relative 10^-digits at
     most; the same bound caps the tail of a series with terms of size |q|^k.
+    y is a positive double (_im_double, or circle_profile's kappa / 2 pi).
     """
-    t = 2 * mp.pi * y
-    return int(mp.ceil((digits * mp.log(10) + slack - mp.log(-mp.expm1(-t))) / t))
+    t = 2 * math.pi * y
+    return _cutoff((digits * math.log(10) + slack - math.log(-math.expm1(-t))) / t)
 
 
 def _gauss_sum(x, y, n_max: int, sign=1):
@@ -148,21 +175,45 @@ def _gauss_sum(x, y, n_max: int, sign=1):
     return mp.mpc(mp.ldexp(sr, -wp), mp.ldexp(si, -wp))
 
 
+def _theta_terms(y: float, iw: float, digits: int) -> int:
+    """Cutoff of theta's Gaussian sums: nu_max + 2, pi y nu^2 - 2 pi iw nu = digits log 10, iw = |Im w|.
+
+    In doubles, as nu_max = r + sqrt(r^2 + digits log 10 / (pi y)), r = iw / y,
+    so only a cutoff above 10^150 leaves double range.
+    """
+    r = iw / y
+    return _cutoff(r + math.sqrt(r * r + digits * math.log(10) / (math.pi * y)) + 2)
+
+
 def _theta_gauss(w, tau, digits: int) -> mp.mpc:
-    """theta(w; tau) from its two Gaussian sums, cut and formed at `digits` digits."""
+    """theta(w; tau) from its two Gaussian sums, cut and formed at `digits` digits, from two exponentials."""
     with mp.workdps(digits):
         w = mp.mpc(w)
         tau = mp.mpc(tau)
-        y = mp.im(tau)
-        iw = abs(mp.im(w))
-        target = digits * mp.log(10)
-        nu_max = (iw + mp.sqrt(iw * iw + y * target / mp.pi)) / y + 2
-        k_max = int(mp.ceil(nu_max))
-        half_w = w + mp.mpf(1) / 2
-        x = mp.exp(mp.pi * 1j * tau)
-        yk = x * mp.exp(2 * mp.pi * 1j * half_w)
-        c = mp.exp(mp.pi * 1j * (tau / 4 + half_w))
+        k_max = _theta_terms(float(tau.imag), abs(float(w.imag)), digits)
+        quarter = mp.exp(mp.pi * 1j * tau / 4)
+        half_turn = mp.exp(mp.pi * 1j * (w + 0.5))
+        # X = e^{pi i tau}, Y = X e^{2 pi i (w + 1/2)}, c = e^{pi i (tau/4 + w + 1/2)}
+        x = (quarter * quarter) ** 2
+        yk = x * half_turn * half_turn
+        c = quarter * half_turn
         return c * (_gauss_sum(x, yk, k_max) + _gauss_sum(x, 1 / yk, k_max + 1) - 1)
+
+
+def _extra_digits(y: float, iw: float, value, digits: int) -> int:
+    """Digits theta_sum's second pass adds: the lost ones, at most digits, when more than GUARD are lost, else 0.
+
+    The lost digits are log10 of the largest term, at the half-integer nu
+    nearest -iw / y (iw = Im w, signed), minus log10 |value|, in doubles:
+    |value| is a binary exponent from mp.mag times a double mantissa.
+    """
+    if not value:
+        return digits
+    nu = math.floor(-iw / y) + 0.5
+    e = max(mp.mag(value.real), mp.mag(value.imag))
+    mantissa = math.hypot(float(mp.ldexp(value.real, -e)), float(mp.ldexp(value.imag, -e)))
+    lost = -math.pi * (y * nu * nu + 2 * nu * iw) / math.log(10) - math.log10(mantissa) - e * math.log10(2)
+    return min(math.ceil(lost), digits) if lost > GUARD else 0
 
 
 def theta_sum(w, tau, dps: int = DEFAULT_DPS) -> mp.mpc:
@@ -176,19 +227,17 @@ def theta_sum(w, tau, dps: int = DEFAULT_DPS) -> mp.mpc:
     its largest term.  When that ratio costs more than GUARD digits, the sum
     is formed again, cutoff and precision, with the lost digits added to D;
     at most D of them, all that a pass at D digits can measure (theta may
-    vanish).
+    vanish).  Both decisions, the cutoff and the lost digits, are made in
+    doubles from Im tau and Im w (_theta_terms, _extra_digits).
     """
     digits = dps + GUARD
     with mp.workdps(digits):
         tau_c = _require_upper_half(tau)
-        y, iw = mp.im(tau_c), mp.im(mp.mpc(w))
-        # the largest term sits at the half-integer nearest -Im(w) / y
-        nu = mp.floor(-iw / y) + mp.mpf(1) / 2
-        log10_peak = -mp.pi * (y * nu * nu + 2 * nu * iw) / mp.log(10)
+    y, iw = _im_double(tau_c), float(mp.im(w))
     value = _theta_gauss(w, tau, digits)
-    lost = log10_peak - mp.log10(abs(value)) if value else digits
-    if lost > GUARD:
-        value = _theta_gauss(w, tau, digits + min(int(mp.ceil(lost)), digits))
+    extra = _extra_digits(y, iw, value, digits)
+    if extra:
+        value = _theta_gauss(w, tau, digits + extra)
     return value
 
 
@@ -201,7 +250,7 @@ def theta_product(w, tau, dps: int = DEFAULT_DPS) -> mp.mpc:
         w = mp.mpc(w)
         tau = _require_upper_half(tau)
         # factor k deviates from 1 by at most e^{2 pi |Im w|} |q|^k
-        count = _factor_count(mp.im(tau), dps + GUARD, slack=2 * mp.pi * abs(mp.im(w)))
+        count = _factor_count(_im_double(tau), dps + GUARD, slack=2 * math.pi * abs(float(w.imag)))
         q = mp.exp(2 * mp.pi * 1j * tau)
         zp = mp.exp(2 * mp.pi * 1j * w)
         prod = _pochhammer(q, q, count)
@@ -238,14 +287,18 @@ def dedekind_eta(tau, dps: int = DEFAULT_DPS) -> mp.mpc:
     """
     with mp.workdps(dps + GUARD):
         tau = _require_upper_half(tau)
-        y = mp.im(tau)
-        digits = dps + GUARD + int(mp.pi / (12 * y * mp.log(10))) + 1
-        k_max = int(mp.ceil((1 + mp.sqrt(1 + 12 * digits * mp.log(10) / (mp.pi * y))) / 6))
+    digits, k_max = _eta_sizes(_im_double(tau), dps)
     with mp.workdps(digits):
         x = mp.exp(3 * mp.pi * 1j * tau)
         u = mp.exp(-mp.pi * 1j * tau)
         total = _gauss_sum(x, u, k_max, -1) + _gauss_sum(x, 1 / u, k_max, -1) - 1
         return mp.exp(mp.pi * 1j * tau / 12) * total
+
+
+def _eta_sizes(y: float, dps: int) -> tuple[int, int]:
+    """dedekind_eta's digits D and cutoff k_max, in doubles."""
+    digits = dps + GUARD + _cutoff(math.pi / (12 * y * math.log(10)))
+    return digits, _cutoff((1 + math.sqrt(1 + 12 * digits * math.log(10) / (math.pi * y))) / 6)
 
 
 def eta_inversion_residual(tau, dps: int = DEFAULT_DPS) -> mp.mpf:
@@ -262,7 +315,7 @@ def congruence_product(params: StackParams, tau, dps: int = DEFAULT_DPS) -> mp.m
     with mp.workdps(dps + GUARD):
         tau = _require_upper_half(tau)
         q = mp.exp(2 * mp.pi * 1j * tau)
-        top = _factor_count(mp.im(tau), dps + GUARD)
+        top = _factor_count(_im_double(tau), dps + GUARD)
         qm = q ** params.m
         prod = 1
         for start in (params.r, params.m - params.r):
@@ -369,12 +422,19 @@ def false_theta(a: int, b: int, tau, dps: int = DEFAULT_DPS) -> mp.mpc:
         raise ValueError("a must be positive")
     with mp.workdps(dps + GUARD):
         tau = _require_upper_half(tau)
-        y = mp.im(tau)
-        target = (dps + GUARD) * mp.log(10)
-        disc = b * b + 4 * a * target / (mp.pi * y)
-        n_max = int(mp.ceil((-b + mp.sqrt(disc)) / (2 * a))) + 2
+        n_max = _false_theta_terms(a, b, _im_double(tau), dps + GUARD)
         pi_i_tau = mp.pi * 1j * tau
         return _gauss_sum(mp.exp(pi_i_tau * a), mp.exp(pi_i_tau * b), n_max, -1) - 1
+
+
+def _false_theta_terms(a: int, b: int, y: float, digits: int) -> int:
+    """false_theta's cutoff: 2 past the root n of pi y (a n^2 + b n) = 2 digits log 10, in doubles."""
+    try:
+        disc = float(b) * b + 4 * a * digits * math.log(10) / (math.pi * y)
+        root = (math.sqrt(disc) - b) / (2 * a)
+    except OverflowError:  # a or b beyond double range
+        root = math.inf
+    return _cutoff(root) + 2
 
 
 def cubic_model(a: int, b: int, z) -> mp.mpc:
@@ -419,6 +479,13 @@ def false_theta_series_residual(params: StackParams, tau, dps: int = DEFAULT_DPS
 
     The left side comes from the analytic false theta evaluator, the right
     from summing the integer series termwise at q.  Returns the relative gap.
+    The series' exponents come from qseries.false_theta_gf, not from
+    _gauss_sum's term ratio, and its powers of q are running products: q^e
+    advances by q^gap, and q^gap by q^(change of gap).  The gap changes by m
+    from the second term on, and each such power is formed once: mpmath
+    raises an mpc to an integer k through exp(k log q) once k times the
+    mantissa bits passes 10 000, already at k = 3 at -P 1200.  So no term
+    pays an exponential or a log.
     """
     with mp.workdps(dps + GUARD):
         tau = _require_upper_half(tau)
@@ -426,12 +493,25 @@ def false_theta_series_residual(params: StackParams, tau, dps: int = DEFAULT_DPS
         t = params.shift
         via_false_theta = -q ** t * false_theta(params.m, -(params.m + 2 * t), tau, dps=dps)
         direct = mp.mpc(0)
-        for e, sign in false_theta_gf(params, _factor_count(mp.im(tau), dps + GUARD)):
-            direct += sign * q ** e
+        power = step = mp.mpc(1)
+        last = gap = 0
+        powers = {}
+        for e, sign in false_theta_gf(params, _factor_count(_im_double(tau), dps + GUARD)):
+            if e - last != gap:
+                change = e - last - gap
+                if change not in powers:
+                    powers[change] = q ** change
+                step *= powers[change]
+                gap = e - last
+            power *= step
+            last = e
+            direct += sign * power
         return abs(via_false_theta - direct) / abs(direct)
 
 
-def simpson_refine(f: Callable[[float], float | complex], a, b) -> tuple[complex, tuple[complex, ...]]:
+def simpson_refine(
+    f: Callable[[float], float | complex], a, b, scale: float = math.inf
+) -> tuple[complex, tuple[complex, ...]]:
     """Composite Simpson with panel doubling until successive estimates agree.
 
     a and b are converted to float, and the nodes a + i h are doubles.  Each
@@ -439,9 +519,12 @@ def simpson_refine(f: Callable[[float], float | complex], a, b) -> tuple[complex
     values is summed in mpf at the caller's precision and an f that returns
     floats or complex values stays in doubles; abs compares complex estimates
     by modulus.  Returns (value, history of estimates).
-    Estimates are compared from MIN_DOUBLINGS on.  Raises when MAX_DOUBLINGS
-    cannot reach SIMPSON_RTOL; the integrands used here are analytic, so
-    failure indicates a misconfigured interval rather than roughness.
+    Estimates are compared from MIN_DOUBLINGS on, and refinement stops once
+    two differ by at most SIMPSON_RTOL times the smaller of |estimate| and
+    scale: a caller that adds the value to something smaller passes that
+    size.  Raises when MAX_DOUBLINGS cannot reach SIMPSON_RTOL; the
+    integrands used here are analytic, so failure indicates a misconfigured
+    interval rather than roughness.
     """
     a = float(a)
     b = float(b)
@@ -456,21 +539,28 @@ def simpson_refine(f: Callable[[float], float | complex], a, b) -> tuple[complex
         odd_sum = sum(map(f, [a + i * h for i in range(1, panels, 2)]))
         estimate = h / 3 * (fa + fb + 2 * even_sum + 4 * odd_sum)
         history.append(estimate)
-        if level >= MIN_DOUBLINGS and abs(estimate - history[-2]) <= SIMPSON_RTOL * abs(estimate):
+        if level >= MIN_DOUBLINGS and abs(estimate - history[-2]) <= SIMPSON_RTOL * min(abs(estimate), scale):
             return estimate, tuple(history)
         even_sum += odd_sum
     raise ValueError(f"Simpson refinement did not converge after {panels} panels")
 
 
 def _arc_integral(ctx: ArcContext, t0: float, t1: float) -> mp.mpf:
-    """The line over t0 <= |nu|/kappa <= t1: major_arc_integral's formula with these limits."""
+    """The line over t0 <= |nu|/kappa <= t1: major_arc_integral's formula with these limits.
+
+    Simpson stops relative to the smaller of this piece and the whole line,
+    (P/2) kappa I_1(2N), whose size in the integral's units is
+    pi e^{-2N} I_1(2N), taken from mp.besseli at 15 digits.
+    """
     scale = float(ctx.scale)
 
     def integrand(t: float) -> float:
         u = t * t / (1 + t * t)
         return math.exp(-scale * u) * math.cos(scale * t * u)
 
-    half, _ = simpson_refine(integrand, t0, t1)
+    with mp.workdps(15):
+        line = float(mp.pi * mp.exp(-2 * ctx.scale) * mp.besseli(1, 2 * ctx.scale))
+    half, _ = simpson_refine(integrand, t0, t1, line)
     with mp.workdps(ctx.dps + GUARD):
         return ctx.prefactor / (4 * mp.pi) * 2 * ctx.kappa * mp.exp(2 * ctx.scale) * half
 
@@ -482,6 +572,10 @@ def major_arc_integral(ctx: ArcContext) -> mp.mpf:
     alpha_0 = 1/2 times the arc's P, A and B (the constant is csc(pi r/m)/(8 pi)),
     by Simpson refinement to SIMPSON_RTOL.  Added to contour_tail, the rest
     of the line, it gives the arc's one-term Bessel sum (P/2) kappa I_1(2N).
+    Refinement stops at SIMPSON_RTOL of the smaller of the arc and that
+    line (_arc_integral): below growth scale N = 0.1 the arc exceeds the
+    line many times over (76-fold at N = 0.0038, rho = 0.9), and a stop
+    relative to the arc alone left 4e-10 of the line in the sum.
 
     In Wright's normalised variable t = nu/kappa, with kappa = sqrt(A/B) and
     N = sqrt(AB), the exponent is exactly N (2 - u) + i N t u, u = t^2/(1 + t^2),
@@ -775,11 +869,25 @@ def _check_falsetheta(params, dps, rng, order, ctx) -> list[Check]:
     ]
 
 
+def _bessel_references(x) -> list[mp.mpf]:
+    """I_0(x) .. I_3(x) at the ambient precision: mp.besseli at orders 0 and 1, then the recurrence
+
+    I_{nu+1}(x) = I_{nu-1}(x) - (2 nu / x) I_nu(x) (DLMF 10.29.1).  Upward it
+    cancels, most at x = 0.5, where I_3 loses about 3 digits.
+    """
+    refs = [mp.besseli(0, x), mp.besseli(1, x)]
+    for nu in (1, 2):
+        refs.append(refs[nu - 1] - 2 * nu / x * refs[nu])
+    return refs
+
+
 def _check_bessel(params, dps, rng, order, ctx) -> list[Check]:
+    """The series route against mpmath's I_0, I_1 and their recurrence at dps + GUARD digits, and the Hankel route."""
     with mp.workdps(dps + GUARD):
         xs = [mp.mpf(x) for x in ("0.5", "3", "12", "30")]
         series = [[bessel_i(nu, x, dps=dps) for x in xs] for nu in range(4)]
-        worst_series = max(abs(value / mp.besseli(nu, x) - 1) for nu in range(4) for x, value in zip(xs, series[nu]))
+        references = list(zip(*map(_bessel_references, xs)))
+        worst_series = max(abs(value / ref - 1) for nu in range(4) for value, ref in zip(series[nu], references[nu]))
         # the Hankel route at x = 30 against the series values above
         worst_hankel = max(abs(bessel_i(nu, xs[-1], method="hankel", dps=dps) / series[nu][-1] - 1) for nu in range(4))
     return [

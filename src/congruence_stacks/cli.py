@@ -66,7 +66,7 @@ MAX_PROFILE_WORK = 1_610_000
 # largest working precision of every command: -P, CSTACKS_PRECISION and
 # `decay`'s 8 pi^2/(m z_min log 10) + 40 digits.  Costs grow steeply with it:
 # `decay` at 1183 digits (m = 3, z_min = 0.01) takes 7.5-11.7 s and 21 MB max
-# RSS, `verify all -P 1200` 4.4-6.7 s and 21 MB, about 40% of it theta_product's
+# RSS, `verify all -P 1200` 3.8-5.7 s and 21 MB, about half of it theta_product's
 # q-Pochhammer loops (same machine)
 MAX_DPS = 1200
 # `verify` targets in run order, the keys of analytic.VERIFY_CHECKS; the parser
@@ -235,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--order",
         type=int,
         default=400,
-        help=f"series order for the decomposition check (default 400, at most {MAX_RECURRENCE_ORDER})",
+        help=f"series order for the decomposition check (default 400, from 0 to {MAX_RECURRENCE_ORDER})",
     )
     p_verify.add_argument("-n", "--size", type=int, default=200, help="size used by the contour check")
     p_verify.add_argument("--rho", type=float, default=0.9, help="major arc fraction for the contour check")
@@ -427,9 +427,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if unknown:
         raise ValueError(f"unknown verify target(s): {', '.join(sorted(unknown))}")
     targets = [target for target in VERIFY_TARGETS if target in requested or "all" in requested]
-    if args.order > MAX_RECURRENCE_ORDER:
+    # checked for every target, before any check runs
+    if not 0 <= args.order <= MAX_RECURRENCE_ORDER:
         raise ValueError(
-            f"order {args.order} exceeds the recurrence bound MAX_RECURRENCE_ORDER = {MAX_RECURRENCE_ORDER}"
+            f"order {args.order} is outside 0 <= order <= MAX_RECURRENCE_ORDER = {MAX_RECURRENCE_ORDER}"
         )
     ctx = None
     # the contour check's size bound, before any check runs

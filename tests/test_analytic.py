@@ -331,6 +331,170 @@ def test_kernels_take_a_constant_number_of_mpc_products(monkeypatch):
         assert 0 < calls <= 12, (name, calls)
 
 
+# The truncation cutoffs are sized in doubles; these are the mpf formulas they
+# replaced, at the digits the kernels work at.  log 10 and pi are formed once
+# per precision, as mpmath caches them.
+SWEEP_YS = [10 ** (-4 + 5 * j / 29) for j in range(30)]  # 1e-4 .. 10
+SWEEP_IWS = [0.0, 0.03, 0.3, 1.0, 2.5, 7.0, 10.0]
+SWEEP_DPS = [30, 50, 100, 1200]
+
+
+def _mpf_factor_count(y, digits, iw, ln10):
+    t = 2 * mp.pi * mp.mpf(y)
+    slack = 2 * mp.pi * abs(mp.mpf(iw))
+    return int(mp.ceil((digits * ln10 + slack - mp.log(-mp.expm1(-t))) / t))
+
+
+def _mpf_theta_terms(y, iw, digits, ln10):
+    y, iw = mp.mpf(y), abs(mp.mpf(iw))
+    return int(mp.ceil((iw + mp.sqrt(iw * iw + y * digits * ln10 / mp.pi)) / y + 2))
+
+
+def _mpf_eta_sizes(y, dps, ln10):
+    y = mp.mpf(y)
+    digits = dps + analytic.GUARD + int(mp.pi / (12 * y * ln10)) + 1
+    return digits, int(mp.ceil((1 + mp.sqrt(1 + 12 * digits * ln10 / (mp.pi * y))) / 6))
+
+
+def _mpf_false_theta_terms(a, b, y, digits, ln10):
+    disc = b * b + 4 * a * digits * ln10 / (mp.pi * mp.mpf(y))
+    return int(mp.ceil((-b + mp.sqrt(disc)) / (2 * a))) + 2
+
+
+def _mpf_log10_peak(y, iw):
+    y, iw = mp.mpf(y), mp.mpf(iw)
+    nu = mp.floor(-iw / y) + mp.mpf(1) / 2
+    return -mp.pi * (y * nu * nu + 2 * nu * iw) / mp.log(10)
+
+
+def _mpf_extra_digits(log10_peak, value, digits):
+    # theta_sum formed log10 |value| at the caller's precision
+    lost = log10_peak - mp.log10(abs(value)) if value else digits
+    return min(int(mp.ceil(lost)), digits) if lost > analytic.GUARD else 0
+
+
+class TestFloatCutoffs:
+    @pytest.mark.parametrize("dps", SWEEP_DPS)
+    def test_factor_count_equals_the_mpf_formula(self, dps):
+        digits = dps + analytic.GUARD
+        with mp.workdps(digits):
+            ln10 = mp.log(10)
+            for y in SWEEP_YS:
+                for iw in SWEEP_IWS:
+                    reference = _mpf_factor_count(y, digits, iw, ln10)
+                    assert analytic._factor_count(y, digits, 2 * math.pi * iw) == reference, (y, iw)
+
+    @pytest.mark.parametrize("dps", SWEEP_DPS)
+    def test_theta_terms_equal_the_mpf_formula(self, dps):
+        # the first pass and a second at up to twice the digits
+        for digits in (dps + analytic.GUARD, 2 * (dps + analytic.GUARD)):
+            with mp.workdps(digits):
+                ln10 = mp.log(10)
+                for y in SWEEP_YS:
+                    for iw in SWEEP_IWS:
+                        assert analytic._theta_terms(y, iw, digits) == _mpf_theta_terms(y, iw, digits, ln10), (y, iw)
+
+    @pytest.mark.parametrize("dps", SWEEP_DPS)
+    def test_eta_sizes_equal_the_mpf_formula(self, dps):
+        with mp.workdps(dps + analytic.GUARD):
+            ln10 = mp.log(10)
+            for y in SWEEP_YS:
+                assert analytic._eta_sizes(y, dps) == _mpf_eta_sizes(y, dps, ln10), y
+
+    @pytest.mark.parametrize("dps", SWEEP_DPS)
+    def test_false_theta_terms_equal_the_mpf_formula(self, dps):
+        digits = dps + analytic.GUARD
+        with mp.workdps(digits):
+            ln10 = mp.log(10)
+            for y in SWEEP_YS[::3]:
+                for a in range(1, 13):
+                    for b in range(-40, 41, 3):
+                        reference = _mpf_false_theta_terms(a, b, y, digits, ln10)
+                        assert analytic._false_theta_terms(a, b, y, digits) == reference, (a, b, y)
+
+    @pytest.mark.parametrize("dps", SWEEP_DPS)
+    def test_lost_digits_equal_the_mpf_formula(self, dps):
+        # |value| from 10^3 above to 10^(digits + 40) below the largest term, at
+        # several phases: the second pass is skipped, taken and capped
+        digits = dps + analytic.GUARD
+        for y in SWEEP_YS:
+            for iw in SWEEP_IWS:
+                for signed in (iw, -iw):
+                    with mp.workdps(digits):
+                        log10_peak = _mpf_log10_peak(y, signed)
+                    for k, below in enumerate((-3.3, 2.7, 14.6, 15.4, 16.9, 0.53 * digits, digits + 40.2)):
+                        value = mp.power(10, log10_peak - below) * mp.expjpi(mp.mpf(k) / 7)
+                        got = analytic._extra_digits(y, signed, value, digits)
+                        assert got == _mpf_extra_digits(log10_peak, value, digits), (y, signed, below)
+
+    def test_theta_sum_still_takes_its_second_pass(self, monkeypatch):
+        # theta(0.1; 0.005i) = -3.1e-43 is a sum of terms of size up to 1
+        # (test_sum_keeps_relative_precision_near_the_real_axis checks its value)
+        real = analytic._theta_gauss
+        digits = []
+
+        def counting(w, tau, d):
+            digits.append(d)
+            return real(w, tau, d)
+
+        monkeypatch.setattr(analytic, "_theta_gauss", counting)
+        theta_sum(0.1, mp.mpc(0, "0.005"), 50)
+        assert len(digits) == 2 and digits[1] > digits[0] == 50 + analytic.GUARD
+        digits.clear()
+        theta_sum(W, TAU, 50)
+        assert digits == [50 + analytic.GUARD]
+
+    @pytest.mark.parametrize(
+        "kernel",
+        [
+            lambda: theta_sum(W, mp.mpc(0, "1e-400")),
+            lambda: theta_sum(W, mp.mpc(0, "1e400")),
+            lambda: theta_sum(mp.mpc(0, "1e200"), TAU),
+            lambda: theta_product(W, mp.mpc(0, "1e-400")),
+            lambda: theta_product(mp.mpc(0, "1e400"), TAU),
+            lambda: dedekind_eta(mp.mpc(0, "1e-310")),
+            lambda: false_theta(3, -7, mp.mpc(0, "1e-400")),
+            lambda: false_theta(10**400, -7, TAU),
+            lambda: congruence_product(P13, mp.mpc(0, "1e-400")),
+            lambda: false_theta_series_residual(P13, mp.mpc(0, "1e-400")),
+        ],
+        ids=["theta-y-low", "theta-y-high", "theta-w", "product-y", "product-w", "eta", "false-y", "false-a", "F", "L"],
+    )
+    def test_cutoff_outside_double_range_raises(self, kernel):
+        with pytest.raises(ValueError, match="outside double range"):
+            kernel()
+
+
+@pytest.mark.parametrize("dps", [50, 100, 1200])
+def test_bessel_references_match_mpmath_at_orders_two_and_three(dps):
+    # the verify bessel check's references: mp.besseli at orders 0 and 1 and the
+    # upward recurrence, which cancels most at x = 0.5 (about 3 digits at 100)
+    with mp.workdps(dps + analytic.GUARD):
+        for x in map(mp.mpf, ("0.5", "3", "12", "30")):
+            references = analytic._bessel_references(x)
+            for nu in (2, 3):
+                assert abs(references[nu] / mp.besseli(nu, x) - 1) <= mp.mpf(10) ** -(dps + analytic.GUARD - 4), (x, nu)
+
+
+@pytest.mark.parametrize("dps", [50, 100, 1200])
+@pytest.mark.parametrize("pair", [(1, 3), (2, 3), (2, 5), (3, 4), (5, 12), (7, 12)])
+def test_false_theta_series_raises_three_powers_none_above_the_modulus(monkeypatch, pair, dps):
+    # the integer series' powers of q are running products; mpmath's q ** e goes
+    # through exp(e log q) once e times the mantissa bits passes 10 000: e > 30
+    # at 100 digits, e > 2 at 1200.  q^t, q^(m - t) and q^m are the three powers
+    real_pow = mp.mpc.__pow__
+    exponents = []
+
+    def recording_pow(self, other):
+        exponents.append(other)
+        return real_pow(self, other)
+
+    monkeypatch.setattr(mp.mpc, "__pow__", recording_pow)
+    params = StackParams(*pair)
+    assert false_theta_series_residual(params, mp.mpc("0.01", "0.10"), dps) < mp.mpf(10) ** -dps
+    assert sorted(exponents) == sorted([params.shift, params.m - params.shift, params.m])
+
+
 class TestCubicRemainder:
     @pytest.mark.parametrize("a,b", [(3, -7), (4, -8)])
     def test_bound_holds_in_region(self, a, b):
@@ -398,7 +562,10 @@ def _mpmath_major_arc(ctx):
             zz = mp.mpc(kappa, nu)
             return mp.re(mp.exp(B * zz + A / zz))
 
-        half, history = simpson_refine(integrand, mp.mpf(0), ctx.rho * kappa)
+        # the same stop as the arc's: relative to the smaller of the arc and the
+        # line (P/2) kappa I_1(2N), whose size in these units is pi kappa I_1(2N)
+        line = mp.pi * kappa * mp.besseli(1, 2 * ctx.scale)
+        half, history = simpson_refine(integrand, mp.mpf(0), ctx.rho * kappa, line)
         return ctx.prefactor / (4 * mp.pi) * 2 * half, len(history)
 
 
@@ -418,8 +585,8 @@ class TestMajorArc:
         # the doubles carry a few units of 2^-53 relative per level; measured at most 1.1e-15
         lengths = []
 
-        def spy(f, a, b):
-            value, history = simpson_refine(f, a, b)
+        def spy(f, a, b, *scale):
+            value, history = simpson_refine(f, a, b, *scale)
             lengths.append(len(history))
             return value, history
 
@@ -545,6 +712,19 @@ class TestContourTail:
                 line = major_arc_integral(ctx) + contour_tail(ctx)
                 worst = max(worst, abs(line / one_term_bessel(ctx) - 1))
         assert worst < analytic.SIMPSON_RTOL
+
+    @pytest.mark.parametrize(
+        "r, m, n, rho",
+        [(41, 194, 0, 0.9), (70, 363, 2, 0.9), (333, 449, 1, 0.9), (263, 330, 5, 0.9), (41, 194, 0, 0.3), (7, 32, 2, 0.1)],
+    )
+    def test_closes_the_line_at_small_growth_scale(self, r, m, n, rho):
+        # N = 0.0025 to 0.46: the arc (and below rho = 1/2 the vertical piece)
+        # exceeds the line up to 76-fold, and a Simpson stop relative to the arc
+        # alone left 4.2e-10 to 6.0e-10 of the line at rho = 0.9
+        ctx = ArcContext.build(StackParams(r, m), n, rho=rho, dps=50)
+        with mp.workdps(65):
+            line = major_arc_integral(ctx) + contour_tail(ctx)
+            assert abs(line / one_term_bessel(ctx) - 1) < analytic.SIMPSON_RTOL
 
     def test_closes_the_line_deep_in_the_regime(self):
         # the ray's start e^{N (w* + 1/w*)} is about 1e94 here, e^{2N} about 1e177

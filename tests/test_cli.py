@@ -369,6 +369,23 @@ class TestVerify:
         assert out == ""
         assert f"MAX_RECURRENCE_ORDER = {cli.MAX_RECURRENCE_ORDER}" in err
 
+    @pytest.mark.parametrize("order", [-1, cli.MAX_RECURRENCE_ORDER + 1, 20000])
+    def test_order_outside_its_bounds_exit_2_for_every_target(self, capsys, monkeypatch, order):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a check ran although the order is refused")
+
+        monkeypatch.setattr(analytic, "theta_sum", refuse)
+        code, out, err = run(capsys, "verify", "theta", "--order", str(order))
+        assert code == 2
+        assert out == ""
+        assert f"0 <= order <= MAX_RECURRENCE_ORDER = {cli.MAX_RECURRENCE_ORDER}" in err
+
+    @pytest.mark.parametrize("order", [0, cli.MAX_RECURRENCE_ORDER])
+    def test_order_at_its_bounds_is_accepted(self, capsys, order):
+        code, out, _ = run(capsys, "verify", "theta", "--order", str(order))
+        assert code == 0
+        assert out.count("PASS") == 2 and "FAIL" not in out
+
     @pytest.mark.parametrize(
         "argv, bound",
         [
@@ -418,6 +435,14 @@ class TestVerify:
         assert out.count("PASS") == 2 and "FAIL" not in out
         assert f"rho = {rho}" in out
 
+    @pytest.mark.parametrize("argv", [["-r", "41", "-m", "194", "-n", "0"], ["-r", "70", "-m", "363", "-n", "2"]])
+    def test_contour_passes_at_small_growth_scale(self, capsys, argv):
+        # N = 0.0038 and 0.0025, where the arc is 76 and 115 times the line:
+        # its Simpson stop is relative to the line's size
+        code, out, _ = run(capsys, "verify", "contour", *argv)
+        assert code == 0
+        assert out.count("PASS") == 2 and "FAIL" not in out
+
     def test_size_is_not_bounded_without_the_contour_target(self, capsys):
         code, out, _ = run(capsys, "verify", "theta", "-n", "10000000")
         assert code == 0
@@ -442,6 +467,22 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", *argv)
         assert code == 0
         assert "FAIL" not in out
+
+    def test_bessel_makes_eight_reference_calls(self, capsys, monkeypatch):
+        # mp.besseli at orders 0 and 1 for each of the 4 arguments; orders 2 and 3
+        # come from the recurrence
+        real_besseli = mp.besseli
+        orders = []
+
+        def counting(nu, x, **kwargs):
+            orders.append(nu)
+            return real_besseli(nu, x, **kwargs)
+
+        monkeypatch.setattr(mp, "besseli", counting)
+        code, out, _ = run(capsys, "verify", "bessel")
+        assert code == 0
+        assert "FAIL" not in out
+        assert sorted(orders) == [0] * 4 + [1] * 4
 
     def test_eta_at_the_largest_precision(self, capsys):
         # about 0.2 s: Gamma(1/4) comes from the AGM, not from mp.gamma's table
