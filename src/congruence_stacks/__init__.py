@@ -22,7 +22,6 @@ from .oracle import (
     count_stacks,
     enumerate_stacks,
 )
-from .bigfloat import LogValue10
 from .asymptotics import (
     ArcContext,
     ComparisonRecord,
@@ -75,7 +74,6 @@ __all__ = [
     "StackWitness",
     "count_stacks",
     "enumerate_stacks",
-    "LogValue10",
     "ArcContext",
     "ComparisonRecord",
     "bessel_i",

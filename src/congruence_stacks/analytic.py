@@ -428,7 +428,10 @@ def false_theta(a: int, b: int, tau, dps: int = DEFAULT_DPS) -> mp.mpc:
 
 
 def _false_theta_terms(a: int, b: int, y: float, digits: int) -> int:
-    """false_theta's cutoff: 2 past the root n of pi y (a n^2 + b n) = 2 digits log 10, in doubles."""
+    """false_theta's cutoff: 2 past the root n of pi y (a n^2 + b n) = digits log 10, in doubles.
+
+    The term at n has size e^{-pi y (a n^2 + b n)}, so past the root it is below 10^-digits.
+    """
     try:
         disc = float(b) * b + 4 * a * digits * math.log(10) / (math.pi * y)
         root = (math.sqrt(disc) - b) / (2 * a)
@@ -550,7 +553,7 @@ def _arc_integral(ctx: ArcContext, t0: float, t1: float) -> mp.mpf:
 
     Simpson stops relative to the smaller of this piece and the whole line,
     (P/2) kappa I_1(2N), whose size in the integral's units is
-    pi e^{-2N} I_1(2N), taken from mp.besseli at 15 digits.
+    pi e^{-2N} I_1(2N), with I_1 from bessel_i at 15 digits.
     """
     scale = float(ctx.scale)
 
@@ -559,7 +562,7 @@ def _arc_integral(ctx: ArcContext, t0: float, t1: float) -> mp.mpf:
         return math.exp(-scale * u) * math.cos(scale * t * u)
 
     with mp.workdps(15):
-        line = float(mp.pi * mp.exp(-2 * ctx.scale) * mp.besseli(1, 2 * ctx.scale))
+        line = float(mp.pi * mp.exp(-2 * ctx.scale) * bessel_i(1, 2 * ctx.scale, dps=15))
     half, _ = simpson_refine(integrand, t0, t1, line)
     with mp.workdps(ctx.dps + GUARD):
         return ctx.prefactor / (4 * mp.pi) * 2 * ctx.kappa * mp.exp(2 * ctx.scale) * half
@@ -901,7 +904,7 @@ def _check_contour(params, dps, rng, order, ctx) -> list[Check]:
     line = major_arc_integral(ctx) + contour_tail(ctx)
     bessel_form = ctx.bessel_sum(singular_expansion_coeffs(params, max_order=0))
     with mp.workdps(dps + GUARD):
-        gap = abs(line / mp.exp(bessel_form.ln_value) - 1)
+        gap = abs(line / bessel_form - 1)
     prof = circle_profile(ctx, grid=CONTOUR_PROFILE_GRID)
     argmax = f"argmax nu = {prof.argmax_nu:.4f}"
     return [

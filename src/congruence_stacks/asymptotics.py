@@ -16,8 +16,9 @@ is the leading Hankel approximation of the first term with N reduced to its
 large-n limit.  refined_main_term keeps N intact and two Hankel correction
 terms, which is noticeably closer at accessible n.
 
-All magnitudes are returned as LogValue10 because they overflow doubles
-quickly; relative errors are ordinary mpf values.
+Magnitudes are returned as positive mpf values, whose unbounded exponent
+holds e^{2N} at any n although doubles overflow from n of a few thousand;
+a relative error is estimate / exact - 1.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from itertools import islice
 
 import mpmath as mp
 
-from .bigfloat import DEFAULT_DPS, FIXED_EXTRA_BITS, LogValue10, _fraction_to_mpf
+from .bigfloat import DEFAULT_DPS, FIXED_EXTRA_BITS, _fraction_to_mpf
 from .params import StackParams
 from .qseries import stack_gf
 
@@ -77,8 +78,8 @@ class ArcContext(namedtuple("ArcContext", "params n A B prefactor kappa scale rh
             kappa = mp.pi / mp.sqrt(_fraction_to_mpf(radicand))
             return cls(params, n, A, B, prefactor, kappa, A / kappa, float(rho), dps)
 
-    def bessel_sum(self, alphas: Sequence[Fraction]) -> LogValue10:
-        """sum_s alphas[s] P kappa^(s+1) I_{s+1}(2N), the arc's expansion with these coefficients."""
+    def bessel_sum(self, alphas: Sequence[Fraction]) -> mp.mpf:
+        """sum_s alphas[s] P kappa^(s+1) I_{s+1}(2N), the arc's expansion with these coefficients, at dps digits."""
         with mp.workdps(self.dps):
             x, total = 2 * self.scale, mp.mpf(0)
             for s, alpha in enumerate(alphas):
@@ -86,7 +87,7 @@ class ArcContext(namedtuple("ArcContext", "params n A B prefactor kappa scale rh
                 total += weight * self.prefactor * self.kappa ** (s + 1) * bessel_i(s + 1, x, dps=self.dps)
             if total <= 0:
                 raise ValueError("expansion sum is not positive; n is too small for this use")
-            return LogValue10.from_ln(mp.log(total))
+            return total
 
 
 def bessel_i(order: int, x, method: str = "series", dps: int = DEFAULT_DPS) -> mp.mpf:
@@ -185,23 +186,25 @@ def _bessel_hankel(k: int, x, dps: int) -> mp.mpf:
         return mp.exp(x) / mp.sqrt(2 * mp.pi * x) * mp.ldexp(total, -wp)
 
 
-def main_term(params: StackParams, n: int, dps: int = DEFAULT_DPS) -> LogValue10:
-    """Closed-form leading asymptotic X(n)."""
+def main_term(params: StackParams, n: int, dps: int = DEFAULT_DPS) -> mp.mpf:
+    """Closed-form leading asymptotic X(n), to dps digits at every n.
+
+    e^x turns the absolute error of x into a relative one, so the exponent
+    2 pi sqrt(n/(3m)) < 4 sqrt(n) is formed with one more digit than sqrt(n)
+    has before the point: at n = 10^100 the 50 digits of the working
+    precision would all lie before it.
+    """
     if n < 1:
         raise ValueError("n must be positive")
     m = params.m
+    with mp.workdps(dps + math.ceil(n.bit_length() * math.log10(2) / 2) + 1):
+        growth = mp.exp(2 * mp.pi * mp.sqrt(mp.mpf(n) / (3 * m)))
     with mp.workdps(dps):
         csc = 2 * _arc_constants(params)[2]
-        ln = (
-            mp.log(csc)
-            - mp.log(8 * mp.power(3, mp.mpf(1) / 4) * mp.power(m, mp.mpf(1) / 4))
-            - mp.mpf(3) / 4 * mp.log(n)
-            + 2 * mp.pi * mp.sqrt(mp.mpf(n) / (3 * m))
-        )
-        return LogValue10.from_ln(ln)
+        return csc / (8 * mp.root(3 * m, 4) * mp.power(n, mp.mpf(3) / 4)) * growth
 
 
-def refined_main_term(params: StackParams, n: int, dps: int = DEFAULT_DPS) -> LogValue10:
+def refined_main_term(params: StackParams, n: int, dps: int = DEFAULT_DPS) -> mp.mpf:
     """The arc's first term, alpha_0 P kappa I_1(2N), with I_1 cut to three Hankel terms.
 
     (P/2) kappa e^{2N} / sqrt(4 pi N) [1 - 3/(16N) - 15/(2 (16N)^2)], which is
@@ -218,7 +221,7 @@ def refined_main_term(params: StackParams, n: int, dps: int = DEFAULT_DPS) -> Lo
         bracket = mp.ldexp(sum(islice(_hankel_terms(1, x), 3)), -(mp.mp.prec + FIXED_EXTRA_BITS))
         # alpha_0 = 1/2, and e^x / sqrt(2 pi x) is the Hankel form's prefactor
         front = ctx.prefactor / 2 * ctx.kappa / mp.sqrt(2 * mp.pi * x)
-        return LogValue10.from_ln(mp.log(front) + x + mp.log(bracket))
+        return front * mp.exp(x) * bracket
 
 
 @cache
@@ -262,7 +265,7 @@ def singular_expansion_coeffs(params: StackParams, max_order: int = 3) -> tuple[
 
 def asymptotic_sum(
     params: StackParams, n: int, terms: int = 4, dps: int = DEFAULT_DPS
-) -> LogValue10:
+) -> mp.mpf:
     """Sum of the first `terms` Bessel-weighted expansion terms, 1 <= terms <= 16.
 
     The q = 1 arc's Bessel sum over singular_expansion_coeffs.  The
@@ -277,7 +280,7 @@ def asymptotic_sum(
 
 
 class ComparisonRecord(namedtuple("ComparisonRecord", "n exact estimate relative_error")):
-    """Exact count against asymptotic estimate (a LogValue10) at one n, with the mpf relative error."""
+    """Exact count against the asymptotic estimate (a positive mpf) at one n, and estimate / exact - 1."""
 
     __slots__ = ()
 
@@ -303,6 +306,7 @@ def comparison_table(params: StackParams, ns: Sequence[int], dps: int = DEFAULT_
         exact = series[n]
         _require_stacks(params, n, exact)
         estimate = main_term(params, n, dps=dps)
-        rel = estimate.relative_error_against(exact, dps=dps)
+        with mp.workdps(dps):
+            rel = estimate / exact - 1
         records.append(ComparisonRecord(n=n, exact=exact, estimate=estimate, relative_error=rel))
     return records

@@ -130,14 +130,25 @@ _RECORD_FIELDS = ("n", "exact", "asymptotic_mantissa", "asymptotic_exp10", "rela
 _RECORD_DIGITS = 10
 
 
+def _scientific(x: mp.mpf, digits: int) -> str:
+    """A positive x as mantissa in [1, 10) with `digits` digits, 'e' and a signed decimal exponent.
+
+    mpmath rounds the mantissa once, carrying a rounded 10 into the exponent
+    (9.999996e5 at 5 digits is 1.0000e+6).  It finds the decimal exponent e
+    with as many bits as x's binary exponent has and forms 10^e with log2(e)
+    guard bits, so the mantissa is right however large x is.
+    """
+    return mp.nstr(x, digits, strip_zeros=False, min_fixed=1, max_fixed=1, show_zero_exponent=True)
+
+
 def _record_row(rec: ComparisonRecord) -> tuple:
     """One table record in _RECORD_FIELDS order, for CSV and JSON alike."""
-    mant, e = rec.estimate.decompose()
+    mant, e = _scientific(rec.estimate, _RECORD_DIGITS).split("e")
     return (
         rec.n,
         str(rec.exact),
-        mp.nstr(mant, _RECORD_DIGITS, strip_zeros=False),
-        e,
+        mant,
+        int(e),
         mp.nstr(rec.relative_error, _RECORD_DIGITS),
     )
 
@@ -329,7 +340,7 @@ def cmd_table(args: argparse.Namespace) -> int:
             if len(exact) > 28:
                 exact = exact[:10] + "..." + exact[-10:]
             lines.append(
-                f"{rec.n:>8}  {exact:>28}  {rec.estimate.format(5):>14}  {mp.nstr(rec.relative_error, 5):>12}"
+                f"{rec.n:>8}  {exact:>28}  {_scientific(rec.estimate, 5):>14}  {mp.nstr(rec.relative_error, 5):>12}"
             )
         _emit("\n".join(lines), args)
     return 0
@@ -350,13 +361,13 @@ def cmd_asym(args: argparse.Namespace) -> int:
     if args.full and n > MAX_EXPANSION_SIZE:
         raise ValueError(f"size {n} exceeds the expansion bound of --full MAX_EXPANSION_SIZE = {MAX_EXPANSION_SIZE}")
     x = main_term(params, n, dps=dps)
-    rows: list[tuple[str, str]] = [("main term", x.format(6))]
+    rows: list[tuple[str, str]] = [("main term", _scientific(x, 6))]
     data: dict[str, object] = {
         "r": params.r,
         "m": params.m,
         "variant": params.variant,
         "n": n,
-        "main_term": x.format(10),
+        "main_term": _scientific(x, 10),
     }
     if args.full:
         ctx = ArcContext.build(params, n, dps=dps)
@@ -367,18 +378,18 @@ def cmd_asym(args: argparse.Namespace) -> int:
         # below 2N = REFINED_MIN_2N only the refined term is undefined
         if 2 * ctx.scale >= REFINED_MIN_2N:
             refined = refined_main_term(params, n, dps=dps)
-            rows.append(("refined term", refined.format(6)))
-            data["refined_term"] = refined.format(10)
+            rows.append(("refined term", _scientific(refined, 6)))
+            data["refined_term"] = _scientific(refined, 10)
         else:
             rows.append(("refined term", f"unavailable (needs 2N >= {REFINED_MIN_2N})"))
             data["refined_term"] = None
         alphas = singular_expansion_coeffs(params, max_order=args.terms - 1)
         bessel_form = ctx.bessel_sum(alphas[:1])
-        rows.append(("bessel form", bessel_form.format(6)))
-        data["bessel_form"] = bessel_form.format(10)
+        rows.append(("bessel form", _scientific(bessel_form, 6)))
+        data["bessel_form"] = _scientific(bessel_form, 10)
         full = asymptotic_sum(params, n, terms=args.terms, dps=dps)
-        rows.append((f"expansion ({args.terms} terms)", full.format(6)))
-        data["expansion"] = full.format(10)
+        rows.append((f"expansion ({args.terms} terms)", _scientific(full, 6)))
+        data["expansion"] = _scientific(full, 10)
         data["expansion_terms"] = args.terms
         rows.append(("expansion coefficients", ", ".join(str(a) for a in alphas)))
         data["expansion_coefficients"] = [str(a) for a in alphas]
@@ -387,12 +398,14 @@ def cmd_asym(args: argparse.Namespace) -> int:
         _require_stacks(params, n, exact)
         rows.append(("exact count", str(exact)))
         data["exact"] = str(exact)
-        rel = x.relative_error_against(exact)
+        with mp.workdps(dps):
+            rel = x / exact - 1
         rows.append(("rel error of main term", mp.nstr(rel, 6)))
         data["main_term_relative_error"] = mp.nstr(rel, 12)
         if args.full:
             full = asymptotic_sum(params, n, terms=args.terms, dps=dps)
-            rel_full = full.relative_error_against(exact)
+            with mp.workdps(dps):
+                rel_full = full / exact - 1
             rows.append(("rel error of expansion", mp.nstr(rel_full, 6)))
             data["expansion_relative_error"] = mp.nstr(rel_full, 12)
     if args.format == "json":

@@ -60,9 +60,16 @@ def trunc5_int(n: int) -> str:
     return f"{s[0]}.{s[1:5]}e{len(s) - 1}"
 
 
-def trunc5_logvalue(v) -> str:
+def split10(v) -> tuple[mp.mpf, int]:
+    """(mantissa in [1, 10), exponent) of a positive mpf, at 30 digits."""
     with mp.workdps(30):
-        mant, e = v.decompose(30)
+        e = int(mp.floor(mp.log10(v)))
+        return v / mp.mpf(10) ** e, e
+
+
+def trunc5_value(v) -> str:
+    with mp.workdps(30):
+        mant, e = split10(v)
         digits = int(mp.floor(mant * 10 ** 4))
     return f"{digits // 10 ** 4}.{digits % 10 ** 4:04d}e{e}"
 
@@ -73,11 +80,11 @@ def ulp_ok_int(value: int, digits5: int, exp10: int) -> bool:
     return abs(value - digits5 * scale) <= scale
 
 
-def ulp_ok_logvalue(v, digits5: int, exp10: int) -> bool:
+def ulp_ok_value(v, digits5: int, exp10: int) -> bool:
     with mp.workdps(40):
         ref = mp.mpf(digits5) * mp.mpf(10) ** (exp10 - 4)
         ulp = mp.mpf(10) ** (exp10 - 4)
-        return abs(mp.exp(v.ln_value) - ref) <= ulp
+        return abs(v - ref) <= ulp
 
 
 def display_rel(est_digits5: int, exact_digits5: int, est_exp: int, exact_exp: int) -> Fraction:
@@ -89,7 +96,7 @@ def display_rel(est_digits5: int, exact_digits5: int, est_exp: int, exact_exp: i
 
 def trunc5_digits(v) -> tuple[int, int]:
     with mp.workdps(30):
-        mant, e = v.decompose(30)
+        mant, e = split10(v)
         return int(mp.floor(mant * 10 ** 4)), e
 
 
@@ -146,9 +153,9 @@ def test_c02_main_term_values_and_relative_errors(big_series):
     rel_legs = []
     for n, (d, e) in required_values.items():
         x = main_term(P13, n)
-        leg = ulp_ok_logvalue(x, d, e)
+        leg = ulp_ok_value(x, d, e)
         ok = ok and leg
-        value_legs.append(f"X({n})={trunc5_logvalue(x)} (required {d // 10 ** 4}.{d % 10 ** 4:04d}e{e})")
+        value_legs.append(f"X({n})={trunc5_value(x)} (required {d // 10 ** 4}.{d % 10 ** 4:04d}e{e})")
         xd, xe = trunc5_digits(x)
         sd, se = trunc5_digits_int(series[n])
         rel = display_rel(xd, sd, xe - 4, se - 4)
@@ -318,7 +325,7 @@ def test_c09_contour_closure():
         h0 = major_arc_integral(ctx)
         one_term = ctx.bessel_sum((Fraction(1, 2),))
         with mp.workdps(65):
-            gaps.append(abs(h0 / mp.exp(one_term.ln_value) - 1))
+            gaps.append(abs(h0 / one_term - 1))
     shrinking = all(a > b for a, b in zip(gaps, gaps[1:]))
     ok = gaps[2] < mp.mpf("1e-3") and shrinking
     gap_text = ", ".join(f"n={n}: {mp.nstr(g, 3)}" for n, g in zip((50, 100, 200, 500), gaps))
@@ -334,15 +341,15 @@ def test_c10_convergence_to_main_term(big_series):
     series, _ = big_series
     rels_13 = []
     for n in (100, 1000, 10000):
-        rel = main_term(P13, n).relative_error_against(series[n])
+        with mp.workdps(50):
+            rel = main_term(P13, n) / series[n] - 1
         rels_13.append(abs(rel))
     ratio_ok = mp.mpf("0.95") <= 1 / (1 + rels_13[2]) <= mp.mpf("1.05")
     decreasing_13 = rels_13[0] > rels_13[1] > rels_13[2]
     p14 = StackParams(1, 4)
     series_14 = stack_gf(p14, 1000)
-    rels_14 = [
-        abs(main_term(p14, n).relative_error_against(series_14[n])) for n in (100, 1000)
-    ]
+    with mp.workdps(50):
+        rels_14 = [abs(main_term(p14, n) / series_14[n] - 1) for n in (100, 1000)]
     decreasing_14 = rels_14[0] > rels_14[1] and rels_14[1] < mp.mpf("0.05")
     ok = ratio_ok and decreasing_13 and decreasing_14
     line = (

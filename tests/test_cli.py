@@ -253,6 +253,44 @@ class TestAsym:
         code, _, err = run(capsys, "asym", "-n", "100")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["-n", str(10**100)], ["-n", str(10**100), "--format", "json"], ["-n", str(10**56), "-P", "30"]],
+        ids=["1e100", "1e100-json", "1e56-P30"],
+    )
+    def test_main_term_keeps_every_printed_digit_at_huge_sizes(self, capsys, argv):
+        # the exponent 2 pi sqrt(n/9) is about 2e50 at n = 10^100: formed at the
+        # working precision alone, it leaves no correct digit in the mantissa
+        code, out, _ = run(capsys, "asym", *argv)
+        assert code == 0
+        printed = json.loads(out)["main_term"] if "json" in argv else out.splitlines()[1].split()[-1]
+        mantissa, exponent = printed.split("e")
+        n = int(argv[1])
+        with mp.workdps(200):
+            reference = 1 / mp.sin(mp.pi / 3) / (8 * mp.root(9, 4) * mp.mpf(n) ** 0.75) * mp.exp(
+                2 * mp.pi * mp.sqrt(mp.mpf(n) / 9)
+            )
+            expected_exponent = int(mp.floor(mp.log10(reference)))
+            expected_mantissa = reference / mp.mpf(10) ** expected_exponent
+            half_unit = mp.mpf(10) ** (2 - len(mantissa)) / 2
+            assert int(exponent) == expected_exponent
+            assert abs(mp.mpf(mantissa) - expected_mantissa) <= half_unit, (printed, mp.nstr(expected_mantissa, 12))
+
+
+def _ten_to_the_30_from_a_15_digit_log():
+    with mp.workdps(15):
+        return mp.exp(mp.log(mp.mpf(10) ** 30))
+
+
+@pytest.mark.parametrize(
+    "value, text",
+    [(mp.mpf("9.999996e5"), "1.0000e+6"), (_ten_to_the_30_from_a_15_digit_log(), "1.0000e+30")],
+    ids=["9.999996e5", "1e30-from-15-digits"],
+)
+def test_scientific_carries_a_rounded_ten_into_the_exponent(value, text):
+    assert value < 10 ** int(text.split("e")[1])
+    assert cli._scientific(value, 5) == text
+
 
 # the check names `verify all` prints at the defaults, in run order, and the
 # slice of them each target prints alone

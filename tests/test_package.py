@@ -150,3 +150,21 @@ def test_frozen_exit_still_reports_invalid_input():
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr == "error: r and m must be coprime, got gcd(2, 4) = 2\n"
+
+
+def test_readme_quick_tour_states_what_it_computes():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## Quick tour", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    namespace: dict = {}
+    exec(block, namespace)
+    # each expression line's comment states its value; "..." ends a prefix, text after a comma is prose
+    stated = []
+    for line in block.splitlines():
+        code, _, comment = line.partition("  # ")
+        if not comment or " = " in code:
+            continue
+        shown = comment.split(", ")[0]
+        value = repr(eval(code, namespace))
+        assert value.startswith(shown[:-3]) if shown.endswith("...") else value == shown, line
+        stated.append(shown)
+    assert stated == ["3167122", "7", "'3.286e+6'", "0.0375..."]
