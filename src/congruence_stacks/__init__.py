@@ -6,6 +6,8 @@ the false-theta decomposition of the two-variable sum, and circle-method
 asymptotics with high-precision verification of the modular ingredients.
 """
 
+from types import ModuleType as _ModuleType
+
 from .params import StackParams
 from .qseries import (
     TruncatedSeries,
@@ -61,30 +63,9 @@ _ANALYTIC_NAMES = (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "StackParams",
-    "TruncatedSeries",
-    "DecompositionReport",
-    "stack_gf",
-    "stack_recurrence",
-    "congruence_partition_gf",
-    "false_theta_gf",
-    "correction_gf",
-    "verify_decomposition",
-    "StackWitness",
-    "count_stacks",
-    "enumerate_stacks",
-    "ArcContext",
-    "ComparisonRecord",
-    "bessel_i",
-    "main_term",
-    "refined_main_term",
-    "false_theta_coeffs",
-    "singular_expansion_coeffs",
-    "asymptotic_sum",
-    "comparison_table",
-    *_ANALYTIC_NAMES,
-]
+# every public name the package binds, the analytic ones once first used
+__all__ = [name for name, obj in globals().items() if not name.startswith("_") and not isinstance(obj, _ModuleType)]
+__all__ += _ANALYTIC_NAMES
 
 
 def __getattr__(name: str):

@@ -50,7 +50,8 @@ from operator import add, mul, truediv
 
 import mpmath as mp
 
-from .asymptotics import ArcContext, _arc_constants, bessel_i, false_theta_coeffs, singular_expansion_coeffs
+from .asymptotics import ArcContext, _arc_constants, _bessel_hankel, _bessel_series, bessel_i
+from .asymptotics import false_theta_coeffs, singular_expansion_coeffs
 from .bigfloat import DEFAULT_DPS, FIXED_EXTRA_BITS, _fraction_to_mpf
 from .oracle import count_stacks
 from .params import StackParams
@@ -348,9 +349,11 @@ def product_residual(params: StackParams, tau, dps: int = DEFAULT_DPS) -> mp.mpf
 class DecayFit(namedtuple("DecayFit", "params slope expected points excluded dps")):
     """Least-squares fit of log residual against 1/z along tau = iz/(2 pi).
 
-    expected is -4 pi^2 / m, the modulus-level decay rate; points holds the
-    (1/z, log residual) pairs fitted and excluded counts the points at the
-    numerical noise floor, if any.
+    expected is the rate of the residual's leading power of e^{-4 pi^2/(m z)}:
+    -4 pi^2 / m, but -8 pi^2 / m at m = 4, where the first power's coefficient
+    2 cos(2 pi r/m) vanishes and the second's is -1.  points holds the (1/z,
+    log residual) pairs fitted and excluded counts the points at the numerical
+    noise floor, if any.
     """
 
     __slots__ = ()
@@ -400,7 +403,7 @@ def product_decay_fit(
     return DecayFit(
         params=params,
         slope=slope,
-        expected=-4 * math.pi ** 2 / params.m,
+        expected=-4 * math.pi ** 2 * (2 if params.m == 4 else 1) / params.m,
         points=tuple(zip(xs, ys)),
         excluded=excluded,
         dps=dps,
@@ -790,7 +793,10 @@ def circle_profile(ctx: ArcContext, grid: int = 720) -> CircleProfile:
 
 
 class Check(namedtuple("Check", "name ok measured tolerance detail")):
-    """One verify check.  A measured check passes when measured <= tolerance; a yes/no check has both None."""
+    """One verify check.  A measured check passes when measured <= tolerance; a yes/no check has both None.
+
+    ok is None when the check does not apply; the detail says why.
+    """
 
     __slots__ = ()
 
@@ -888,11 +894,11 @@ def _check_bessel(params, dps, rng, order, ctx) -> list[Check]:
     """The series route against mpmath's I_0, I_1 and their recurrence at dps + GUARD digits, and the Hankel route."""
     with mp.workdps(dps + GUARD):
         xs = [mp.mpf(x) for x in ("0.5", "3", "12", "30")]
-        series = [[bessel_i(nu, x, dps=dps) for x in xs] for nu in range(4)]
+        series = [[_bessel_series(nu, x, dps) for x in xs] for nu in range(4)]
         references = list(zip(*map(_bessel_references, xs)))
         worst_series = max(abs(value / ref - 1) for nu in range(4) for value, ref in zip(series[nu], references[nu]))
         # the Hankel route at x = 30 against the series values above
-        worst_hankel = max(abs(bessel_i(nu, xs[-1], method="hankel", dps=dps) / series[nu][-1] - 1) for nu in range(4))
+        worst_hankel = max(abs(_bessel_hankel(nu, xs[-1], dps) / series[nu][-1] - 1) for nu in range(4))
     return [
         _measured("modified bessel series vs reference (orders 0..3)", worst_series, mp.mpf(10) ** (-(dps - 10))),
         _measured("asymptotic bessel route at x = 30", worst_hankel, mp.mpf("1e-8")),
@@ -900,16 +906,25 @@ def _check_bessel(params, dps, rng, order, ctx) -> list[Check]:
 
 
 def _check_contour(params, dps, rng, order, ctx) -> list[Check]:
-    """The arc plus its tail against the one-term Bessel form, and where the integrand peaks."""
+    """The arc plus its tail against the one-term Bessel form, and where the integrand peaks.
+
+    The peak's place says nothing from kappa >= pi on (N <= pi/(3m)): the
+    principal part's log magnitude A kappa/(kappa^2 + nu^2) is wider than the
+    circle, and the major arc covers it all from rho >= pi/kappa on.
+    """
     line = major_arc_integral(ctx) + contour_tail(ctx)
     bessel_form = ctx.bessel_sum(singular_expansion_coeffs(params, max_order=0))
     with mp.workdps(dps + GUARD):
         gap = abs(line / bessel_form - 1)
-    prof = circle_profile(ctx, grid=CONTOUR_PROFILE_GRID)
-    argmax = f"argmax nu = {prof.argmax_nu:.4f}"
+    kappa = float(ctx.kappa)
+    if kappa >= math.pi:
+        inside, detail = None, f"does not apply: kappa = {kappa:.4f} >= pi, the peak spans the circle"
+    else:
+        prof = circle_profile(ctx, grid=CONTOUR_PROFILE_GRID)
+        inside, detail = prof.major_arc_contains_max, f"argmax nu = {prof.argmax_nu:.4f}"
     return [
         _measured(f"restricted contour vs bessel closed form at n = {ctx.n}, rho = {ctx.rho}", gap, SIMPSON_RTOL),
-        Check("integrand maximum lies on the major arc", prof.major_arc_contains_max, None, None, argmax),
+        Check("integrand maximum lies on the major arc", inside, None, None, detail),
     ]
 
 

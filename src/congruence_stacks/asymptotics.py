@@ -28,7 +28,7 @@ from collections import namedtuple
 from collections.abc import Sequence
 from fractions import Fraction
 from functools import cache
-from itertools import islice
+from itertools import count, islice
 
 import mpmath as mp
 
@@ -37,8 +37,17 @@ from .params import StackParams
 from .qseries import stack_gf
 
 MAX_EXPANSION_TERMS = 16
-HANKEL_RTOL = 1e-8  # bessel_i(method="hankel") refuses when its smallest term exceeds this
+BESSEL_GUARD_DIGITS = 5  # both Bessel routes stop below 10^-(dps + BESSEL_GUARD_DIGITS)
 REFINED_MIN_2N = 10  # refined_main_term refuses below this 2N, where its three-term bracket fails
+
+
+def growth_dps(n: int, dps: int) -> int:
+    """Digits that keep dps digits of e^E, E < 4 sqrt(|n|): main_term's exponent and the arc's 2N.
+
+    e^E turns E's absolute error into a relative one, so E gets one more digit
+    than sqrt(n) has before the point (at n = 10^100, 50 digits lie before it).
+    """
+    return dps + math.ceil(n.bit_length() * math.log10(2) / 2) + 1
 
 
 def _arc_constants(params: StackParams) -> tuple[mp.mpf, Fraction, mp.mpf]:
@@ -50,7 +59,8 @@ def _arc_constants(params: StackParams) -> tuple[mp.mpf, Fraction, mp.mpf]:
 class ArcContext(namedtuple("ArcContext", "params n A B prefactor kappa scale rho dps")):
     """The q = 1 arc at fixed (params, n): A, B, P, kappa and N (`scale`), as in the module docstring.
 
-    B is an exact Fraction, A, P, kappa and N are mpf values with dps digits.
+    B is an exact Fraction; A, P, kappa and N are mpf values with
+    growth_dps(n, dps) digits, as are 2N and the Bessel values of bessel_sum.
     rho, a float, is the half-width of the major arc |nu| <= rho kappa on the
     circle q = e^{-(kappa + i nu)}.
     """
@@ -58,54 +68,68 @@ class ArcContext(namedtuple("ArcContext", "params n A B prefactor kappa scale rh
     __slots__ = ()
 
     @classmethod
-    def build(
-        cls,
-        params: StackParams,
-        n: int,
-        rho: float = 0.9,
-        dps: int = DEFAULT_DPS,
-    ) -> "ArcContext":
+    def build(cls, params: StackParams, n: int, rho: float = 0.9, dps: int = DEFAULT_DPS) -> "ArcContext":
         if not 0 < rho < 1:
             raise ValueError(f"rho must lie in (0, 1), got {rho}")
-        with mp.workdps(dps):
+        with mp.workdps(growth_dps(n, dps)):
             A, offset, prefactor = _arc_constants(params)
             B = n + offset
             radicand = 3 * params.m * B
             if radicand <= 0:
-                raise ValueError(
-                    f"saddle radicand {radicand} is not positive for {params}, n={n}; n is too small"
-                )
+                raise ValueError(f"saddle radicand {radicand} is not positive for {params}, n={n}; n is too small")
             kappa = mp.pi / mp.sqrt(_fraction_to_mpf(radicand))
             return cls(params, n, A, B, prefactor, kappa, A / kappa, float(rho), dps)
 
     def bessel_sum(self, alphas: Sequence[Fraction]) -> mp.mpf:
-        """sum_s alphas[s] P kappa^(s+1) I_{s+1}(2N), the arc's expansion with these coefficients, at dps digits."""
-        with mp.workdps(self.dps):
+        """sum_s alphas[s] P kappa^(s+1) I_{s+1}(2N), the arc's expansion with these coefficients, to dps digits."""
+        digits = growth_dps(self.n, self.dps)
+        with mp.workdps(digits):
             x, total = 2 * self.scale, mp.mpf(0)
             for s, alpha in enumerate(alphas):
                 weight = _fraction_to_mpf(alpha)
-                total += weight * self.prefactor * self.kappa ** (s + 1) * bessel_i(s + 1, x, dps=self.dps)
+                total += weight * self.prefactor * self.kappa ** (s + 1) * bessel_i(s + 1, x, dps=digits)
             if total <= 0:
                 raise ValueError("expansion sum is not positive; n is too small for this use")
             return total
 
 
-def bessel_i(order: int, x, method: str = "series", dps: int = DEFAULT_DPS) -> mp.mpf:
-    """Modified Bessel function I_order(x) for integer order and x >= 0.
+def bessel_i(order: int, x, dps: int = DEFAULT_DPS) -> mp.mpf:
+    """Modified Bessel function I_order(x) for integer order and x >= 0, to dps digits.
 
-    method="series" sums the ascending series (all terms positive, no
-    cancellation); method="hankel" uses the large-x asymptotic expansion
-    truncated at its smallest term.  Both sums run in fixed point and apply
-    their prefactor once, in mpf.  Negative orders reduce through
-    I_{-k} = I_k.  The hankel route raises when the smallest term is still
-    above HANKEL_RTOL, i.e. the asymptotic regime is violated.
+    The Hankel expansion e^x / sqrt(2 pi x) sum_j (-1)^j a_j(k) / x^j serves
+    where its terms fall below 10^-(dps + BESSEL_GUARD_DIGITS) before they
+    stop falling (_hankel_reaches): from x of about (dps + 5) ln(10) / 2 on,
+    62 at 50 digits and 1385 at 1200, and from (4k^2 - 1)/8 for large k.  It
+    costs O(dps + k^2) terms at any x.  The ascending series, O(x) positive
+    terms, serves the rest.  Both sum in fixed point; I_{-k} = I_k.  For real
+    x > 0 the expansion cut after its smallest term errs by about the first
+    term left out, plus the recessive part, e^{-2x} relative and of that size
+    there (DLMF 10.40(ii); Olver, Asymptotics and Special Functions, 1974, ch. 7).
     """
     k = abs(int(order))
-    if method == "series":
-        return _bessel_series(k, x, dps)
-    if method == "hankel":
+    if _hankel_reaches(k, x, dps + BESSEL_GUARD_DIGITS):
         return _bessel_hankel(k, x, dps)
-    raise ValueError(f"unknown method {method!r}, expected 'series' or 'hankel'")
+    return _bessel_series(k, x, dps)
+
+
+def _hankel_reaches(k: int, x, digits: int) -> bool:
+    """Whether the Hankel terms of I_k(x) fall below 10^-digits before _bessel_hankel stops at one not smaller.
+
+    It adds the log10 of the term ratios |4k^2 - (2j - 1)^2| / (8 x j) in
+    doubles, so 10^-1210, 0 as a double, is seen; an x past double range is inf.
+    """
+    size = float(mp.mpf(x))
+    if not size > 0:
+        return False
+    log_step, mu = math.log10(8 * size), 4 * k * k
+    log_term, j = 0.0, 0
+    while log_term >= -digits:
+        j += 1
+        change = math.log10(abs(mu - (2 * j - 1) ** 2)) - log_step - math.log10(j)
+        if change >= 0:
+            return False
+        log_term += change
+    return True
 
 
 def _bessel_series(k: int, x, dps: int) -> mp.mpf:
@@ -128,10 +152,8 @@ def _bessel_series(k: int, x, dps: int) -> mp.mpf:
         half_fixed = half.to_fixed(wp)
         quarter_x2 = half_fixed * half_fixed >> wp
         term = total = 1 << wp
-        inverse_eps = 10 ** (dps + 5)
-        j = 0
-        while True:
-            j += 1
+        inverse_eps = 10 ** (dps + BESSEL_GUARD_DIGITS)
+        for j in count(1):
             term = (term * quarter_x2 >> wp) // (j * (j + k))
             total += term
             if term * inverse_eps < total:
@@ -151,10 +173,8 @@ def _hankel_terms(k: int, x):
     step = (1 / (8 * mp.mpf(x))).to_fixed(wp)
     mu = 4 * k * k
     term = 1 << wp
-    j = 0
-    while True:
+    for j in count(1):
         yield term
-        j += 1
         product = term * (mu - (2 * j - 1) ** 2) * step
         term = (abs(product) >> wp) // j
         if product > 0:
@@ -162,42 +182,25 @@ def _hankel_terms(k: int, x):
 
 
 def _bessel_hankel(k: int, x, dps: int) -> mp.mpf:
-    """I_k(x) from the Hankel terms up to the first that is not smaller than the last, or 4 floor(x) + 20 of them."""
+    """I_k(x), x > 0, from the Hankel terms up to the first not smaller than the last: by term 4 floor(x) + 20."""
     with mp.workdps(dps + 10):
         x = mp.mpf(x)
-        if x <= 0:
-            raise ValueError("hankel expansion needs x > 0")
-        wp = mp.mp.prec + FIXED_EXTRA_BITS
         terms = _hankel_terms(k, x)
         total = smallest = next(terms)
-        for j, term in enumerate(terms, 1):
+        for term in terms:
             if abs(term) >= smallest:
                 break
             total += term
             smallest = abs(term)
-            if j > 4 * int(x) + 20:
-                break
-        smallest = mp.ldexp(smallest, -wp)
-        if smallest > HANKEL_RTOL:
-            raise ValueError(
-                f"asymptotic regime violated: smallest Hankel term {mp.nstr(smallest, 3)} "
-                f"exceeds rtol {HANKEL_RTOL} at x={mp.nstr(x, 6)}, order {k}"
-            )
-        return mp.exp(x) / mp.sqrt(2 * mp.pi * x) * mp.ldexp(total, -wp)
+        return mp.exp(x) / mp.sqrt(2 * mp.pi * x) * mp.ldexp(total, -(mp.mp.prec + FIXED_EXTRA_BITS))
 
 
 def main_term(params: StackParams, n: int, dps: int = DEFAULT_DPS) -> mp.mpf:
-    """Closed-form leading asymptotic X(n), to dps digits at every n.
-
-    e^x turns the absolute error of x into a relative one, so the exponent
-    2 pi sqrt(n/(3m)) < 4 sqrt(n) is formed with one more digit than sqrt(n)
-    has before the point: at n = 10^100 the 50 digits of the working
-    precision would all lie before it.
-    """
+    """Closed-form leading asymptotic X(n), to dps digits at every n: its exponent has growth_dps(n, dps) digits."""
     if n < 1:
         raise ValueError("n must be positive")
     m = params.m
-    with mp.workdps(dps + math.ceil(n.bit_length() * math.log10(2) / 2) + 1):
+    with mp.workdps(growth_dps(n, dps)):
         growth = mp.exp(2 * mp.pi * mp.sqrt(mp.mpf(n) / (3 * m)))
     with mp.workdps(dps):
         csc = 2 * _arc_constants(params)[2]
@@ -209,10 +212,11 @@ def refined_main_term(params: StackParams, n: int, dps: int = DEFAULT_DPS) -> mp
 
     (P/2) kappa e^{2N} / sqrt(4 pi N) [1 - 3/(16N) - 15/(2 (16N)^2)], which is
     csc(pi r/m) / (24 m u^(3/4)) e^{2N} [...] with u = (N/pi)^2.  Requires
-    2N >= 10 so the truncated bracket stays meaningful.
+    2N >= 10 so the truncated bracket stays meaningful.  2N and e^{2N} carry
+    growth_dps(n, dps) digits.
     """
     ctx = ArcContext.build(params, n, dps=dps)
-    with mp.workdps(dps):
+    with mp.workdps(growth_dps(n, dps)):
         x = 2 * ctx.scale
         if x < REFINED_MIN_2N:
             raise ValueError(
@@ -263,9 +267,7 @@ def singular_expansion_coeffs(params: StackParams, max_order: int = 3) -> tuple[
     return (coeffs[0] + 1,) + coeffs[1:]
 
 
-def asymptotic_sum(
-    params: StackParams, n: int, terms: int = 4, dps: int = DEFAULT_DPS
-) -> mp.mpf:
+def asymptotic_sum(params: StackParams, n: int, terms: int = 4, dps: int = DEFAULT_DPS) -> mp.mpf:
     """Sum of the first `terms` Bessel-weighted expansion terms, 1 <= terms <= 16.
 
     The q = 1 arc's Bessel sum over singular_expansion_coeffs.  The
@@ -288,10 +290,7 @@ class ComparisonRecord(namedtuple("ComparisonRecord", "n exact estimate relative
 def _require_stacks(params: StackParams, n: int, exact: int) -> None:
     """Refuse a size with no stacks, where a relative error has no meaning."""
     if exact == 0:
-        raise ValueError(
-            f"no stacks of size {n} exist for {params}; "
-            "the relative error is undefined, drop this size"
-        )
+        raise ValueError(f"no stacks of size {n} exist for {params}; the relative error is undefined, drop this size")
 
 
 def comparison_table(params: StackParams, ns: Sequence[int], dps: int = DEFAULT_DPS) -> list[ComparisonRecord]:

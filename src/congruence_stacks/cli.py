@@ -52,10 +52,6 @@ MAX_RECURRENCE_ORDER = 10**4
 # largest `asym --exact` size for the O(n^2) direct count count_stacks; there
 # `asym --exact` takes 4.6-4.9 s and 21 MB max RSS (same machine)
 MAX_DIRECT_COUNT_SIZE = 10**4
-# largest `asym --full` size: its Bessel series grow with n and with -P.  There
-# `asym --full --terms 16` takes 0.8 s and `asym --full --terms 16 -P 1200` 17 s,
-# 20 MB max RSS (same machine); `asym` without --full stays unbounded (0.1-0.2 s at 10^10)
-MAX_EXPANSION_SIZE = 10**7
 # largest `profile` work grid * (PROFILE_FIXED_WORK + sqrt(n)).  An angle costs
 # about 15 us, the tail and a few terms of L, plus 1.1 us sqrt(n), the factors
 # of F one by one; PROFILE_FIXED_WORK is their ratio, fitted at n = 0 and 500.
@@ -141,7 +137,16 @@ def _scientific(x: mp.mpf, digits: int) -> str:
     return mp.nstr(x, digits, strip_zeros=False, min_fixed=1, max_fixed=1, show_zero_exponent=True)
 
 
-def _record_row(rec: ComparisonRecord) -> tuple:
+def _relative_error(rel: mp.mpf, digits: int, dps: int) -> str:
+    """estimate / exact - 1 to `digits` digits, or `< 1e-(dps-2)` below that floor.
+
+    Estimates keep dps digits at any n (asymptotics.growth_dps), so the floor
+    covers their rounding and the quotient's at dps digits.
+    """
+    return f"< 1e-{dps - 2}" if abs(rel) < mp.mpf(10) ** (2 - dps) else mp.nstr(rel, digits)
+
+
+def _record_row(rec: ComparisonRecord, dps: int) -> tuple:
     """One table record in _RECORD_FIELDS order, for CSV and JSON alike."""
     mant, e = _scientific(rec.estimate, _RECORD_DIGITS).split("e")
     return (
@@ -149,7 +154,7 @@ def _record_row(rec: ComparisonRecord) -> tuple:
         str(rec.exact),
         mant,
         int(e),
-        mp.nstr(rec.relative_error, _RECORD_DIGITS),
+        _relative_error(rec.relative_error, _RECORD_DIGITS, dps),
     )
 
 
@@ -218,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_asym.add_argument(
         "--full",
         action="store_true",
-        help=f"include the refined term and the multi-term expansion (only for n <= {MAX_EXPANSION_SIZE})",
+        help="include the refined term and the multi-term expansion",
     )
     p_asym.add_argument(
         "--terms",
@@ -328,11 +333,11 @@ def cmd_table(args: argparse.Namespace) -> int:
     _check_series_order(max(ns))
     records = comparison_table(params, ns, dps=dps)
     if args.format == "csv":
-        _emit(_csv(_RECORD_FIELDS, map(_record_row, records)), args)
+        _emit(_csv(_RECORD_FIELDS, (_record_row(rec, dps) for rec in records)), args)
     elif args.format == "json":
         import json
 
-        _emit(json.dumps([dict(zip(_RECORD_FIELDS, _record_row(rec))) for rec in records]), args)
+        _emit(json.dumps([dict(zip(_RECORD_FIELDS, _record_row(rec, dps))) for rec in records]), args)
     else:
         lines = [f"{params}", f"{'n':>8}  {'exact':>28}  {'main term':>14}  {'rel error':>12}"]
         for rec in records:
@@ -340,7 +345,8 @@ def cmd_table(args: argparse.Namespace) -> int:
             if len(exact) > 28:
                 exact = exact[:10] + "..." + exact[-10:]
             lines.append(
-                f"{rec.n:>8}  {exact:>28}  {_scientific(rec.estimate, 5):>14}  {mp.nstr(rec.relative_error, 5):>12}"
+                f"{rec.n:>8}  {exact:>28}  {_scientific(rec.estimate, 5):>14}  "
+                f"{_relative_error(rec.relative_error, 5, dps):>12}"
             )
         _emit("\n".join(lines), args)
     return 0
@@ -358,8 +364,6 @@ def cmd_asym(args: argparse.Namespace) -> int:
         raise ValueError(
             f"size {n} exceeds the direct-count bound of --exact MAX_DIRECT_COUNT_SIZE = {MAX_DIRECT_COUNT_SIZE}"
         )
-    if args.full and n > MAX_EXPANSION_SIZE:
-        raise ValueError(f"size {n} exceeds the expansion bound of --full MAX_EXPANSION_SIZE = {MAX_EXPANSION_SIZE}")
     x = main_term(params, n, dps=dps)
     rows: list[tuple[str, str]] = [("main term", _scientific(x, 6))]
     data: dict[str, object] = {
@@ -398,16 +402,17 @@ def cmd_asym(args: argparse.Namespace) -> int:
         _require_stacks(params, n, exact)
         rows.append(("exact count", str(exact)))
         data["exact"] = str(exact)
+        data["relative_error_floor"] = f"1e-{dps - 2}"
         with mp.workdps(dps):
             rel = x / exact - 1
-        rows.append(("rel error of main term", mp.nstr(rel, 6)))
-        data["main_term_relative_error"] = mp.nstr(rel, 12)
+        rows.append(("rel error of main term", _relative_error(rel, 6, dps)))
+        data["main_term_relative_error"] = _relative_error(rel, 12, dps)
         if args.full:
             full = asymptotic_sum(params, n, terms=args.terms, dps=dps)
             with mp.workdps(dps):
                 rel_full = full / exact - 1
-            rows.append(("rel error of expansion", mp.nstr(rel_full, 6)))
-            data["expansion_relative_error"] = mp.nstr(rel_full, 12)
+            rows.append(("rel error of expansion", _relative_error(rel_full, 6, dps)))
+            data["expansion_relative_error"] = _relative_error(rel_full, 12, dps)
     if args.format == "json":
         import json
 
@@ -421,8 +426,8 @@ def cmd_asym(args: argparse.Namespace) -> int:
 
 
 def _check_line(check) -> str:
-    """An analytic.Check as its PASS/FAIL line, with measured against tolerance and the detail if it has them."""
-    line = f"{'PASS' if check.ok else 'FAIL'}  {check.name}"
+    """An analytic.Check as its PASS/FAIL/SKIP line, with measured against tolerance and the detail if it has them."""
+    line = f"{'SKIP' if check.ok is None else 'PASS' if check.ok else 'FAIL'}  {check.name}"
     if check.measured is not None:
         measured, tolerance = (mp.nstr(mp.mpf(value), 4) for value in (check.measured, check.tolerance))
         line += f": measured {measured} vs tolerance {tolerance}"
@@ -454,7 +459,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     checks = [
         check for target in targets for check in analytic.VERIFY_CHECKS[target](params, dps, rng, args.order, ctx)
     ]
-    failures = sum(not check.ok for check in checks)
+    failures = sum(check.ok is False for check in checks)
     lines = [*map(_check_line, checks), f"{failures} failure(s)" if failures else "all checks passed"]
     _emit("\n".join(lines), args)
     return 1 if failures else 0
@@ -528,7 +533,7 @@ def cmd_decay(args: argparse.Namespace) -> int:
     if all(isinstance(params, ValueError) for _, params in families):
         reasons = "; ".join(f"m = {m}: {exc}" for m, exc in families)
         raise ValueError(f"--moduli lists no modulus that forms a valid family with -r {args.r} ({reasons})")
-    lines = [f"{'family':>18}  {'fitted':>10}  {'generic':>10}  {'ratio':>7}  {'points':>6}"]
+    lines = [f"{'family':>18}  {'fitted':>10}  {'expected':>10}  {'ratio':>7}  {'points':>6}"]
     for m, params in families:
         label = f"(r={args.r}, m={m})"
         if isinstance(params, ValueError):

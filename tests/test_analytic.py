@@ -231,10 +231,11 @@ class TestCongruenceProduct:
 
     def test_decay_rate_modulus_four_doubles(self):
         # at m = 4 the residue classes 1 and 3 satisfy 2 cos(2 pi r / m) = 0,
-        # so the leading residual term cancels and the observed rate is twice
-        # the generic -4 pi^2 / m
+        # so the leading residual term cancels and the rate, expected too, is
+        # twice the generic -4 pi^2 / m
         fit = product_decay_fit(P14)
-        assert math.isclose(fit.slope / fit.expected, 2.0, rel_tol=0.01)
+        assert fit.expected == -8 * math.pi ** 2 / 4
+        assert math.isclose(fit.slope / fit.expected, 1.0, rel_tol=0.01)
 
     def test_fit_input_validation(self):
         for z_values in [(0.3,), (0.3, -0.1), (0.3, 0.3), (math.nan, 0.2), (0.3, math.inf)]:

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import mpmath as mp
@@ -8,7 +9,6 @@ from hypothesis import strategies as st
 from congruence_stacks import asymptotics
 from congruence_stacks.analytic import false_theta
 from congruence_stacks.asymptotics import (
-    HANKEL_RTOL,
     MAX_EXPANSION_TERMS,
     ArcContext,
     asymptotic_sum,
@@ -41,12 +41,13 @@ def arc(params, n, dps=50):
 
 
 def mpf_hankel(k, x, dps):
-    """The truncated Hankel sum of bessel_i(k, x, "hankel", dps), summed in mpf at dps + 30 digits.
+    """The truncated Hankel sum of _bessel_hankel(k, x, dps), summed in mpf at dps + 30 digits.
 
-    Returns (I_k(x) estimate, terms read, smallest term kept).  The truncation
+    Returns (I_k(x) estimate, terms read).  The truncation
     is the production one: stop at the first term not smaller than the last,
-    or after 4 floor(x) + 20 terms, where a term below the unit 2^-wp of the
-    fixed-point sum (wp = mp.prec + FIXED_EXTRA_BITS at dps + 10 digits) is 0.
+    where a term below the unit 2^-wp of the fixed-point sum (wp = mp.prec +
+    FIXED_EXTRA_BITS at dps + 10 digits) is 0.  The stop comes by term
+    4 floor(x) + 20, as _bessel_hankel's docstring says.
     """
     with mp.workdps(dps + 10):
         unit = mp.ldexp(1, -(mp.mp.prec + FIXED_EXTRA_BITS))
@@ -62,10 +63,9 @@ def mpf_hankel(k, x, dps):
                 break
             total += term
             smallest = size
-            if j > 4 * int(x) + 20:
-                break
             j += 1
-        return mp.exp(x) / mp.sqrt(2 * mp.pi * x) * total, read, smallest
+        assert j <= 4 * int(x) + 20
+        return mp.exp(x) / mp.sqrt(2 * mp.pi * x) * total, read
 
 
 class TestSaddle:
@@ -130,8 +130,8 @@ class TestBessel:
     def test_asymptotic_route_large_argument(self, order):
         with mp.workdps(60):
             xv = mp.mpf(30)
-            a = bessel_i(order, xv, method="hankel", dps=50)
-            s = bessel_i(order, xv, method="series", dps=50)
+            a = asymptotics._bessel_hankel(order, xv, 50)
+            s = asymptotics._bessel_series(order, xv, 50)
             assert abs(a / s - 1) < mp.mpf("1e-8")
 
     @pytest.mark.parametrize("dps", [50, 100])
@@ -156,30 +156,46 @@ class TestBessel:
                 yield term
 
         monkeypatch.setattr(asymptotics, "_hankel_terms", counted)
-        ref, ref_read, smallest = mpf_hankel(k, x, dps)
-        if smallest > HANKEL_RTOL:
-            # the terms grow from the first on (order 16 at x = 30 and 66): both refuse
-            with pytest.raises(ValueError, match="asymptotic regime violated"):
-                bessel_i(k, x, method="hankel", dps=dps)
-        else:
-            value = bessel_i(k, x, method="hankel", dps=dps)
-            with mp.workdps(dps + 10):
-                assert abs(value / ref - 1) <= mp.mpf(10) ** -dps
+        ref, ref_read = mpf_hankel(k, x, dps)
+        # where the terms grow from the first on (order 16 at x = 30 and 66) both keep one term
+        value = asymptotics._bessel_hankel(k, x, dps)
+        with mp.workdps(dps + 10):
+            assert abs(value / ref - 1) <= mp.mpf(10) ** -dps
         assert read == ref_read
+
+    @pytest.mark.parametrize("dps", [15, 50, 200, 1200])
+    def test_both_routes_match_mpmath_on_both_sides_of_the_switch(self, dps):
+        # the switch sits near x = (dps + 5) ln(10) / 2 for small orders; orders 16 and 17 keep
+        # the series to x = (4k^2 - 1)/8 at 15 and 50 digits, where their terms grow at first
+        switch = (dps + 5) * math.log(10) / 2
+        below, above = round(0.95 * switch, 2), round(1.05 * switch, 2)
+        assert not asymptotics._hankel_reaches(0, below, dps + 5)
+        assert asymptotics._hankel_reaches(0, above, dps + 5)
+        cases = [(k, x) for k in range(18) for x in (1, 10**6)]
+        if dps == 1200:  # the series near x = 1400 costs about 0.1 s a call, as does mpmath
+            cases += [(k, x) for k in (0, 17) for x in (below, above, 6623)]
+        else:
+            cases += [(k, x) for k in range(18) for x in (below, 1000, above, 6623)]
+        for k, x in cases:
+            with mp.workdps(dps + 20):
+                x = mp.mpf(x)
+                assert abs(bessel_i(k, x, dps=dps) / mp.besseli(k, x) - 1) <= mp.mpf(10) ** -dps, (k, x)
+
+    def test_hankel_route_at_1200_digits(self, monkeypatch):
+        # its smallest term at x = 6623, about 10^-5752, is 0 as a double, yet the route is chosen
+        def series(*args):
+            raise AssertionError("the series route ran")
+
+        monkeypatch.setattr(asymptotics, "_bessel_series", series)
+        with mp.workdps(1220):
+            x = mp.mpf(6623)
+            assert abs(bessel_i(1, x, dps=1200) / mp.besseli(1, x) - 1) <= mp.mpf(10) ** -1200
 
     def test_negative_order_equals_positive(self):
         with mp.workdps(50):
             xv = mp.mpf("17.5")
             assert bessel_i(-1, xv) == bessel_i(1, xv)
             assert bessel_i(-3, xv) == bessel_i(3, xv)
-
-    def test_asymptotic_route_rejects_small_argument(self):
-        with pytest.raises(ValueError):
-            bessel_i(1, mp.mpf(2), method="hankel")
-
-    def test_unknown_method(self):
-        with pytest.raises(ValueError):
-            bessel_i(1, mp.mpf(5), method="quadrature")
 
 
 class TestMainTerm:

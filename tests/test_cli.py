@@ -3,11 +3,13 @@ import hashlib
 import json
 import math
 import re
+import time
 
 import mpmath as mp
 import pytest
 
-from congruence_stacks import analytic, cli
+from congruence_stacks import analytic, asymptotics, cli
+from congruence_stacks.asymptotics import ComparisonRecord, singular_expansion_coeffs
 from congruence_stacks.cli import build_parser, main
 from congruence_stacks.oracle import ENUMERATION_CAP, StackWitness, enumerate_stacks
 from congruence_stacks.params import StackParams
@@ -113,6 +115,21 @@ class TestTable:
         assert [int(row["exact"]) for row in payload] == [10, 3167122]
         assert list(payload[0]) == ["n", "exact", "asymptotic_mantissa", "asymptotic_exp10", "relative_error"]
 
+    def test_relative_error_below_the_floor_prints_the_floor(self, capsys, monkeypatch):
+        def comparison_table(params, ns, dps):
+            return [ComparisonRecord(n, 10, main_term(params, n, dps), mp.mpf("-1.4e-29")) for n in ns]
+
+        main_term = cli.main_term
+        monkeypatch.setattr(cli, "comparison_table", comparison_table)
+        _, out, _ = run(capsys, "table", "--values", "10", "-P", "30")
+        assert out.splitlines()[-1].endswith("  < 1e-28")
+        _, out, _ = run(capsys, "table", "--values", "10", "-P", "30", "--format", "csv")
+        assert out.splitlines()[-1].endswith(",< 1e-28")
+        _, out, _ = run(capsys, "table", "--values", "10", "-P", "30", "--format", "json")
+        assert json.loads(out)[0]["relative_error"] == "< 1e-28"
+        _, out, _ = run(capsys, "table", "--values", "10", "-P", "31")
+        assert out.splitlines()[-1].endswith("  -1.4e-29")
+
     def test_bad_values_exit_2(self, capsys):
         code, _, err = run(capsys, "table", "--values", "10,abc")
         assert code == 2
@@ -207,25 +224,65 @@ class TestAsym:
         assert out == ""
         assert f"MAX_DIRECT_COUNT_SIZE = {cli.MAX_DIRECT_COUNT_SIZE}" in err
 
-    def test_full_above_the_expansion_bound_exit_2_before_any_work(self, capsys, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("the expansion started although the size is refused")
+    @pytest.mark.parametrize("n", [10**30, 10**100])
+    def test_full_at_huge_n_matches_300_digits_in_every_printed_digit(self, capsys, n):
+        # e^{2N} needs the growth exponent's extra digits; the Hankel route costs O(dps) terms at any n
+        r, m, terms = 1, 3, 16
+        alphas = singular_expansion_coeffs(StackParams(r, m), max_order=terms - 1)
+        with mp.workdps(300):
+            A, P = mp.pi ** 2 / (3 * m), 1 / mp.sin(mp.pi * r / m) / 2
+            B = n + mp.mpf(r * (m - r)) / (2 * m) - mp.mpf(m) / 12
+            kappa, N = mp.sqrt(A / B), mp.sqrt(A * B)
+            main_term = 1 / mp.sin(mp.pi * r / m) / (8 * mp.root(3 * m, 4) * mp.power(n, mp.mpf(3) / 4))
+            main_term *= mp.exp(2 * mp.pi * mp.sqrt(mp.mpf(n) / (3 * m)))
+            bracket = 1 - 3 / (16 * N) - 15 / (2 * (16 * N) ** 2)
+            refined = P / 2 * kappa * mp.exp(2 * N) / mp.sqrt(4 * mp.pi * N) * bracket
+            parts = [mp.mpf(a.numerator) / a.denominator * P * kappa ** (s + 1) * mp.besseli(s + 1, 2 * N)
+                     for s, a in enumerate(alphas)]
+            values = {"main term": main_term, "refined term": refined, "bessel form": parts[0], "expansion": sum(parts)}
+        argv = ["asym", "-n", str(n), "--full", "--terms", str(terms)]
+        start = time.perf_counter()
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and time.perf_counter() - start < 0.5
+        rows = dict(line.strip().split("  ", 1) for line in out.splitlines()[1:])
+        rows["expansion"] = rows.pop(f"expansion ({terms} terms)")
+        start = time.perf_counter()
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code == 0 and time.perf_counter() - start < 0.5
+        payload = json.loads(out)
+        for label, value in values.items():
+            assert rows[label].strip() == cli._scientific(value, 6), label
+            assert payload[label.replace(" ", "_")] == cli._scientific(value, 10), label
 
-        monkeypatch.setattr(cli, "main_term", refuse)
-        monkeypatch.setattr(cli.ArcContext, "build", refuse)
-        code, out, err = run(capsys, "asym", "-n", "10000001", "--full")
-        assert code == 2
-        assert out == ""
-        assert "MAX_EXPANSION_SIZE = 10000000" in err
+    def test_relative_error_below_the_floor_prints_the_floor(self, capsys, monkeypatch):
+        # (1, 4)'s expansion is its Bessel form, off by 6.5e-38 at n = 5000: at 30 digits that is rounding
+        monkeypatch.setattr(cli, "count_stacks", lambda n, params: cli.stack_gf(params, n)[n])
+        argv = ["asym", "-r", "1", "-m", "4", "-n", "5000", "--full", "--exact", "--terms", "16"]
+        _, out, _ = run(capsys, *argv, "-P", "30")
+        assert out.splitlines()[-1] == "  rel error of expansion  < 1e-28"
+        _, out, _ = run(capsys, *argv, "-P", "30", "--format", "json")
+        payload = json.loads(out)
+        assert payload["relative_error_floor"] == "1e-28"
+        assert payload["expansion_relative_error"] == "< 1e-28"
+        assert payload["main_term_relative_error"] == "0.00241008283145"
+        _, out, _ = run(capsys, *argv, "-P", "50")
+        assert out.splitlines()[-1] == "  rel error of expansion  6.46201e-38"
 
-    def test_largest_full_size_stays_within_the_bound(self, monkeypatch):
-        # stop at the first piece of work: only the bound check runs
-        def started(*args, **kwargs):
-            raise RuntimeError("main term started")
+    def test_route_choice_at_1200_digits_takes_hankel(self, capsys, monkeypatch):
+        # 2N = 6623 at n = 10^7: its smallest Hankel term, about 10^-5752, is 0 as a double
+        def series(*args):
+            raise AssertionError("the series route ran")
 
-        monkeypatch.setattr(cli, "main_term", started)
-        with pytest.raises(RuntimeError, match="main term started"):
-            main(["asym", "-n", "10000000", "--full"])
+        monkeypatch.setattr(asymptotics, "_bessel_series", series)
+        code, out, _ = run(capsys, "asym", "-n", "10000000", "--full", "--terms", "16", "-P", "1200")
+        assert code == 0
+        assert "  expansion (16 terms)    1.06827e+2870" in out.splitlines()
+
+    def test_full_past_double_range_exits_0(self, capsys):
+        # 2N = 2.1e350 is no double: the route choice reads it as infinite and takes Hankel
+        code, out, err = run(capsys, "asym", "-n", str(10**700), "--full")
+        assert code == 0, err
+        assert "  growth scale            1.0471976e+350" in out.splitlines()
 
     def test_exact_with_no_stacks_exit_2(self, capsys):
         # (2, 3) has no stack of size 1: the peak alone is 2
@@ -479,7 +536,17 @@ class TestVerify:
         # its Simpson stop is relative to the line's size
         code, out, _ = run(capsys, "verify", "contour", *argv)
         assert code == 0
-        assert out.count("PASS") == 2 and "FAIL" not in out
+        assert out.startswith("PASS  restricted contour") and "FAIL" not in out
+
+    @pytest.mark.parametrize("rho", ["0.9", "0.1"])
+    @pytest.mark.parametrize("argv", [["-r", "41", "-m", "194", "-n", "0"], ["-r", "70", "-m", "363", "-n", "2"]])
+    def test_peak_check_does_not_apply_below_n_pi_over_3m(self, capsys, argv, rho):
+        # kappa = 4.44 and 3.63 exceed pi: the peak's place says nothing, at any rho
+        code, out, _ = run(capsys, "verify", "contour", *argv, "--rho", rho)
+        assert code == 0
+        line = out.splitlines()[1]
+        assert line.startswith("SKIP  integrand maximum lies on the major arc  (does not apply: kappa = ")
+        assert line.endswith(" >= pi, the peak spans the circle)")
 
     def test_size_is_not_bounded_without_the_contour_target(self, capsys):
         code, out, _ = run(capsys, "verify", "theta", "-n", "10000000")
@@ -720,9 +787,9 @@ class TestDecay:
         code, out, _ = run(capsys, "decay")
         assert code == 0
         assert out.splitlines() == [
-            "            family      fitted     generic    ratio  points",
+            "            family      fitted    expected    ratio  points",
             "        (r=1, m=3)    -13.1595    -13.1595   1.0000       6",
-            "        (r=1, m=4)    -19.7392     -9.8696   2.0000       6",
+            "        (r=1, m=4)    -19.7392    -19.7392   1.0000       6",
             "        (r=1, m=5)     -7.8957     -7.8957   1.0000       6",
             "        (r=1, m=6)     -6.5797     -6.5797   1.0000       6",
             "        (r=1, m=7)     -5.6398     -5.6398   1.0000       6",
