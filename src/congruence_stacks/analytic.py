@@ -14,15 +14,15 @@ principal log of q would be wrong outside -1/2 < Re(tau) <= 1/2.
 Every function takes a decimal working precision `dps` and performs the whole
 computation inside a single mpmath context with guard digits, including the
 construction of derived points like -1/tau.  Truncation cutoffs are derived
-from the requested precision: Gaussian tail bounds for the theta, false theta
-and eta sums (eta's is pi y (3k^2 - k) >= D log 10, D the dps plus guard and
-cancellation digits), geometric bounds for the products.  Every such
-decision, and theta_sum's count of lost digits, is made in doubles from
-float(Im tau) and float(Im w), with no mpmath call; each equals the mpf
-formula it replaced over the tested sweep (tests/test_analytic.py).  An
-Im tau that leaves double range, or a cutoff that does (theta's, only past
-10^150 terms), raises ValueError.  The three sums are
-sum_n (+-1)^n X^{n^2} Y^n and are summed by their term ratio, with no
+from the requested precision: one Gaussian tail bound for the theta, false
+theta and eta sums (_gauss_cutoff: 2 past the root of pi y (a n^2 + b n) =
+D log 10, D the dps plus guard digits and, for eta, cancellation digits),
+geometric bounds for the products.  Every such decision, and theta_sum's count
+of lost digits, is made in doubles from float(Im tau) and float(Im w), with no
+mpmath call; each equals the mpf formula it replaced over the tested sweep
+(tests/test_analytic.py).  An Im tau that leaves double range, or a cutoff
+that does (only past about 10^150 terms), raises ValueError.  The three sums
+are sum_n (+-1)^n X^{n^2} Y^n and are summed by their term ratio, with no
 exponential per term.  That recurrence and the q-Pochhammer product loop run
 in complex fixed point, on Python integers in units of 2^-wp with wp a few
 bits above mp.prec, and convert back to one mpc at the end: no mpmath object
@@ -63,6 +63,7 @@ MIN_DOUBLINGS = 4  # Simpson levels run before a converged-looking pair is trust
 MAX_DOUBLINGS = 18  # Simpson levels after which refinement gives up
 SIMPSON_RTOL = 1e-10  # relative agreement of successive Simpson estimates
 PROFILE_HEAD_FLOOR = 1e-2  # circle_profile sums F's factors with |q^k| >= this one by one, the rest in closed form
+PROFILE_CUT_DIGITS = 17  # circle_profile drops L's terms and F's Lambert terms below 10^-this, a double's rounding
 CONTOUR_PROFILE_GRID = 720  # grid of the contour check's circle profile
 RAY_CUT = 40  # contour_tail cuts its ray where the bound e^{-c x} on the integrand reaches e^-RAY_CUT
 
@@ -149,6 +150,21 @@ def _factor_count(y: float, digits: int, slack: float = 0.0) -> int:
     return _cutoff((digits * math.log(10) + slack - math.log(-math.expm1(-t))) / t)
 
 
+def _gauss_cutoff(a: int, b: float, y: float, digits: int) -> int:
+    """Cutoff of a Gaussian sum: 2 past the root n of pi y (a n^2 + b n) = digits log 10, in doubles.
+
+    A term of size e^{-pi y (a n^2 + b n)}, a > 0, is below 10^-digits past
+    the root.  theta takes (1, -2 |Im w| / y), eta (3, -1) and f_{a,b} its own
+    (a, b); only a root above about 10^150 leaves double range.
+    """
+    try:
+        disc = float(b) * b + 4 * a * digits * math.log(10) / (math.pi * y)
+        root = (math.sqrt(disc) - b) / (2 * a)
+    except OverflowError:  # a or b beyond double range
+        root = math.inf
+    return _cutoff(root) + 2
+
+
 def _gauss_sum(x, y, n_max: int, sign=1):
     """sum_{0 <= n <= n_max} sign^n x^{n^2} y^n, one term from the last by the ratio sign x^{2n+1} y.
 
@@ -176,22 +192,13 @@ def _gauss_sum(x, y, n_max: int, sign=1):
     return mp.mpc(mp.ldexp(sr, -wp), mp.ldexp(si, -wp))
 
 
-def _theta_terms(y: float, iw: float, digits: int) -> int:
-    """Cutoff of theta's Gaussian sums: nu_max + 2, pi y nu^2 - 2 pi iw nu = digits log 10, iw = |Im w|.
-
-    In doubles, as nu_max = r + sqrt(r^2 + digits log 10 / (pi y)), r = iw / y,
-    so only a cutoff above 10^150 leaves double range.
-    """
-    r = iw / y
-    return _cutoff(r + math.sqrt(r * r + digits * math.log(10) / (math.pi * y)) + 2)
-
-
 def _theta_gauss(w, tau, digits: int) -> mp.mpc:
     """theta(w; tau) from its two Gaussian sums, cut and formed at `digits` digits, from two exponentials."""
     with mp.workdps(digits):
         w = mp.mpc(w)
         tau = mp.mpc(tau)
-        k_max = _theta_terms(float(tau.imag), abs(float(w.imag)), digits)
+        y = float(tau.imag)
+        k_max = _gauss_cutoff(1, -2 * abs(float(w.imag)) / y, y, digits)
         quarter = mp.exp(mp.pi * 1j * tau / 4)
         half_turn = mp.exp(mp.pi * 1j * (w + 0.5))
         # X = e^{pi i tau}, Y = X e^{2 pi i (w + 1/2)}, c = e^{pi i (tau/4 + w + 1/2)}
@@ -229,7 +236,7 @@ def theta_sum(w, tau, dps: int = DEFAULT_DPS) -> mp.mpc:
     is formed again, cutoff and precision, with the lost digits added to D;
     at most D of them, all that a pass at D digits can measure (theta may
     vanish).  Both decisions, the cutoff and the lost digits, are made in
-    doubles from Im tau and Im w (_theta_terms, _extra_digits).
+    doubles from Im tau and Im w (_gauss_cutoff, _extra_digits).
     """
     digits = dps + GUARD
     with mp.workdps(digits):
@@ -284,7 +291,7 @@ def dedekind_eta(tau, dps: int = DEFAULT_DPS) -> mp.mpc:
     (-1)^k X^{k^2} U^k, so k >= 0 and k < 0 are two Gaussian sums.  The
     terms have size up to 1 while the sum is as small as e^{-pi/(12 y)} near
     the cusp 0, so the sum is formed with D = dps + GUARD + pi/(12 y log 10)
-    digits and cut where pi y (3k^2 - k) >= D log 10.
+    digits and cut 2 past where pi y (3k^2 - k) = D log 10 (_gauss_cutoff).
     """
     with mp.workdps(dps + GUARD):
         tau = _require_upper_half(tau)
@@ -299,7 +306,7 @@ def dedekind_eta(tau, dps: int = DEFAULT_DPS) -> mp.mpc:
 def _eta_sizes(y: float, dps: int) -> tuple[int, int]:
     """dedekind_eta's digits D and cutoff k_max, in doubles."""
     digits = dps + GUARD + _cutoff(math.pi / (12 * y * math.log(10)))
-    return digits, _cutoff((1 + math.sqrt(1 + 12 * digits * math.log(10) / (math.pi * y))) / 6)
+    return digits, _gauss_cutoff(3, -1, y, digits)
 
 
 def eta_inversion_residual(tau, dps: int = DEFAULT_DPS) -> mp.mpf:
@@ -425,22 +432,9 @@ def false_theta(a: int, b: int, tau, dps: int = DEFAULT_DPS) -> mp.mpc:
         raise ValueError("a must be positive")
     with mp.workdps(dps + GUARD):
         tau = _require_upper_half(tau)
-        n_max = _false_theta_terms(a, b, _im_double(tau), dps + GUARD)
+        n_max = _gauss_cutoff(a, b, _im_double(tau), dps + GUARD)
         pi_i_tau = mp.pi * 1j * tau
         return _gauss_sum(mp.exp(pi_i_tau * a), mp.exp(pi_i_tau * b), n_max, -1) - 1
-
-
-def _false_theta_terms(a: int, b: int, y: float, digits: int) -> int:
-    """false_theta's cutoff: 2 past the root n of pi y (a n^2 + b n) = digits log 10, in doubles.
-
-    The term at n has size e^{-pi y (a n^2 + b n)}, so past the root it is below 10^-digits.
-    """
-    try:
-        disc = float(b) * b + 4 * a * digits * math.log(10) / (math.pi * y)
-        root = (math.sqrt(disc) - b) / (2 * a)
-    except OverflowError:  # a or b beyond double range
-        root = math.inf
-    return _cutoff(root) + 2
 
 
 def cubic_model(a: int, b: int, z) -> mp.mpc:
@@ -709,15 +703,15 @@ def _lambert_split(params: StackParams, kappa: float) -> tuple[list[range], list
     and |1 - q^{jm}| >= 1 - |q|^{jm}, whose product with j grows with j, the
     terms of both classes past J sum to at most
     2 x^{J+1} / ((J + 1)(1 - |q|^{(J+1) m})(1 - x)); J is the least that puts
-    this below 1e-17, the cut the profile makes in L.
+    this below 10^-PROFILE_CUT_DIGITS, the cut the profile makes in L.
     """
     m = params.m
     last = int(math.log(1 / PROFILE_HEAD_FLOOR) / kappa)
     heads = [range(s, last + 1, m) for s in (params.r, m - params.r)]
     firsts = [head.start + m * len(head) for head in heads]
-    x = math.exp(-min(firsts) * kappa)
+    x, cut = math.exp(-min(firsts) * kappa), 10.0 ** -PROFILE_CUT_DIGITS
     terms = 0
-    while 2 * x ** (terms + 1) / ((terms + 1) * -math.expm1(-(terms + 1) * m * kappa) * (1 - x)) > 1e-17:
+    while 2 * x ** (terms + 1) / ((terms + 1) * -math.expm1(-(terms + 1) * m * kappa) * (1 - x)) > cut:
         terms += 1
     return heads, firsts, terms
 
@@ -752,7 +746,7 @@ def circle_profile(ctx: ArcContext, grid: int = 720) -> CircleProfile:
         raise ValueError("grid must be even and at least 8")
     params, n, kappa = ctx.params, ctx.n, float(ctx.kappa)
     m = params.m
-    top = _factor_count(kappa / (2 * math.pi), 17)  # L's dropped terms sit below a double's rounding
+    top = _factor_count(kappa / (2 * math.pi), PROFILE_CUT_DIGITS)
     l_terms = false_theta_gf(params, top)
     l_exps = [e for e, _ in l_terms]
     signs = [sign for _, sign in l_terms]

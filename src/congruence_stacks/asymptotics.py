@@ -98,38 +98,23 @@ def bessel_i(order: int, x, dps: int = DEFAULT_DPS) -> mp.mpf:
 
     The Hankel expansion e^x / sqrt(2 pi x) sum_j (-1)^j a_j(k) / x^j serves
     where its terms fall below 10^-(dps + BESSEL_GUARD_DIGITS) before they
-    stop falling (_hankel_reaches): from x of about (dps + 5) ln(10) / 2 on,
-    62 at 50 digits and 1385 at 1200, and from (4k^2 - 1)/8 for large k.  It
-    costs O(dps + k^2) terms at any x.  The ascending series, O(x) positive
-    terms, serves the rest.  Both sum in fixed point; I_{-k} = I_k.  For real
-    x > 0 the expansion cut after its smallest term errs by about the first
-    term left out, plus the recessive part, e^{-2x} relative and of that size
-    there (DLMF 10.40(ii); Olver, Asymptotics and Special Functions, 1974, ch. 7).
+    stop falling (_hankel_sum's smallest term): from x of about
+    (dps + 5) ln(10) / 2 on, 62 at 50 digits and 1385 at 1200, and from
+    (4k^2 - 1)/8 for large k.  It costs O(dps + k^2) terms at any x.  The
+    ascending series, O(x) positive terms, serves the rest and x <= 0.  Both
+    sum in fixed point; I_{-k} = I_k.  For real x > 0 the expansion cut after
+    its smallest term errs by about the first term left out, plus the
+    recessive part, e^{-2x} relative and of that size there (DLMF 10.40(ii);
+    Olver, Asymptotics and Special Functions, 1974, ch. 7).
     """
     k = abs(int(order))
-    if _hankel_reaches(k, x, dps + BESSEL_GUARD_DIGITS):
-        return _bessel_hankel(k, x, dps)
+    with mp.workdps(dps + 10):
+        x = mp.mpf(x)
+        if x > 0:
+            total, smallest = _hankel_sum(k, x)
+            if smallest * 10 ** (dps + BESSEL_GUARD_DIGITS) < 1 << (mp.mp.prec + FIXED_EXTRA_BITS):
+                return _hankel_form(x, total)
     return _bessel_series(k, x, dps)
-
-
-def _hankel_reaches(k: int, x, digits: int) -> bool:
-    """Whether the Hankel terms of I_k(x) fall below 10^-digits before _bessel_hankel stops at one not smaller.
-
-    It adds the log10 of the term ratios |4k^2 - (2j - 1)^2| / (8 x j) in
-    doubles, so 10^-1210, 0 as a double, is seen; an x past double range is inf.
-    """
-    size = float(mp.mpf(x))
-    if not size > 0:
-        return False
-    log_step, mu = math.log10(8 * size), 4 * k * k
-    log_term, j = 0.0, 0
-    while log_term >= -digits:
-        j += 1
-        change = math.log10(abs(mu - (2 * j - 1) ** 2)) - log_step - math.log10(j)
-        if change >= 0:
-            return False
-        log_term += change
-    return True
 
 
 def _bessel_series(k: int, x, dps: int) -> mp.mpf:
@@ -181,18 +166,32 @@ def _hankel_terms(k: int, x):
             term = -term
 
 
+def _hankel_sum(k: int, x) -> tuple[int, int]:
+    """The Hankel terms of I_k(x) summed up to the first not smaller than the last, and the smallest term's size.
+
+    Both in _hankel_terms' units; the stop comes by term 4 floor(x) + 20,
+    whatever the order.
+    """
+    terms = _hankel_terms(k, x)
+    total = smallest = next(terms)
+    for term in terms:
+        if abs(term) >= smallest:
+            break
+        total += term
+        smallest = abs(term)
+    return total, smallest
+
+
+def _hankel_form(x, total: int) -> mp.mpf:
+    """e^x / sqrt(2 pi x) times a sum of Hankel terms in _hankel_terms' units: I_k(x) from its expansion."""
+    return mp.exp(x) / mp.sqrt(2 * mp.pi * x) * mp.ldexp(total, -(mp.mp.prec + FIXED_EXTRA_BITS))
+
+
 def _bessel_hankel(k: int, x, dps: int) -> mp.mpf:
-    """I_k(x), x > 0, from the Hankel terms up to the first not smaller than the last: by term 4 floor(x) + 20."""
+    """I_k(x), x > 0, from the Hankel expansion cut as _hankel_sum cuts it."""
     with mp.workdps(dps + 10):
         x = mp.mpf(x)
-        terms = _hankel_terms(k, x)
-        total = smallest = next(terms)
-        for term in terms:
-            if abs(term) >= smallest:
-                break
-            total += term
-            smallest = abs(term)
-        return mp.exp(x) / mp.sqrt(2 * mp.pi * x) * mp.ldexp(total, -(mp.mp.prec + FIXED_EXTRA_BITS))
+        return _hankel_form(x, _hankel_sum(k, x)[0])
 
 
 def main_term(params: StackParams, n: int, dps: int = DEFAULT_DPS) -> mp.mpf:
@@ -222,10 +221,8 @@ def refined_main_term(params: StackParams, n: int, dps: int = DEFAULT_DPS) -> mp
             raise ValueError(
                 f"refined estimate needs 2N >= {REFINED_MIN_2N}, got 2N = {mp.nstr(x, 6)}; increase n"
             )
-        bracket = mp.ldexp(sum(islice(_hankel_terms(1, x), 3)), -(mp.mp.prec + FIXED_EXTRA_BITS))
-        # alpha_0 = 1/2, and e^x / sqrt(2 pi x) is the Hankel form's prefactor
-        front = ctx.prefactor / 2 * ctx.kappa / mp.sqrt(2 * mp.pi * x)
-        return front * mp.exp(x) * bracket
+        # alpha_0 = 1/2
+        return ctx.prefactor / 2 * ctx.kappa * _hankel_form(x, sum(islice(_hankel_terms(1, x), 3)))
 
 
 @cache

@@ -386,32 +386,39 @@ class TestFloatCutoffs:
                     assert analytic._factor_count(y, digits, 2 * math.pi * iw) == reference, (y, iw)
 
     @pytest.mark.parametrize("dps", SWEEP_DPS)
-    def test_theta_terms_equal_the_mpf_formula(self, dps):
-        # the first pass and a second at up to twice the digits
-        for digits in (dps + analytic.GUARD, 2 * (dps + analytic.GUARD)):
-            with mp.workdps(digits):
-                ln10 = mp.log(10)
+    @pytest.mark.parametrize("kind", ["theta", "false-theta", "eta"])
+    def test_gauss_cutoff_equals_the_mpf_formula(self, kind, dps):
+        cases = []  # (a, b, y, digits, mpf cutoff)
+        digits = dps + analytic.GUARD
+        if kind == "theta":  # the first pass and a second at up to twice the digits
+            for pass_digits in (digits, 2 * digits):
+                with mp.workdps(pass_digits):
+                    ln10 = mp.log(10)
+                    for y in SWEEP_YS:
+                        for iw in SWEEP_IWS:
+                            cases.append((1, -2 * iw / y, y, pass_digits, _mpf_theta_terms(y, iw, pass_digits, ln10)))
+        with mp.workdps(digits):
+            ln10 = mp.log(10)
+            if kind == "false-theta":
+                for y in SWEEP_YS[::3]:
+                    for a in range(1, 13):
+                        for b in range(-40, 41, 3):
+                            cases.append((a, b, y, digits, _mpf_false_theta_terms(a, b, y, digits, ln10)))
+            if kind == "eta":  # at eta's digits D, which include its cancellation digits
                 for y in SWEEP_YS:
-                    for iw in SWEEP_IWS:
-                        assert analytic._theta_terms(y, iw, digits) == _mpf_theta_terms(y, iw, digits, ln10), (y, iw)
+                    eta_digits = _mpf_eta_sizes(y, dps, ln10)[0]
+                    cases.append((3, -1, y, eta_digits, _mpf_false_theta_terms(3, -1, y, eta_digits, ln10)))
+        for a, b, y, case_digits, reference in cases:
+            assert analytic._gauss_cutoff(a, b, y, case_digits) == reference, (a, b, y, case_digits)
 
     @pytest.mark.parametrize("dps", SWEEP_DPS)
     def test_eta_sizes_equal_the_mpf_formula(self, dps):
         with mp.workdps(dps + analytic.GUARD):
             ln10 = mp.log(10)
             for y in SWEEP_YS:
-                assert analytic._eta_sizes(y, dps) == _mpf_eta_sizes(y, dps, ln10), y
-
-    @pytest.mark.parametrize("dps", SWEEP_DPS)
-    def test_false_theta_terms_equal_the_mpf_formula(self, dps):
-        digits = dps + analytic.GUARD
-        with mp.workdps(digits):
-            ln10 = mp.log(10)
-            for y in SWEEP_YS[::3]:
-                for a in range(1, 13):
-                    for b in range(-40, 41, 3):
-                        reference = _mpf_false_theta_terms(a, b, y, digits, ln10)
-                        assert analytic._false_theta_terms(a, b, y, digits) == reference, (a, b, y)
+                digits, k_max = analytic._eta_sizes(y, dps)
+                assert digits == _mpf_eta_sizes(y, dps, ln10)[0], y
+                assert k_max == analytic._gauss_cutoff(3, -1, y, digits), y
 
     @pytest.mark.parametrize("dps", SWEEP_DPS)
     def test_lost_digits_equal_the_mpf_formula(self, dps):

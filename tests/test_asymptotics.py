@@ -47,7 +47,7 @@ def mpf_hankel(k, x, dps):
     is the production one: stop at the first term not smaller than the last,
     where a term below the unit 2^-wp of the fixed-point sum (wp = mp.prec +
     FIXED_EXTRA_BITS at dps + 10 digits) is 0.  The stop comes by term
-    4 floor(x) + 20, as _bessel_hankel's docstring says.
+    4 floor(x) + 20, as _hankel_sum's docstring says.
     """
     with mp.workdps(dps + 10):
         unit = mp.ldexp(1, -(mp.mp.prec + FIXED_EXTRA_BITS))
@@ -164,13 +164,26 @@ class TestBessel:
         assert read == ref_read
 
     @pytest.mark.parametrize("dps", [15, 50, 200, 1200])
-    def test_both_routes_match_mpmath_on_both_sides_of_the_switch(self, dps):
+    def test_both_routes_match_mpmath_on_both_sides_of_the_switch(self, dps, monkeypatch):
         # the switch sits near x = (dps + 5) ln(10) / 2 for small orders; orders 16 and 17 keep
         # the series to x = (4k^2 - 1)/8 at 15 and 50 digits, where their terms grow at first
         switch = (dps + 5) * math.log(10) / 2
         below, above = round(0.95 * switch, 2), round(1.05 * switch, 2)
-        assert not asymptotics._hankel_reaches(0, below, dps + 5)
-        assert asymptotics._hankel_reaches(0, above, dps + 5)
+        series, ran = asymptotics._bessel_series, []
+
+        def tracked(*args):
+            ran.append(args)
+            return series(*args)
+
+        def refused(*args):
+            raise AssertionError("the series route ran")
+
+        monkeypatch.setattr(asymptotics, "_bessel_series", tracked)
+        bessel_i(0, below, dps=dps)
+        assert ran
+        monkeypatch.setattr(asymptotics, "_bessel_series", refused)
+        bessel_i(0, above, dps=dps)
+        monkeypatch.undo()
         cases = [(k, x) for k in range(18) for x in (1, 10**6)]
         if dps == 1200:  # the series near x = 1400 costs about 0.1 s a call, as does mpmath
             cases += [(k, x) for k in (0, 17) for x in (below, above, 6623)]
@@ -190,6 +203,12 @@ class TestBessel:
         with mp.workdps(1220):
             x = mp.mpf(6623)
             assert abs(bessel_i(1, x, dps=1200) / mp.besseli(1, x) - 1) <= mp.mpf(10) ** -1200
+
+    def test_nonpositive_argument_takes_the_series(self):
+        assert bessel_i(0, 0) == 1
+        assert bessel_i(3, 0) == 0
+        with pytest.raises(ValueError, match="x must be nonnegative"):
+            bessel_i(1, -1)
 
     def test_negative_order_equals_positive(self):
         with mp.workdps(50):

@@ -1,8 +1,10 @@
+import ast
 import gc
 import inspect
 import os
 import subprocess
 import sys
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
@@ -21,6 +23,16 @@ def test_all_lists_exactly_the_public_names_the_package_binds():
         if not name.startswith("_") and not inspect.ismodule(obj)
     }
     assert set(names) == bound
+
+
+def test_no_function_name_is_defined_in_two_modules():
+    # one name, one meaning: a second definition is a formula typed twice or a trap for the reader
+    modules = defaultdict(set)
+    for path in Path(congruence_stacks.__file__).parent.glob("*.py"):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                modules[node.name].add(path.name)
+    assert {name: sorted(found) for name, found in modules.items() if len(found) > 1} == {}
 
 
 def _run_python(*args: str, check: bool = True) -> subprocess.CompletedProcess:
