@@ -406,24 +406,17 @@ def product_decay_fit(
         ys.append(logres)
     if len(xs) < 2:
         raise ValueError("all sample points sit at the noise floor; raise dps")
-    slope = _least_squares_slope(xs, ys)
+    # imported here, so verify and profile never load statistics
+    import statistics
+
     return DecayFit(
         params=params,
-        slope=slope,
+        slope=statistics.linear_regression(xs, ys).slope,
         expected=-4 * math.pi ** 2 * (2 if params.m == 4 else 1) / params.m,
         points=tuple(zip(xs, ys)),
         excluded=excluded,
         dps=dps,
     )
-
-
-def _least_squares_slope(xs: Sequence[float], ys: Sequence[float]) -> float:
-    n = len(xs)
-    xbar = sum(xs) / n
-    ybar = sum(ys) / n
-    num = sum((x - xbar) * (y - ybar) for x, y in zip(xs, ys))
-    den = sum((x - xbar) ** 2 for x in xs)
-    return num / den
 
 
 def false_theta(a: int, b: int, tau, dps: int = DEFAULT_DPS) -> mp.mpc:

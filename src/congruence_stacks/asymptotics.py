@@ -81,13 +81,19 @@ class ArcContext(namedtuple("ArcContext", "params n A B prefactor kappa scale rh
             return cls(params, n, A, B, prefactor, kappa, A / kappa, float(rho), dps)
 
     def bessel_sum(self, alphas: Sequence[Fraction]) -> mp.mpf:
-        """sum_s alphas[s] P kappa^(s+1) I_{s+1}(2N), the arc's expansion with these coefficients, to dps digits."""
+        """sum_s alphas[s] P kappa^(s+1) I_{s+1}(2N), the arc's expansion with these coefficients, to dps digits.
+
+        bessel_i gives I_{S+1}(2N) and I_S(2N), S = len(alphas); each lower order is I_{v-1}(x) =
+        I_{v+1}(x) + (2v/x) I_v(x) (DLMF 10.29.1), two positive terms for x > 0, so no digit cancels.
+        """
         digits = growth_dps(self.n, self.dps)
         with mp.workdps(digits):
             x, total = 2 * self.scale, mp.mpf(0)
-            for s, alpha in enumerate(alphas):
-                weight = _fraction_to_mpf(alpha)
-                total += weight * self.prefactor * self.kappa ** (s + 1) * bessel_i(s + 1, x, dps=digits)
+            above, bessel = (bessel_i(v, x, dps=digits) for v in (len(alphas) + 1, len(alphas)))
+            for s in reversed(range(len(alphas))):
+                weight = _fraction_to_mpf(alphas[s])
+                total += weight * self.prefactor * self.kappa ** (s + 1) * bessel
+                above, bessel = bessel, above + 2 * (s + 1) / x * bessel
             if total <= 0:
                 raise ValueError("expansion sum is not positive; n is too small for this use")
             return total

@@ -62,8 +62,8 @@ MAX_PROFILE_WORK = 1_610_000
 # largest working precision of every command: -P, CSTACKS_PRECISION and
 # `decay`'s 8 pi^2/(m z_min log 10) + 40 digits.  Costs grow steeply with it:
 # `decay` at 1183 digits (m = 3, z_min = 0.01) takes 7.5-11.7 s and 21 MB max
-# RSS, `verify all -P 1200` 3.8-5.7 s and 21 MB, about half of it theta_product's
-# q-Pochhammer loops (same machine)
+# RSS, `verify all -P 1200` 2.1-4.3 s (seeds 1-3) and 21 MB, about half of it
+# theta_product's q-Pochhammer loops (same machine)
 MAX_DPS = 1200
 # `verify` targets in run order, the keys of analytic.VERIFY_CHECKS; the parser
 # lists them without importing analytic.  The contour target refuses an -n whose

@@ -15,11 +15,12 @@ from congruence_stacks.asymptotics import (
     bessel_i,
     comparison_table,
     false_theta_coeffs,
+    growth_dps,
     main_term,
     refined_main_term,
     singular_expansion_coeffs,
 )
-from congruence_stacks.bigfloat import FIXED_EXTRA_BITS
+from congruence_stacks.bigfloat import FIXED_EXTRA_BITS, _fraction_to_mpf
 from congruence_stacks.params import StackParams
 from congruence_stacks.qseries import stack_gf
 
@@ -338,6 +339,63 @@ class TestExpansionCoefficients:
         assert len(singular_expansion_coeffs(P13, max_order=MAX_EXPANSION_TERMS - 1)) == MAX_EXPANSION_TERMS
         with pytest.raises(ValueError):
             singular_expansion_coeffs(P13, max_order=MAX_EXPANSION_TERMS)
+
+
+STEP_PAIRS = [(1, 3), (5, 12), (41, 194)]
+
+
+def per_order_sum(ctx, alphas):
+    """sum_s alphas[s] P kappa^(s+1) I_{s+1}(2N) with one bessel_i call per order, at bessel_sum's digits."""
+    digits = growth_dps(ctx.n, ctx.dps)
+    with mp.workdps(digits):
+        x = 2 * ctx.scale
+        return mp.fsum(
+            _fraction_to_mpf(alpha) * ctx.prefactor * ctx.kappa ** (s + 1) * bessel_i(s + 1, x, dps=digits)
+            for s, alpha in enumerate(alphas)
+        )
+
+
+class TestBesselSum:
+    def test_two_bessel_calls_whatever_the_number_of_terms(self, monkeypatch):
+        orders = []
+
+        def counted(order, x, dps):
+            orders.append(order)
+            return bessel_i(order, x, dps=dps)
+
+        monkeypatch.setattr(asymptotics, "bessel_i", counted)
+        for terms in (1, 2, 4, 16):
+            orders.clear()
+            arc(P13, 1000).bessel_sum(singular_expansion_coeffs(P13, max_order=terms - 1))
+            assert sorted(orders) == [terms, terms + 1]
+
+    # (41, 194) at n = 0 has 2N about 0.008, where the recurrence's 2v/x is largest
+    @pytest.mark.parametrize("dps", [15, 50])
+    @pytest.mark.parametrize("terms", [1, 4, 16])
+    @pytest.mark.parametrize("n", [0, 50, 10 ** 3, 10 ** 7, 10 ** 30])
+    @pytest.mark.parametrize("pair", STEP_PAIRS)
+    def test_recurrence_equals_the_per_order_sum(self, pair, n, terms, dps):
+        params = StackParams(*pair)
+        ctx = arc(params, n, dps=dps)
+        alphas = singular_expansion_coeffs(params, max_order=terms - 1)
+        with mp.workdps(growth_dps(n, dps)):
+            assert abs(ctx.bessel_sum(alphas) / per_order_sum(ctx, alphas) - 1) <= mp.mpf(10) ** (1 - dps)
+
+    def test_recurrence_equals_the_per_order_sum_at_1200_digits(self):
+        # 2N is about 662, below the 1200-digit switch: both bessel_i calls take the series
+        ctx = arc(P13, 10 ** 5, dps=1200)
+        alphas = singular_expansion_coeffs(P13, max_order=MAX_EXPANSION_TERMS - 1)
+        with mp.workdps(growth_dps(ctx.n, ctx.dps)):
+            assert abs(ctx.bessel_sum(alphas) / per_order_sum(ctx, alphas) - 1) <= mp.mpf(10) ** -1199
+
+    @pytest.mark.parametrize("n", [0, 50, 10 ** 7])
+    @pytest.mark.parametrize("pair", STEP_PAIRS)
+    def test_one_term_reads_i1_from_bessel_i(self, pair, n):
+        ctx = arc(StackParams(*pair), n)
+        digits = growth_dps(n, ctx.dps)
+        with mp.workdps(digits):
+            expected = _fraction_to_mpf(ONE_TERM[0]) * ctx.prefactor * ctx.kappa * bessel_i(1, 2 * ctx.scale, dps=digits)
+        assert ctx.bessel_sum(ONE_TERM) == expected
 
 
 class TestAsymptoticSum:

@@ -7,10 +7,12 @@ import time
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from congruence_stacks import analytic, asymptotics, cli
 from congruence_stacks.asymptotics import ComparisonRecord, singular_expansion_coeffs
-from congruence_stacks.cli import build_parser, main
+from congruence_stacks.cli import _scientific, build_parser, main
 from congruence_stacks.oracle import ENUMERATION_CAP, StackWitness, enumerate_stacks
 from congruence_stacks.params import StackParams
 
@@ -347,6 +349,82 @@ def _ten_to_the_30_from_a_15_digit_log():
 def test_scientific_carries_a_rounded_ten_into_the_exponent(value, text):
     assert value < 10 ** int(text.split("e")[1])
     assert cli._scientific(value, 5) == text
+
+
+# _scientific, the one formatter of magnitudes: mpf values far beyond double
+# range print as a mantissa and a decimal exponent
+def split(x, digits: int) -> tuple[str, int]:
+    """The formatter's mantissa digits and exponent of x."""
+    mantissa, exponent = _scientific(x, digits).split("e")
+    return mantissa, int(exponent)
+
+
+class TestConstruction:
+    def test_from_int(self):
+        assert _scientific(mp.mpf(3167122), 5) == "3.1671e+6"
+
+    def test_from_number(self):
+        assert _scientific(mp.mpf("0.00125"), 3) == "1.25e-3"
+
+    def test_from_mantissa_exp(self):
+        with mp.workdps(50):
+            x = mp.mpf("2.6926") * mp.mpf(10) ** 25
+        assert split(x, 40) == ("2.6926" + "0" * 35, 25)
+
+
+class TestDecompose:
+    def test_power_of_ten_boundary(self):
+        assert split(mp.mpf(1000), 30) == ("1." + "0" * 29, 3)
+
+    def test_just_below_power_of_ten(self):
+        assert split(mp.mpf(999999), 30) == ("9.99999" + "0" * 24, 5)
+
+    def test_tiny_value(self):
+        with mp.workdps(50):
+            x = mp.exp(-5000)
+        mantissa, exponent = split(x, 10)
+        assert exponent == int(mp.floor(-5000 / mp.log(10)))
+        assert 1 <= mp.mpf(mantissa) < 10
+
+
+class TestArithmetic:
+    def test_huge_value_stays_in_log_space(self):
+        # e^(10^6) has about 434294 decimal digits; the mpf holds it as a
+        # binary exponent, and only the decimal split is computed
+        mantissa, exponent = split(mp.exp(mp.mpf(10) ** 6), 10)
+        assert exponent == 434294
+        assert 1 <= mp.mpf(mantissa) < 10
+
+
+class TestFormatting:
+    def test_negative_exponent(self):
+        assert _scientific(mp.mpf("4.2e-7"), 3) == "4.20e-7"
+
+    def test_rounding_in_display(self):
+        assert _scientific(mp.mpf("3.28595122"), 5) == "3.2860e+0"
+
+    def test_str(self):
+        assert _scientific(mp.mpf(12345), 5) == "1.2345e+4"
+
+
+@given(st.integers(1, 10 ** 30))
+@settings(max_examples=80)
+def test_exponent_matches_digit_count(n):
+    with mp.workdps(50):
+        x = mp.mpf(n)
+    mantissa, exponent = split(x, 40)
+    assert exponent == len(str(n)) - 1
+    assert mantissa.replace(".", "").rstrip("0") == str(n).rstrip("0")
+
+
+@given(st.integers(1, 9 * 10 ** 6), st.integers(-30, 30))
+@settings(max_examples=60)
+def test_scaling_shifts_exponent(n, k):
+    with mp.workdps(60):
+        x = mp.mpf(n)
+        shifted = x * mp.mpf(10) ** k
+    mantissa, exponent = split(x, 30)
+    assert split(shifted, 30) == (mantissa, exponent + k)
 
 
 # the check names `verify all` prints at the defaults, in run order, and the

@@ -45,10 +45,11 @@ def _run_python(*args: str, check: bool = True) -> subprocess.CompletedProcess:
 # modules the package must not pull in for these: dataclasses brings inspect,
 # ast, dis and tokenize; output formats live in cli, which loads json only
 # for --format json; and analytic, the modular kernels and the contour
-# numerics, loads only for verify, profile and decay.  (cmath is no such
-# module: mpmath, which the package imports, loads it.)
+# numerics, loads only for verify, profile and decay, and statistics only for
+# decay's fit.  (cmath is no such module: mpmath, which the package imports,
+# loads it.)
 ANALYTIC = "congruence_stacks.analytic"
-UNNEEDED_MODULES = ("dataclasses", "inspect", "json", ANALYTIC)
+UNNEEDED_MODULES = ("dataclasses", "inspect", "json", "statistics", ANALYTIC)
 
 
 def _main(*argv: str) -> str:
@@ -66,8 +67,13 @@ def _main(*argv: str) -> str:
         (_main("table", "--values", "100,1000,10000"), ()),
         (_main("table", "-r", "3", "-m", "5", "--values", "100,1000,5000", "--format", "json"), ("json",)),
         (_main("asym", "-n", "1000", "--full", "--exact"), ()),
+        (_main("verify", "all"), (ANALYTIC,)),
+        (_main("profile", "-n", "500", "--grid", "90"), (ANALYTIC,)),
     ],
-    ids=["import", "count-witnesses", "count-3000", "count-10000", "table", "table-json", "asym-full-exact"],
+    ids=[
+        "import", "count-witnesses", "count-3000", "count-10000", "table", "table-json", "asym-full-exact",
+        "verify-all", "profile",
+    ],
 )
 def test_unneeded_modules_stay_unloaded(statement, needed):
     unneeded = tuple(m for m in UNNEEDED_MODULES if m not in needed)

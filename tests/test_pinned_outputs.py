@@ -60,6 +60,8 @@ _MORE = [
     "asym -r 1 -m 4 -n 5000 --full --exact --terms 16 -P 50",
     "asym -r 1 -m 4 -n 5000 --full --exact --terms 16 -P 100",
     "asym -n 1000000000000000000000000000000 --full --terms 16",
+    "asym -n 100000 --full --terms 16 -P 1200",
+    "asym -r 41 -m 194 -n 1 --full --terms 16",
     "verify contour -r 41 -m 194 -n 0",
     "verify contour -r 41 -m 194 -n 0 --rho 0.1",
     "verify contour -r 70 -m 363 -n 2",
