@@ -32,13 +32,30 @@ from itertools import count, islice
 
 import mpmath as mp
 
-from .bigfloat import DEFAULT_DPS, FIXED_EXTRA_BITS, _fraction_to_mpf
+from .bigfloat import DEFAULT_DPS
 from .params import StackParams
 from .qseries import stack_gf
 
 MAX_EXPANSION_TERMS = 16
 BESSEL_GUARD_DIGITS = 5  # both Bessel routes stop below 10^-(dps + BESSEL_GUARD_DIGITS)
+BESSEL_EXTRA_DIGITS = 10  # and work at dps + BESSEL_EXTRA_DIGITS digits
+FIXED_EXTRA_BITS = 10  # guard bits of every fixed-point loop (_fixed_bits)
 REFINED_MIN_2N = 10  # refined_main_term refuses below this 2N, where its three-term bracket fails
+
+
+def _fixed_bits(length: int = 0) -> int:
+    """Width wp of the fixed-point loops: mp.prec plus FIXED_EXTRA_BITS plus log2 of the loop length, if known.
+
+    analytic's theta-type sums and q-Pochhammer product, and this module's
+    Bessel series and Hankel expansion, run on Python integers in units of
+    2^-wp and convert back to mpf once.
+    """
+    return mp.mp.prec + FIXED_EXTRA_BITS + length.bit_length()
+
+
+def _fraction_to_mpf(x: Fraction) -> mp.mpf:
+    """x at the ambient precision: the numerator rounded once, then one division."""
+    return mp.mpf(x.numerator) / x.denominator
 
 
 def growth_dps(n: int, dps: int) -> int:
@@ -76,7 +93,8 @@ class ArcContext(namedtuple("ArcContext", "params n A B prefactor kappa scale rh
             B = n + offset
             radicand = 3 * params.m * B
             if radicand <= 0:
-                raise ValueError(f"saddle radicand {radicand} is not positive for {params}, n={n}; n is too small")
+                bound = f"m/12 - r(m-r)/(2m) = {-offset} (about {float(-offset):.6g})"
+                raise ValueError(f"the saddle point needs n > {bound} for {params}, got n={n}")
             kappa = mp.pi / mp.sqrt(_fraction_to_mpf(radicand))
             return cls(params, n, A, B, prefactor, kappa, A / kappa, float(rho), dps)
 
@@ -107,39 +125,58 @@ def bessel_i(order: int, x, dps: int = DEFAULT_DPS) -> mp.mpf:
     stop falling (_hankel_sum's smallest term): from x of about
     (dps + 5) ln(10) / 2 on, 62 at 50 digits and 1385 at 1200, and from
     (4k^2 - 1)/8 for large k.  It costs O(dps + k^2) terms at any x.  The
-    ascending series, O(x) positive terms, serves the rest and x <= 0.  Both
+    ascending series, O(x) positive terms, serves the rest and x <= 0, with
+    no walk of the Hankel terms where _hankel_misses rules it out.  Both
     sum in fixed point; I_{-k} = I_k.  For real x > 0 the expansion cut after
     its smallest term errs by about the first term left out, plus the
     recessive part, e^{-2x} relative and of that size there (DLMF 10.40(ii);
     Olver, Asymptotics and Special Functions, 1974, ch. 7).
     """
     k = abs(int(order))
-    with mp.workdps(dps + 10):
+    with mp.workdps(dps + BESSEL_EXTRA_DIGITS):
         x = mp.mpf(x)
-        if x > 0:
+        if x > 0 and not _hankel_misses(x, dps):
             total, smallest = _hankel_sum(k, x)
-            if smallest * 10 ** (dps + BESSEL_GUARD_DIGITS) < 1 << (mp.mp.prec + FIXED_EXTRA_BITS):
+            if smallest * 10 ** (dps + BESSEL_GUARD_DIGITS) < 1 << _fixed_bits():
                 return _hankel_form(x, total)
     return _bessel_series(k, x, dps)
+
+
+def _hankel_misses(x, dps: int) -> bool:
+    """Whether every order's Hankel terms at x stay a digit above bessel_i's stop, in doubles.
+
+    For integer k, |a_j(k)| >= |a_j(0)|: the partial products of
+    |1 - 4k^2/(2i-1)^2| rise, then fall to |cos pi k| = 1.  So order 0's
+    smallest term, Gamma(j + 1/2)^2 / (pi j! (2x)^j) at j = floor(2x) or one
+    more (its terms fall while j < x - 1/2 + sqrt(x^2 + x), just under 2x),
+    bounds every order's from below; it lies under e^{-2x} from x = 1 on.
+    False outside 0 < x < double range.
+    """
+    x, limit = float(x), (1 - dps - BESSEL_GUARD_DIGITS) * math.log(10)
+    if not 0 < 2 * x < -limit:
+        return False
+    turn = int(2 * x)
+    smallest = min(2 * math.lgamma(j + 0.5) - math.lgamma(j + 1) - j * math.log(2 * x) for j in (turn, turn + 1))
+    return smallest - math.log(math.pi) > limit
 
 
 def _bessel_series(k: int, x, dps: int) -> mp.mpf:
     """I_k(x) = (x/2)^k / k! * sum_j (x^2/4)^j k! / (j! (j+k)!).
 
-    The sum runs in fixed point at wp = mp.prec + FIXED_EXTRA_BITS bits.
+    The sum runs in fixed point at wp = _fixed_bits() bits.
     Every term is >= 0 and the sum is >= 1, so fixed point keeps relative
     precision: J terms lose at most about J 2^-wp.  It stops at the first
     term below 10^-(dps+5) of the running total, and the prefactor is applied
     once, in mpf.
     """
-    with mp.workdps(dps + 10):
+    with mp.workdps(dps + BESSEL_EXTRA_DIGITS):
         x = mp.mpf(x)
         if x < 0:
             raise ValueError("x must be nonnegative")
         if x == 0:
             return mp.mpf(1) if k == 0 else mp.mpf(0)
         half = x / 2
-        wp = mp.mp.prec + FIXED_EXTRA_BITS
+        wp = _fixed_bits()
         half_fixed = half.to_fixed(wp)
         quarter_x2 = half_fixed * half_fixed >> wp
         term = total = 1 << wp
@@ -155,12 +192,12 @@ def _bessel_series(k: int, x, dps: int) -> mp.mpf:
 def _hankel_terms(k: int, x):
     """Terms 1, -(4k^2 - 1)/(8x), ... of I_k(x) sqrt(2 pi x) e^{-x} as x -> inf, each from the last.
 
-    The terms are Python integers in units of 2^-wp, wp = mp.prec +
-    FIXED_EXTRA_BITS at the ambient precision, as in _bessel_series; 1/(8x)
-    is rounded to that unit once, and each term is truncated toward zero, so a
-    term below 2^-wp is 0.
+    The terms are Python integers in units of 2^-wp, wp = _fixed_bits() at
+    the ambient precision, as in _bessel_series; 1/(8x) is rounded to that
+    unit once, and each term is truncated toward zero, so a term below 2^-wp
+    is 0.
     """
-    wp = mp.mp.prec + FIXED_EXTRA_BITS
+    wp = _fixed_bits()
     step = (1 / (8 * mp.mpf(x))).to_fixed(wp)
     mu = 4 * k * k
     term = 1 << wp
@@ -190,12 +227,12 @@ def _hankel_sum(k: int, x) -> tuple[int, int]:
 
 def _hankel_form(x, total: int) -> mp.mpf:
     """e^x / sqrt(2 pi x) times a sum of Hankel terms in _hankel_terms' units: I_k(x) from its expansion."""
-    return mp.exp(x) / mp.sqrt(2 * mp.pi * x) * mp.ldexp(total, -(mp.mp.prec + FIXED_EXTRA_BITS))
+    return mp.exp(x) / mp.sqrt(2 * mp.pi * x) * mp.ldexp(total, -_fixed_bits())
 
 
 def _bessel_hankel(k: int, x, dps: int) -> mp.mpf:
     """I_k(x), x > 0, from the Hankel expansion cut as _hankel_sum cuts it."""
-    with mp.workdps(dps + 10):
+    with mp.workdps(dps + BESSEL_EXTRA_DIGITS):
         x = mp.mpf(x)
         return _hankel_form(x, _hankel_sum(k, x)[0])
 

@@ -299,13 +299,7 @@ def cmd_count(args: argparse.Namespace) -> int:
         # imported here, as in table and asym, so text output never loads json
         import json
 
-        payload = {
-            "r": params.r,
-            "m": params.m,
-            "variant": params.variant,
-            "n": n,
-            "count": str(count),
-        }
+        payload = {"r": params.r, "m": params.m, "variant": params.variant, "n": n, "count": str(count)}
         if witnesses is not None:
             payload["witnesses"] = [
                 {"left": list(w.left), "peak": w.peak, "right": list(w.right)} for w in witnesses

@@ -733,6 +733,25 @@ class TestContourTail:
             line = major_arc_integral(ctx) + contour_tail(ctx)
             assert abs(line / one_term_bessel(ctx) - 1) < analytic.SIMPSON_RTOL
 
+    def test_small_growth_scale_miss_is_the_vertical_pieces(self):
+        # (7, 32), n = 2, rho = 0.1 misses the Bessel form by 4.7e-11: the ray (tail minus the vertical
+        # piece rho <= t <= 1/2) errs by 3.0e-15 of the line against its 30-digit quadrature, and the
+        # vertical piece's Simpson stop leaves the rest
+        ctx = ArcContext.build(StackParams(7, 32), 2, rho=0.1, dps=50)
+        vertical = analytic._arc_integral(ctx, 0.1, 0.5)
+        with mp.workdps(30):
+            N, w0 = +ctx.scale, mp.mpc(1, 0.5)
+            integral = mp.quad(lambda x: mp.exp(x / (w0 * (w0 - x / N)) - x), [0, 1, 10, 40, mp.inf])
+            exact_ray = ctx.prefactor / (2 * mp.pi) * mp.im(-ctx.kappa / N * mp.exp(N * (w0 + 1 / w0)) * integral)
+            exact_vertical = ctx.prefactor / (2 * mp.pi) * ctx.kappa * mp.exp(2 * N) * mp.quad(
+                lambda t: mp.exp(-N * t * t / (1 + t * t)) * mp.cos(N * t ** 3 / (1 + t * t)), [0.1, 0.5]
+            )
+        with mp.workdps(65):
+            bessel = one_term_bessel(ctx)
+            line = major_arc_integral(ctx) + contour_tail(ctx)
+            assert abs(contour_tail(ctx) - vertical - exact_ray) < mp.mpf("1e-14") * bessel
+            assert abs((line - bessel) - (vertical - exact_vertical)) < mp.mpf("1e-13") * bessel
+
     def test_closes_the_line_deep_in_the_regime(self):
         # the ray's start e^{N (w* + 1/w*)} is about 1e94 here, e^{2N} about 1e177
         ctx = ArcContext.build(P13, 20000, rho=0.9, dps=50)

@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 from congruence_stacks import asymptotics
 from congruence_stacks.analytic import false_theta
 from congruence_stacks.asymptotics import (
+    FIXED_EXTRA_BITS,
     MAX_EXPANSION_TERMS,
     ArcContext,
+    _fraction_to_mpf,
     asymptotic_sum,
     bessel_i,
     comparison_table,
@@ -20,7 +22,6 @@ from congruence_stacks.asymptotics import (
     refined_main_term,
     singular_expansion_coeffs,
 )
-from congruence_stacks.bigfloat import FIXED_EXTRA_BITS, _fraction_to_mpf
 from congruence_stacks.params import StackParams
 from congruence_stacks.qseries import stack_gf
 
@@ -46,12 +47,12 @@ def mpf_hankel(k, x, dps):
 
     Returns (I_k(x) estimate, terms read).  The truncation
     is the production one: stop at the first term not smaller than the last,
-    where a term below the unit 2^-wp of the fixed-point sum (wp = mp.prec +
-    FIXED_EXTRA_BITS at dps + 10 digits) is 0.  The stop comes by term
+    where a term below the unit 2^-wp of the fixed-point sum (wp =
+    _fixed_bits() at dps + 10 digits) is 0.  The stop comes by term
     4 floor(x) + 20, as _hankel_sum's docstring says.
     """
     with mp.workdps(dps + 10):
-        unit = mp.ldexp(1, -(mp.mp.prec + FIXED_EXTRA_BITS))
+        unit = mp.ldexp(1, -asymptotics._fixed_bits())
     with mp.workdps(dps + 30):
         x = mp.mpf(x)
         term = total = smallest = mp.mpf(1)
@@ -81,7 +82,9 @@ class TestSaddle:
         assert all(a > b for a, b in zip(values, values[1:]))
 
     def test_nonpositive_radicand_rejected(self):
-        with pytest.raises(ValueError, match="saddle radicand -97/4 is not positive"):
+        # B = n + r(m-r)/(2m) - m/12 = n + 6/13 - 13/12 must be positive
+        bound = r"m/12 - r\(m-r\)/\(2m\) = 97/156 \(about 0.621795\)"
+        with pytest.raises(ValueError, match=rf"needs n > {bound} for \(r=1, m=13, standard\), got n=0$"):
             arc(StackParams(1, 13), 0)
 
     def test_conjugate_scale_identity(self):
@@ -115,6 +118,16 @@ class TestArcContext:
             ArcContext.build(P13, 200, rho=1.2)
         with pytest.raises(ValueError):
             ArcContext.build(P13, 200, rho=0)
+
+
+class TestFixedPoint:
+    @pytest.mark.parametrize("dps", [15, 50, 1200])
+    def test_width_rule(self, dps):
+        # mp.prec plus 10 guard bits plus the loop length's bits
+        with mp.workdps(dps):
+            for length in (0, 1, 400, 10**6):
+                assert asymptotics._fixed_bits(length) == mp.mp.prec + 10 + length.bit_length()
+            assert asymptotics._fixed_bits() == mp.mp.prec + FIXED_EXTRA_BITS
 
 
 class TestBessel:
@@ -204,6 +217,45 @@ class TestBessel:
         with mp.workdps(1220):
             x = mp.mpf(6623)
             assert abs(bessel_i(1, x, dps=1200) / mp.besseli(1, x) - 1) <= mp.mpf(10) ** -1200
+
+    def test_walk_skipped_only_where_it_cannot_succeed(self, monkeypatch):
+        # order 0's smallest Hankel term bounds every order's walk from below: 10^-1131 at x = 1300 and
+        # 10^-577 at x = 662 stay above 10^-1205, 10^-26.7 at x = 29.6 above 10^-58 but not 10^-20
+        walks = []
+        hankel_sum = asymptotics._hankel_sum
+
+        def counted(k, x):
+            walks.append((k, x))
+            return hankel_sum(k, x)
+
+        monkeypatch.setattr(asymptotics, "_hankel_sum", counted)
+        for (k, x, dps), expected in [
+            ((1, 1300, 1200), 0), ((16, 662, 1200), 0), ((0, 29.6, 53), 0), ((1, 10**4, 50), 1), ((1, 29.6, 15), 1)
+        ]:
+            walks.clear()
+            bessel_i(k, x, dps=dps)
+            assert len(walks) == expected, (k, x, dps)
+
+    @pytest.mark.parametrize("dps", [15, 50, 1200])
+    def test_route_is_the_one_the_walk_picks(self, dps, monkeypatch):
+        # walked or skipped, bessel_i takes Hankel exactly where the walk's smallest term is below 10^-(dps+5)
+        walks = {}
+        hankel_sum = asymptotics._hankel_sum
+
+        def walk(k, x):
+            if (k, x) not in walks:
+                walks[k, x] = hankel_sum(k, x)
+            return walks[k, x]
+
+        monkeypatch.setattr(asymptotics, "_hankel_sum", walk)
+        monkeypatch.setattr(asymptotics, "_hankel_form", lambda x, total: "hankel")
+        monkeypatch.setattr(asymptotics, "_bessel_series", lambda k, x, dps: "series")
+        for k in range(18):
+            for x in (1, 10, 30, 66, 300, 662, 1300, 3000):
+                with mp.workdps(dps + 10):
+                    smallest = walk(k, mp.mpf(x))[1]
+                    picked = "hankel" if smallest * 10 ** (dps + 5) < 1 << (mp.mp.prec + 10) else "series"
+                assert bessel_i(k, x, dps=dps) == picked, (k, x)
 
     def test_nonpositive_argument_takes_the_series(self):
         assert bessel_i(0, 0) == 1

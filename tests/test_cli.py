@@ -296,6 +296,23 @@ class TestAsym:
             in err
         )
 
+    @pytest.mark.parametrize(
+        "argv, bound",
+        [
+            (["verify", "contour", "-n", "-5"], "-1/12 (about -0.0833333) for (r=1, m=3, standard), got n=-5"),
+            (["profile", "-n", "-5"], "-1/12 (about -0.0833333) for (r=1, m=3, standard), got n=-5"),
+            (["asym", "-r", "1", "-m", "1000003", "-n", "5000", "--full"],
+             "999999999997/12000036 (about 83333.1) for (r=1, m=1000003, standard), got n=5000"),
+        ],
+        ids=["verify-contour", "profile", "asym-full"],
+    )
+    def test_arc_below_its_size_bound_exit_2(self, capsys, argv, bound):
+        # the q = 1 arc needs B = n + r(m-r)/(2m) - m/12 > 0
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: the saddle point needs n > m/12 - r(m-r)/(2m) = {bound}\n"
+
     def test_precision_floor_exit_2(self, capsys):
         code, _, err = run(capsys, "asym", "-n", "100", "-P", "10")
         assert code == 2

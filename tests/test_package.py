@@ -35,6 +35,15 @@ def test_no_function_name_is_defined_in_two_modules():
     assert {name: sorted(found) for name, found in modules.items() if len(found) > 1} == {}
 
 
+def test_bigfloat_binds_the_default_precision_alone():
+    # the fixed-point width rule lives in asymptotics; bigfloat imports nothing, mpmath least of all
+    body = ast.parse((Path(congruence_stacks.__file__).parent / "bigfloat.py").read_text()).body
+    imports = [node for node in body if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert all(isinstance(node, ast.ImportFrom) and node.module == "__future__" for node in imports)
+    others = [node for node in body if node not in imports and not isinstance(node, ast.Expr)]
+    assert [ast.unparse(node) for node in others] == ["DEFAULT_DPS = 50"]
+
+
 def _run_python(*args: str, check: bool = True) -> subprocess.CompletedProcess:
     """A fresh interpreter with the package on its path."""
     src = str(Path(congruence_stacks.__file__).parents[1])
