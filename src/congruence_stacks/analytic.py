@@ -14,14 +14,14 @@ principal log of q would be wrong outside -1/2 < Re(tau) <= 1/2.
 Every function takes a decimal working precision `dps` and performs the whole
 computation inside a single mpmath context with guard digits, including the
 construction of derived points like -1/tau.  Truncation cutoffs are derived
-from the requested precision: one Gaussian tail bound for the theta, false
-theta and eta sums (_gauss_cutoff: 2 past the root of pi y (a n^2 + b n) =
-D log 10, D the dps plus guard digits and, for eta, cancellation digits),
-geometric bounds for the products.  Every such decision, and theta_sum's count
-of lost digits, is made in doubles from float(Im tau) and float(Im w), with no
-mpmath call; each equals the mpf formula it replaced over the tested sweep
-(tests/test_analytic.py).  An Im tau that leaves double range, or a cutoff
-that does (only past about 10^150 terms), raises ValueError.  The three sums
+from the requested precision: one Gaussian tail bound for the theta and
+false theta sums (_gauss_cutoff: 2 past the root of pi y (a n^2 + b n) =
+D log 10, D the dps plus guard digits; eta, 1 + f_{3,-1} + f_{3,1}, adds its
+cancellation digits), geometric bounds for the products.  Every such
+decision, and theta_sum's count of lost digits, is made in doubles from
+float(Im tau) and float(Im w), with no mpmath call; each equals the mpf
+formula it replaced over the tested sweep (tests/test_analytic.py).  An Im tau that leaves double range, or a cutoff
+that does (only past about 10^150 terms), raises ValueError.  The two sums
 are sum_n (+-1)^n X^{n^2} Y^n and are summed by their term ratio, with no
 exponential per term.  That recurrence and the q-Pochhammer product loop run
 in complex fixed point, on Python integers in units of 2^-wp with wp a few
@@ -43,6 +43,7 @@ from __future__ import annotations
 import cmath
 import math
 import random
+import sys
 from collections import namedtuple
 from collections.abc import Callable, Sequence
 from itertools import repeat
@@ -154,8 +155,8 @@ def _gauss_cutoff(a: int, b: float, y: float, digits: int) -> int:
     """Cutoff of a Gaussian sum: 2 past the root n of pi y (a n^2 + b n) = digits log 10, in doubles.
 
     A term of size e^{-pi y (a n^2 + b n)}, a > 0, is below 10^-digits past
-    the root.  theta takes (1, -2 |Im w| / y), eta (3, -1) and f_{a,b} its own
-    (a, b); only a root above about 10^150 leaves double range.
+    the root.  theta takes (1, -2 |Im w| / y) and f_{a,b} its own (a, b); only
+    a root above about 10^150 leaves double range.
     """
     try:
         disc = float(b) * b + 4 * a * digits * math.log(10) / (math.pi * y)
@@ -175,7 +176,7 @@ def _gauss_sum(x, y, n_max: int, sign=1):
     however small x is.  The term sizes are unimodal (the ratio
     |x|^{2n+1} |y| falls with n), and the absolute error stays below about
     n_max 2^-wp max|term|, the order of an mpf loop at mp.prec.  The Gaussian
-    sums of theta, false theta and eta all go through here.
+    sums of theta and false theta, and so eta's, all go through here.
     """
     wp = _fixed_bits(n_max)
     ratio = x * y
@@ -282,28 +283,25 @@ def theta_transform_residual(w, tau, dps: int = DEFAULT_DPS) -> mp.mpf:
 
 
 def dedekind_eta(tau, dps: int = DEFAULT_DPS) -> mp.mpc:
-    """eta(tau) = e^{pi i tau/12} sum_{k in Z} (-1)^k q^{k(3k-1)/2}, Euler's pentagonal series.
+    """eta(tau) = e^{pi i tau/12} (1 + f_{3,-1}(tau) + f_{3,1}(tau)), Euler's pentagonal series.
 
-    With X = e^{3 pi i tau} and U = e^{-pi i tau} the k-th term is
-    (-1)^k X^{k^2} U^k, so k >= 0 and k < 0 are two Gaussian sums.  The
-    terms have size up to 1 while the sum is as small as e^{-pi/(12 y)} near
-    the cusp 0, so the sum is formed with D = dps + GUARD + pi/(12 y log 10)
-    digits and cut 2 past where pi y (3k^2 - k) = D log 10 (_gauss_cutoff).
+    The series sum_{k in Z} (-1)^k q^{k(3k-1)/2} is two false thetas: k >= 1
+    gives f_{3,-1} and k <= -1 gives f_{3,1}.  The terms have size up to 1
+    while the sum is as small as e^{-pi/(12 y)} near the cusp 0, so both are
+    formed at D = dps + GUARD + pi/(12 y log 10) digits (_eta_digits), each
+    cut by false_theta's own Gaussian bound.
     """
     with mp.workdps(dps + GUARD):
         tau = _require_upper_half(tau)
-    digits, k_max = _eta_sizes(_im_double(tau), dps)
+    digits = _eta_digits(_im_double(tau), dps)
     with mp.workdps(digits):
-        x = mp.exp(3 * mp.pi * 1j * tau)
-        u = mp.exp(-mp.pi * 1j * tau)
-        total = _gauss_sum(x, u, k_max, -1) + _gauss_sum(x, 1 / u, k_max, -1) - 1
+        total = 1 + false_theta(3, -1, tau, digits - GUARD) + false_theta(3, 1, tau, digits - GUARD)
         return mp.exp(mp.pi * 1j * tau / 12) * total
 
 
-def _eta_sizes(y: float, dps: int) -> tuple[int, int]:
-    """dedekind_eta's digits D and cutoff k_max, in doubles."""
-    digits = dps + GUARD + _cutoff(math.pi / (12 * y * math.log(10)))
-    return digits, _gauss_cutoff(3, -1, y, digits)
+def _eta_digits(y: float, dps: int) -> int:
+    """dedekind_eta's digits D, dps plus GUARD plus the digits its sum cancels, in doubles."""
+    return dps + GUARD + _cutoff(math.pi / (12 * y * math.log(10)))
 
 
 def eta_inversion_residual(tau, dps: int = DEFAULT_DPS) -> mp.mpf:
@@ -367,12 +365,18 @@ def decay_precision(params: StackParams, z_values: Sequence) -> int:
     """Working precision of product_decay_fit, 8 pi^2/(m z_min log 10) + 40 digits.
 
     Its margin of two powers of e^{-4 pi^2/(m z)} lets m = 4, where the
-    leading power vanishes, clear the noise floor.
+    leading power vanishes, clear the noise floor.  An m past double range,
+    where the fit cannot hold its rate 4 pi^2/m, raises.
     """
     zs = [float(z) for z in z_values]
     if len(set(zs)) < 2 or not all(math.isfinite(z) and z > 0 for z in zs):
         raise ValueError(f"need at least two distinct, finite, positive z values to fit a slope, got {tuple(zs)}")
-    return int(8 * math.pi ** 2 / (params.m * min(zs)) / math.log(10)) + 40
+    if params.m > sys.float_info.max:
+        raise ValueError(f"m = {params.m} is past double range, where the fit holds its rate 4 pi^2/m")
+    digits = 8 * math.pi ** 2 / (params.m * min(zs)) / math.log(10)
+    if digits == math.inf:  # a subnormal z_min: formed in mpf, for the caller's bound on it
+        digits = 8 * mp.pi ** 2 / (params.m * mp.mpf(min(zs))) / mp.log(10)
+    return int(digits) + 40
 
 
 def product_decay_fit(params: StackParams, z_values: Sequence = (0.30, 0.25, 0.20, 0.16, 0.13, 0.10)) -> DecayFit:

@@ -93,7 +93,7 @@ class ArcContext(namedtuple("ArcContext", "params n A B prefactor kappa scale rh
             B = n + offset
             radicand = 3 * params.m * B
             if radicand <= 0:
-                bound = f"m/12 - r(m-r)/(2m) = {-offset} (about {float(-offset):.6g})"
+                bound = f"m/12 - r(m-r)/(2m) = {-offset} (about {mp.nstr(_fraction_to_mpf(-offset), 6)})"
                 raise ValueError(f"the saddle point needs n > {bound} for {params}, got n={n}")
             kappa = mp.pi / mp.sqrt(_fraction_to_mpf(radicand))
             return cls(params, n, A, B, prefactor, kappa, A / kappa, float(rho), dps)

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import math
 import os
 import random
 import sys
@@ -461,7 +460,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def _check_profile_work(grid: int, size: int) -> None:
     """Refuse a circle profile whose work grid * (PROFILE_FIXED_WORK + sqrt(n)) is above MAX_PROFILE_WORK."""
-    work = grid * (PROFILE_FIXED_WORK + math.sqrt(max(size, 0)))
+    # mp.sqrt takes n whole; math.sqrt would first round n to a double, which overflows past 10^308
+    work = grid * (PROFILE_FIXED_WORK + float(mp.sqrt(max(size, 0))))
     if work > MAX_PROFILE_WORK:
         raise ValueError(
             f"grid * ({PROFILE_FIXED_WORK} + sqrt(n)) = {grid} * ({PROFILE_FIXED_WORK} + sqrt({size})) = {work:.10g} "

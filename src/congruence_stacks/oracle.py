@@ -116,9 +116,6 @@ def enumerate_stacks(n: int, params: StackParams | None = None) -> list[StackWit
 
 def _partitions(total: int, parts: list[int]) -> Iterator[tuple[int, ...]]:
     """Partitions of total into the given parts, nonincreasing tuples."""
-    if total == 0:
-        yield ()
-        return
     def rec(rest: int, idx: int, prefix: list[int]) -> Iterator[tuple[int, ...]]:
         if rest == 0:
             yield tuple(prefix)

@@ -19,8 +19,9 @@ theta series, and R is a sparse correction with coefficients in {-1, 0, +1};
 false_theta_gf and correction_gf return their terms.
 
 stack_gf builds S from the right-hand side: by the Jacobi triple product F is
-a quotient P / T of two sparse theta series, so S = (P*L + R*T) / T is one
-sparse division, in O(order^1.5 / sqrt(m)) integer additions.
+a quotient P / T of two sparse theta series, each two false thetas formed by
+L's own term loop, so S = (P*L + R*T) / T is one sparse division, in
+O(order^1.5 / sqrt(m)) integer additions.
 stack_recurrence builds S from the sum over the peaks in O(order^2 / m); it
 is kept as an independent oracle, and verify_decomposition compares the two
 coefficient by coefficient.
@@ -82,24 +83,30 @@ def _inv_one_minus_inplace(c: list[int], d: int, hi: int) -> None:
         c[i] += c[i - d]
 
 
+def _alternating_terms(period: int, t: int, order: int) -> list[tuple[int, int]]:
+    """Terms of sum_{j>=0} (-1)^j q^(period j(j+1)/2 - tj) through q^order, for 0 <= t < period.
+
+    L and both halves of every theta series.  The exponents start at 0 and
+    rise strictly with j, so the pairs (exponent, sign) come in ascending order.
+    """
+    terms = []
+    j = 0
+    while (e := period * j * (j + 1) // 2 - t * j) <= order:
+        terms.append((e, (-1) ** j))
+        j += 1
+    return terms
+
+
 def _theta_terms(period: int, a: int, order: int) -> list[tuple[int, int]]:
     """Nonzero terms of sum_{n in Z} (-1)^n q^(period n(n-1)/2 + an) through q^order.
 
     Requires 0 < a < period.  By the Jacobi triple product the sum is
     (q^a; q^period)_inf (q^(period-a); q^period)_inf (q^period; q^period)_inf.
-    The terms n and -n sit at period T(n-1) + an and period T(n-1) + (period-a)n,
-    T the triangular numbers, so every exponent but n = 0's is positive and
-    there are O(sqrt(order / period)) of them.  Returns (exponent, sign)
-    pairs in ascending order.
+    It is two false thetas, n = j >= 0 the one at t = period - a and n = -j
+    the one at t = a, which share their j = 0 term: O(sqrt(order / period))
+    terms, every exponent but n = 0's positive, as ascending (exponent, sign) pairs.
     """
-    terms = [(0, 1)]
-    n = 1
-    while (base := period * n * (n - 1) // 2) + min(a, period - a) * n <= order:
-        for e in (base + a * n, base + (period - a) * n):
-            if e <= order:
-                terms.append((e, (-1) ** n))
-        n += 1
-    return sorted(terms)
+    return sorted(_alternating_terms(period, period - a, order) + _alternating_terms(period, a, order)[1:])
 
 
 def _divide_by_theta(num: list[int], theta: list[tuple[int, int]]) -> TruncatedSeries:
@@ -205,18 +212,8 @@ def stack_recurrence(params: StackParams, order: int) -> TruncatedSeries:
 
 
 def false_theta_gf(params: StackParams, order: int) -> list[tuple[int, int]]:
-    """Terms of L(q) = sum_{j>=0} (-1)^j q^(m j(j+1)/2 - tj), t = params.shift, through q^order.
-
-    Since t < m the exponents start at 0 and rise strictly with j.  Returns
-    (exponent, sign) pairs in ascending order, as _theta_terms does.
-    """
-    m, t = params.m, params.shift
-    terms = []
-    j = 0
-    while (e := m * j * (j + 1) // 2 - t * j) <= order:
-        terms.append((e, (-1) ** j))
-        j += 1
-    return terms
+    """Terms of L(q) = sum_{j>=0} (-1)^j q^(m j(j+1)/2 - tj), t = params.shift, through q^order."""
+    return _alternating_terms(params.m, params.shift, order)
 
 
 def correction_gf(params: StackParams, order: int) -> list[tuple[int, int]]:

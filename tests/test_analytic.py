@@ -301,10 +301,17 @@ def test_gaussian_sums_take_no_exponential_per_term(monkeypatch):
 
     monkeypatch.setattr(mp, "exp", counting_exp)
     tau = mp.mpc("0.37", "0.01")
-    for kernel in (lambda: theta_sum(W, tau, 100), lambda: false_theta(3, -7, tau, 100), lambda: dedekind_eta(tau, 100)):
+    # theta_sum takes 2 a pass (one pass here), false_theta 2, and eta 2 for
+    # each of its two false thetas and 1 for e^{pi i tau/12}
+    kernels = [
+        (lambda: theta_sum(W, tau, 100), 2),
+        (lambda: false_theta(3, -7, tau, 100), 2),
+        (lambda: dedekind_eta(tau, 100), 5),
+    ]
+    for kernel, expected in kernels:
         calls = 0
         kernel()
-        assert 0 < calls <= 4
+        assert calls == expected
 
 
 def test_kernels_take_a_constant_number_of_mpc_products(monkeypatch):
@@ -351,10 +358,8 @@ def _mpf_theta_terms(y, iw, digits, ln10):
     return int(mp.ceil((iw + mp.sqrt(iw * iw + y * digits * ln10 / mp.pi)) / y + 2))
 
 
-def _mpf_eta_sizes(y, dps, ln10):
-    y = mp.mpf(y)
-    digits = dps + analytic.GUARD + int(mp.pi / (12 * y * ln10)) + 1
-    return digits, int(mp.ceil((1 + mp.sqrt(1 + 12 * digits * ln10 / (mp.pi * y))) / 6))
+def _mpf_eta_digits(y, dps, ln10):
+    return dps + analytic.GUARD + int(mp.pi / (12 * mp.mpf(y) * ln10)) + 1
 
 
 def _mpf_false_theta_terms(a, b, y, digits, ln10):
@@ -404,10 +409,11 @@ class TestFloatCutoffs:
                     for a in range(1, 13):
                         for b in range(-40, 41, 3):
                             cases.append((a, b, y, digits, _mpf_false_theta_terms(a, b, y, digits, ln10)))
-            if kind == "eta":  # at eta's digits D, which include its cancellation digits
+            if kind == "eta":  # its two false thetas, at eta's digits D, which include its cancellation digits
                 for y in SWEEP_YS:
-                    eta_digits = _mpf_eta_sizes(y, dps, ln10)[0]
-                    cases.append((3, -1, y, eta_digits, _mpf_false_theta_terms(3, -1, y, eta_digits, ln10)))
+                    eta_digits = _mpf_eta_digits(y, dps, ln10)
+                    for b in (-1, 1):
+                        cases.append((3, b, y, eta_digits, _mpf_false_theta_terms(3, b, y, eta_digits, ln10)))
         for a, b, y, case_digits, reference in cases:
             assert analytic._gauss_cutoff(a, b, y, case_digits) == reference, (a, b, y, case_digits)
 
@@ -416,9 +422,7 @@ class TestFloatCutoffs:
         with mp.workdps(dps + analytic.GUARD):
             ln10 = mp.log(10)
             for y in SWEEP_YS:
-                digits, k_max = analytic._eta_sizes(y, dps)
-                assert digits == _mpf_eta_sizes(y, dps, ln10)[0], y
-                assert k_max == analytic._gauss_cutoff(3, -1, y, digits), y
+                assert analytic._eta_digits(y, dps) == _mpf_eta_digits(y, dps, ln10), y
 
     @pytest.mark.parametrize("dps", SWEEP_DPS)
     def test_lost_digits_equal_the_mpf_formula(self, dps):

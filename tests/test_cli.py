@@ -998,6 +998,43 @@ def test_unwritable_output_exit_2_naming_the_path(capsys, monkeypatch, tmp_path,
         assert err.startswith("error: ") and str(target) in err
 
 
+SADDLE_BOUND = "the saddle point needs n > m/12 - r(m-r)/(2m)"
+
+
+@pytest.mark.parametrize(
+    "line, code, message",
+    [
+        ("count -n {n}", 2, "MAX_SERIES_ORDER"),
+        ("count -m {m} -n 5", 0, ""),
+        ("table --values {n}", 2, "MAX_SERIES_ORDER"),
+        ("table -m {m} --values 10", 0, ""),
+        ("asym -n {n}", 0, ""),
+        ("asym -m {m} -n {n}", 0, ""),
+        ("asym --full -n {n}", 0, ""),
+        ("asym --full -m {m} -n {n}", 0, ""),
+        ("asym --full -m {m} -n 5", 2, SADDLE_BOUND),
+        ("verify all -n {n}", 2, "MAX_PROFILE_WORK"),
+        ("verify all -m {m}", 2, SADDLE_BOUND),
+        ("verify contour -n {n}", 2, "MAX_PROFILE_WORK"),
+        ("verify contour -m {m} -n 5", 2, SADDLE_BOUND),
+        ("profile -n {n}", 2, "MAX_PROFILE_WORK"),
+        ("profile -m {m} -n 5", 2, SADDLE_BOUND),
+        ("decay --moduli {m}", 2, "is past double range, where the fit holds its rate"),
+        ("decay --z-values {z},1", 2, "MAX_DPS"),
+        ("decay --moduli 3,{m} --z-values {z},1", 2, "MAX_DPS"),
+    ],
+)
+def test_integer_extremes_exit_0_or_2_in_seconds(capsys, line, code, message):
+    # n = 10^400 and m = 10^400 + 1 are past double range, z = 1e-310 is a subnormal double
+    argv = line.format(n=10**400, m=10**400 + 1, z="1e-310").split()
+    start = time.perf_counter()
+    got, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 10
+    assert got == code, err
+    assert (out == "") == (code == 2)
+    assert message in err
+
+
 def test_refused_input_leaves_no_output_file(capsys, tmp_path):
     target = tmp_path / "out"
     code, out, err = run(capsys, "count", "-n", "-1", "--output", str(target))
