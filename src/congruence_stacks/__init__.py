@@ -55,7 +55,7 @@ _ANALYTIC_NAMES = (
     "cubic_model",
     "cubic_remainder_check",
     "false_theta_series_residual",
-    "simpson_refine",
+    "tanh_sinh",
     "major_arc_integral",
     "contour_tail",
     "circle_profile",

@@ -31,8 +31,8 @@ back as small named tuples.  Two routes run in doubles: circle_profile, which
 wants a float log magnitude and sums the far factors of F as a Lambert
 series, and the q = 1 line of the contour check, major_arc_integral plus
 contour_tail: both integrate in Wright's normalised variable with the one
-rule simpson_refine, a real integrand on the arc and a complex one on the
-tail's ray, each of size at most 1 times a factor applied once, in mpf.
+rule tanh_sinh, a real integrand on the arc and a complex one on the tail's
+ray, each of size at most 1 times a factor applied once, in mpf.
 
 The `cstacks verify` targets are the check functions of VERIFY_CHECKS, run in
 its order; each returns Check records, which cli only formats.
@@ -52,7 +52,7 @@ from operator import add, mul, truediv
 import mpmath as mp
 
 from .asymptotics import ArcContext, _arc_constants, _bessel_hankel, _bessel_series, _fixed_bits, _fraction_to_mpf
-from .asymptotics import bessel_i, false_theta_coeffs, singular_expansion_coeffs
+from .asymptotics import false_theta_coeffs, index_digits, singular_expansion_coeffs
 from .bigfloat import DEFAULT_DPS
 from .oracle import count_stacks
 from .params import StackParams
@@ -60,9 +60,8 @@ from .qseries import false_theta_gf, stack_gf, verify_decomposition
 
 GUARD = 15
 PEAK_HALFWIDTH = 0.35  # half-width in nu of the window searched for each root-of-unity peak
-MIN_DOUBLINGS = 4  # Simpson levels run before a converged-looking pair is trusted
-MAX_DOUBLINGS = 18  # Simpson levels after which refinement gives up
-SIMPSON_RTOL = 1e-10  # relative agreement of successive Simpson estimates
+QUADRATURE_LEVELS = 8  # tanh-sinh levels after the first, past which the rule gives up
+QUADRATURE_RTOL = 1e-10  # relative agreement of successive tanh-sinh estimates, the contour's tolerance
 PROFILE_HEAD_FLOOR = 1e-2  # circle_profile sums F's factors with |q^k| >= this one by one, the rest in closed form
 PROFILE_CUT_DIGITS = 17  # circle_profile drops L's terms and F's Lambert terms below 10^-this, a double's rounding
 CONTOUR_PROFILE_GRID = 720  # grid of the contour check's circle profile
@@ -417,10 +416,10 @@ def product_decay_fit(params: StackParams, z_values: Sequence = (0.30, 0.25, 0.2
 
 
 def false_theta(a: int, b: int, tau, dps: int = DEFAULT_DPS) -> mp.mpc:
-    """f_{a,b}(tau) = sum_{n>=1} (-1)^n q^{(a n^2 + b n)/2}, a > 0."""
+    """f_{a,b}(tau) = sum_{n>=1} (-1)^n q^{(a n^2 + b n)/2}, a > 0, at dps + GUARD + index_digits(a, b) digits."""
     if a <= 0:
         raise ValueError("a must be positive")
-    with mp.workdps(dps + GUARD):
+    with mp.workdps(dps + GUARD + index_digits(a, b)):
         tau = _require_upper_half(tau)
         n_max = _gauss_cutoff(a, b, _im_double(tau), dps + GUARD)
         pi_i_tau = mp.pi * 1j * tau
@@ -473,12 +472,12 @@ def false_theta_series_residual(params: StackParams, tau, dps: int = DEFAULT_DPS
     from the second term on, and each such power is formed once: mpmath
     raises an mpc to an integer k through exp(k log q) once k times the
     mantissa bits passes 10 000, already at k = 3 at -P 1200.  So no term
-    pays an exponential or a log.
+    pays an exponential or a log.  Like false_theta, it adds index_digits.
     """
-    with mp.workdps(dps + GUARD):
+    t = params.shift
+    with mp.workdps(dps + GUARD + index_digits(params.m, params.m + 2 * t)):
         tau = _require_upper_half(tau)
         q = mp.exp(2 * mp.pi * 1j * tau)
-        t = params.shift
         via_false_theta = -q ** t * false_theta(params.m, -(params.m + 2 * t), tau, dps=dps)
         direct = mp.mpc(0)
         power = step = mp.mpc(1)
@@ -497,58 +496,49 @@ def false_theta_series_residual(params: StackParams, tau, dps: int = DEFAULT_DPS
         return abs(via_false_theta - direct) / abs(direct)
 
 
-def simpson_refine(
-    f: Callable[[float], float | complex], a, b, scale: float = math.inf
-) -> tuple[complex, tuple[complex, ...]]:
-    """Composite Simpson with panel doubling until successive estimates agree.
+def tanh_sinh(f: Callable[[float], float | complex], a, b) -> tuple[complex, tuple[complex, ...]]:
+    """int_a^b f by nested tanh-sinh quadrature (Takahashi and Mori, 1974) until two levels agree.
 
-    a and b are converted to float, and the nodes a + i h are doubles.  Each
-    level's values are added with the builtin sum, so an f that returns mpf
-    values is summed in mpf at the caller's precision and an f that returns
-    floats or complex values stays in doubles; abs compares complex estimates
-    by modulus.  Returns (value, history of estimates).
-    Estimates are compared from MIN_DOUBLINGS on, and refinement stops once
-    two differ by at most SIMPSON_RTOL times the smaller of |estimate| and
-    scale: a caller that adds the value to something smaller passes that
-    size.  Raises when MAX_DOUBLINGS cannot reach SIMPSON_RTOL; the
-    integrands used here are analytic, so failure indicates a misconfigured
-    interval rather than roughness.
+    x = tanh(u), u = (pi/2) sinh t, maps the t line onto (-1, 1), and the
+    trapezoid rule in t, step h = 1/2 halved at each level, converges about as
+    e^{-c/h} for an f analytic on [a, b].  A level adds only the odd multiples
+    of its step, so no node is evaluated twice, out to the first weight
+    dx/dt = (pi/2) cosh t / cosh^2 u below a double's rounding, 2^-53.  A node
+    lies (b - a) d, d = 1/(1 + e^{2u}), from an end, which keeps its digits,
+    and its weight is 2 pi cosh t d (1 - d).  The nodes are doubles; mpf
+    values of f are summed in mpf.  Returns (value, history of estimates).
+    The rule stops once two estimates differ by at most QUADRATURE_RTOL of
+    the latest, by modulus: that step bounds the coarser estimate's error,
+    and the finer one's is about its square.  It raises after QUADRATURE_LEVELS.
     """
     a = float(a)
     b = float(b)
-    history: list[float] = []
-    fa, fb = f(a), f(b)
-    # interior sums are reused: odd points of level k become even points of k+1
-    even_sum = 0.0
-    panels = 1
-    for level in range(MAX_DOUBLINGS + 1):
-        panels = 2 ** level
-        h = (b - a) / panels
-        odd_sum = sum(map(f, [a + i * h for i in range(1, panels, 2)]))
-        estimate = h / 3 * (fa + fb + 2 * even_sum + 4 * odd_sum)
-        history.append(estimate)
-        if level >= MIN_DOUBLINGS and abs(estimate - history[-2]) <= SIMPSON_RTOL * min(abs(estimate), scale):
-            return estimate, tuple(history)
-        even_sum += odd_sum
-    raise ValueError(f"Simpson refinement did not converge after {panels} panels")
+    total = math.pi / 2 * f((a + b) / 2)
+    history: list[complex] = []
+    for level in range(QUADRATURE_LEVELS + 1):
+        h = t = 0.5 ** (level + 1)
+        while True:
+            d = 1 / (1 + math.exp(math.pi * math.sinh(t)))
+            weight = 2 * math.pi * math.cosh(t) * d * (1 - d)
+            if weight < sys.float_info.epsilon / 2:
+                break
+            total += weight * (f(a + (b - a) * d) + f(b - (b - a) * d))
+            t += h if level == 0 else 2 * h
+        history.append((b - a) / 2 * h * total)
+        if level and abs(history[-1] - history[-2]) <= QUADRATURE_RTOL * abs(history[-1]):
+            return history[-1], tuple(history)
+    raise ValueError(f"tanh-sinh quadrature did not converge in {QUADRATURE_LEVELS + 1} levels")
 
 
 def _arc_integral(ctx: ArcContext, t0: float, t1: float) -> mp.mpf:
-    """The line over t0 <= |nu|/kappa <= t1: major_arc_integral's formula with these limits.
-
-    Simpson stops relative to the smaller of this piece and the whole line,
-    (P/2) kappa I_1(2N), whose size in the integral's units is
-    pi e^{-2N} I_1(2N), with I_1 from bessel_i at 15 digits.
-    """
+    """The line over t0 <= |nu|/kappa <= t1: major_arc_integral's formula with these limits."""
     scale = float(ctx.scale)
 
     def integrand(t: float) -> float:
         u = t * t / (1 + t * t)
         return math.exp(-scale * u) * math.cos(scale * t * u)
 
-    with mp.workdps(15):
-        line = float(mp.pi * mp.exp(-2 * ctx.scale) * bessel_i(1, 2 * ctx.scale, dps=15))
-    half, _ = simpson_refine(integrand, t0, t1, line)
+    half, _ = tanh_sinh(integrand, t0, t1)
     with mp.workdps(ctx.dps + GUARD):
         return ctx.prefactor / (4 * mp.pi) * 2 * ctx.kappa * mp.exp(2 * ctx.scale) * half
 
@@ -558,12 +548,11 @@ def major_arc_integral(ctx: ArcContext) -> mp.mpf:
 
     Evaluates (P/2)/(2 pi) int e^{B (kappa + i nu) + A/(kappa + i nu)} d nu,
     alpha_0 = 1/2 times the arc's P, A and B (the constant is csc(pi r/m)/(8 pi)),
-    by Simpson refinement to SIMPSON_RTOL.  Added to contour_tail, the rest
-    of the line, it gives the arc's one-term Bessel sum (P/2) kappa I_1(2N).
-    Refinement stops at SIMPSON_RTOL of the smaller of the arc and that
-    line (_arc_integral): below growth scale N = 0.1 the arc exceeds the
-    line many times over (76-fold at N = 0.0038, rho = 0.9), and a stop
-    relative to the arc alone left 4e-10 of the line in the sum.
+    by tanh_sinh to QUADRATURE_RTOL of the arc.  Added to contour_tail, the
+    rest of the line, it gives the arc's one-term Bessel sum (P/2) kappa
+    I_1(2N).  The arc can exceed the line (115-fold at N = 0.0025, rho = 0.9),
+    but tanh_sinh leaves about the square of its last step, so the stop
+    relative to the arc alone suffices.
 
     In Wright's normalised variable t = nu/kappa, with kappa = sqrt(A/B) and
     N = sqrt(AB), the exponent is exactly N (2 - u) + i N t u, u = t^2/(1 + t^2),
@@ -572,17 +561,15 @@ def major_arc_integral(ctx: ArcContext) -> mp.mpf:
         (P/2)/(2 pi) 2 kappa e^{2N} int_0^rho e^{-N u} cos(N t u) dt,
 
     with an integrand of size at most 1 (_arc_integral).  The integrand, its
-    nodes and the Simpson sums run in doubles, and the factor in front once,
-    in mpf.  A priori, the exponent N u and the phase N t u carry an absolute
-    error of about N 2^-52 at a node.  Each is a few roundings of size 2^-53
-    relative, though, so the node's error is a few 2^-53 times
-    (N u + N t u) e^{-N u} <= (1 + rho)/e, and it is small relative to the
-    integral wherever the integrand is not negligible; the double sums over
-    up to 2^MAX_DOUBLINGS nodes add a few units of 2^-53 per level.  The
-    value agrees with the 65-digit complex integrand in nu to 1.1e-15
-    relative for every coprime (r, m) with m <= 12 at n = 50, 200 and 1000,
-    and for (1, 3) and (5, 12) at n = 20000 and 10^6, with the same Simpson
-    levels (tests/test_analytic.py).
+    nodes and the sums run in doubles, and the factor in front once, in mpf.
+    The exponent N u and the phase N t u are each a few roundings of size
+    2^-53 relative, so a node errs by a few 2^-53 times
+    (N u + N t u) e^{-N u} <= (1 + rho)/e, small beside the integral wherever
+    the integrand is not negligible, and the sums over 53 to 419 nodes add a
+    few units of 2^-53.  The value agrees with the 65-digit complex integrand
+    in nu to 8.5e-16 relative for every coprime (r, m) with m <= 12 at n = 50,
+    200 and 1000 and rho = 0.1 to 0.99, and for (1, 3) and (5, 12) at
+    n = 20000 and 10^6, with the same levels (tests/test_analytic.py).
     """
     # even in t, so integrate the half arc
     return _arc_integral(ctx, 0, ctx.rho)
@@ -602,22 +589,24 @@ def contour_tail(ctx: ArcContext) -> mp.mpf:
     Re(w + 1/w) falls along the ray at rate c >= 1 - 1/(8 rho*^2) >= 1/2, so
     |g(x)| <= e^{-cx}, and the cut at X = RAY_CUT/c leaves at most
     e^{-RAY_CUT}/c.  g has no cancellation and no large factor of N; it runs
-    in complex doubles in s, x = X s^3, which puts nodes where g varies on the
-    scale N rho* near 0 when N is small: 2^8 to 2^10 panels for N from 0.1 to
-    2400.  The factor in front, below e^{2N} in modulus and with a phase that
-    can exceed 1000 rad, is applied once, in mpf.  Below rho = 1/2, Re(w + 1/w)
-    would first rise along the ray (by 3.1 at rho = 0.1), so the line's piece
-    rho <= t <= 1/2 is integrated as the arc is.
+    in complex doubles in x on [0, X].  Where N is small g varies on the
+    scale N rho* near 0, and tanh_sinh's nodes crowd both ends double
+    exponentially, so no change of variable is needed: 5 to 7 levels (209
+    to 837 nodes) for N from 0.0025 to 2400.  The factor in front, below
+    e^{2N} in modulus and with a phase that can exceed 1000 rad, is applied
+    once, in mpf.  Below rho = 1/2, Re(w + 1/w) would first rise along the
+    ray (by 3.1 at rho = 0.1), so the line's piece rho <= t <= 1/2 is
+    integrated as the arc is.
 
     Against the incomplete-gamma series at two agreeing precisions
-    (tests/test_analytic.py) the error is at most 5.9e-12 of the tail's scale,
+    (tests/test_analytic.py) the error is at most 1.0e-15 of the tail's scale,
     P/(2 pi) times the ray's (kappa/N) |e^{N (w* + 1/w*)}| plus the vertical
     piece's integral of |integrand|, for every coprime (r, m) with m <= 12 at
-    n = 0 to 1000 and rho = 0.1 to 0.99, and 3.2e-14 of it for (1, 3) and
-    (5, 12) from n = 2 10^4 to 4 937 777.  At small N the vertical piece's
-    Simpson stop sets the error, not the ray: at (7, 32), n = 2, rho = 0.1 it
-    errs by 4.7e-11 of the line, the ray by 3.0e-15, and RAY_CUT doubled or a
-    30-digit integrand moves the ray by 7.9e-15 and 2.6e-16 of the line.
+    n = 0 to 1000 and rho = 0.1 to 0.99, and 4.2e-16 of it for (1, 3) and
+    (5, 12) from n = 2 10^4 to 4 937 777.  With the arc, the line misses the
+    one-term Bessel form by at most 1.4e-15 there and 4.5e-15 over 4 000
+    cases with m from 13 to 600 and n <= 20, except below N = 0.004, where
+    the line is down to 1/115 of the arc: 1.9e-13 at (70, 363), n = 2.
     """
     start = max(ctx.rho, 0.5)
     w_star = complex(1, start)
@@ -625,11 +614,10 @@ def contour_tail(ctx: ArcContext) -> mp.mpf:
     # w w* = w*^2 - x w*/N
     square, step = w_star * w_star, w_star / float(ctx.scale)
 
-    def integrand(s: float) -> complex:
-        x = cut * s * s * s
-        return 3 * cut * s * s * cmath.exp(x / (square - step * x) - x)
+    def integrand(x: float) -> complex:
+        return cmath.exp(x / (square - step * x) - x)
 
-    ray, _ = simpson_refine(integrand, 0, 1)
+    ray, _ = tanh_sinh(integrand, 0, cut)
     with mp.workdps(ctx.dps + GUARD):
         w0 = mp.mpc(w_star)
         total = -ctx.kappa / ctx.scale * mp.exp(ctx.scale * (w0 + 1 / w0)) * mp.mpc(ray)
@@ -906,7 +894,7 @@ def _check_contour(params, dps, rng, order, ctx) -> list[Check]:
         prof = circle_profile(ctx, grid=CONTOUR_PROFILE_GRID)
         inside, detail = prof.major_arc_contains_max, f"argmax nu = {prof.argmax_nu:.4f}"
     return [
-        _measured(f"restricted contour vs bessel closed form at n = {ctx.n}, rho = {ctx.rho}", gap, SIMPSON_RTOL),
+        _measured(f"restricted contour vs bessel closed form at n = {ctx.n}, rho = {ctx.rho}", gap, QUADRATURE_RTOL),
         Check("integrand maximum lies on the major arc", inside, None, None, detail),
     ]
 

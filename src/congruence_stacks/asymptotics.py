@@ -67,6 +67,17 @@ def growth_dps(n: int, dps: int) -> int:
     return dps + math.ceil(n.bit_length() * math.log10(2) / 2) + 1
 
 
+def index_digits(*indices: int) -> int:
+    """Decimal digits of the largest |index|, which a kernel that forms e^{pi i tau a} adds to its own.
+
+    The factor carries a times tau's rounding in its phase, and f_{a,b}'s
+    terms, of moderate size for b near -a, lose log10 |a| digits
+    (analytic.false_theta and its series check).  congruence_product's q^m
+    needs none: 1 - q^k carries k |q^k| <= 1/(2 pi e y) times q's rounding.
+    """
+    return math.ceil(max(map(abs, indices)).bit_length() * math.log10(2))
+
+
 def _arc_constants(params: StackParams) -> tuple[mp.mpf, Fraction, mp.mpf]:
     """A, B - n (exact) and P of the q = 1 arc, at the caller's working precision."""
     r, m = params.r, params.m

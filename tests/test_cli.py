@@ -628,7 +628,7 @@ class TestVerify:
     @pytest.mark.parametrize("argv", [["-r", "41", "-m", "194", "-n", "0"], ["-r", "70", "-m", "363", "-n", "2"]])
     def test_contour_passes_at_small_growth_scale(self, capsys, argv):
         # N = 0.0038 and 0.0025, where the arc is 76 and 115 times the line:
-        # its Simpson stop is relative to the line's size
+        # its stop, relative to the arc, leaves an error near the square of the last step
         code, out, _ = run(capsys, "verify", "contour", *argv)
         assert code == 0
         assert out.startswith("PASS  restricted contour") and "FAIL" not in out
@@ -1033,6 +1033,19 @@ def test_integer_extremes_exit_0_or_2_in_seconds(capsys, line, code, message):
     assert got == code, err
     assert (out == "") == (code == 2)
     assert message in err
+
+
+@pytest.mark.parametrize("m, code", [(10**20 + 1, 0), (10**30 + 1, 0), (10**400 + 1, 2)])
+def test_falsetheta_at_a_large_index(capsys, m, code):
+    # false theta takes as many more digits as its largest index has; without them
+    # 10^20 + 1 and 10^30 + 1 measured 2.2e-47 and 3.7e-37 against 1e-50
+    got, out, err = run(capsys, "verify", "falsetheta", "-r", "1", "-m", str(m))
+    assert got == code, err
+    if code == 0:
+        assert out.count("PASS") == 2 and "FAIL" not in out
+    else:
+        assert out == ""
+        assert "a truncation cutoff is outside double range" in err
 
 
 def test_refused_input_leaves_no_output_file(capsys, tmp_path):
