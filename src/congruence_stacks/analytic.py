@@ -710,16 +710,21 @@ def circle_profile(ctx: ArcContext, grid: int = 720) -> CircleProfile:
     cut after the J terms _lambert_split picks.  Only nu >= 0 is evaluated;
     nu < 0 is its mirror image.
 
-    Error, measured over every coprime (r, m) with m <= 12: the samples
+    Error, measured over every coprime (r, m) with m <= 12 at grids 16, 22,
+    72 and 2m (4m at m = 3), the last on the roots of unity: the samples
     differ from the sum over every factor of F (to the cut of L) by at most
-    2.1e-15 times max(1, principal_log) for n <= 10^6, and 5.8e-15 times it
+    1.9e-15 times max(1, principal_log) for n <= 10^6, and 2.3e-15 times it
     at n = 5 10^6; tests/test_analytic.py holds them to 4e-15 and 1e-14.
-    The rounding of the tail's phases j k_s nu sets this, and it grows about
-    like sqrt(n).  Against 30-digit mpmath kernels, at the roots of unity
-    too, where 1 - q^{jm} is smallest, the samples err by at most 1.0e-14
-    at n = 200, 1.4e-12 at n = 2 10^4 and 8.8e-11 at n = 10^6, as the sum
-    over every factor does; the largest errors come from L's sum, which
-    cancels where |L| is small.
+    Most of it is that sum's own error, from its rounded phases e nu: at
+    (5, 12), n = 6 10^5, nu = 11 pi/12 it misses 40-digit mpmath by 1.4e-12,
+    the sample by 1.1e-13.  The tail's phases come from the integer angle
+    index: the rounded j k_s nu, about 10^4 at (9, 11), n = 999 101,
+    nu = 8 pi/11, missed mpmath there by 4.6e-12, the index by 2.3e-13.
+    Against 30-digit mpmath kernels, at the roots of unity too, where
+    1 - q^{jm} is smallest, the samples tests/test_analytic.py checks err by
+    at most 2.9e-15 at n = 200, 2.1e-13 at n = 2 10^4 and 7.5e-13 at
+    n = 10^6, as the sum over every factor does; the largest errors come
+    from L's sum, which cancels where |L| is small.
     """
     if grid < 8 or grid % 2:
         raise ValueError("grid must be even and at least 8")
@@ -738,6 +743,7 @@ def circle_profile(ctx: ArcContext, grid: int = 720) -> CircleProfile:
     f_exps = list(map(float, f_exps))
     js = range(1, terms + 1)
     r_exps, mr_exps = ([float(j * k) for j in js] for k in firsts)
+    r_mags, mr_mags = ([math.exp(-e * kappa) for e in exps] for exps in (r_exps, mr_exps))
     jms = [float(j * m) for j in js]
     # j (1 - q^{jm}) = j (1 - |q|^{jm}) + 2j |q|^{jm} sin(b/2)^2 - 2ij |q|^{jm} sin(b/2) cos(b/2), b = jm nu:
     # its real part adds two terms >= 0, so no digit cancels near a root of unity
@@ -745,10 +751,11 @@ def circle_profile(ctx: ArcContext, grid: int = 720) -> CircleProfile:
     jc2 = [2 * j * math.exp(-j * m * kappa) for j in js]
     jc2_neg = [-c for c in jc2]
     nus = [math.pi * (2 * j - grid) / grid for j in range(grid + 1)]
+    period, half_turn = 2.0 * grid, math.pi / grid
     half = []
     # per angle, C-level map chains over the terms of L, the head of F and the
     # tail's terms; e (nu / 2) equals e nu / 2 bit for bit, halving being exact
-    for nu in nus[grid // 2:]:
+    for a, nu in zip(range(0, grid + 1, 2), nus[grid // 2:]):
         z = complex(-kappa, nu)
         mag = abs(sum(map(mul, signs, map(cmath.exp, map(mul, l_exps, repeat(z))))))
         half_nu = nu / 2
@@ -757,7 +764,13 @@ def circle_profile(ctx: ArcContext, grid: int = 720) -> CircleProfile:
         s = list(map(math.sin, map(mul, jms, repeat(half_nu))))
         c = map(math.cos, map(mul, jms, repeat(half_nu)))
         dens = map(complex, map(add, jc1, map(mul, jc2, map(mul, s, s))), map(mul, jc2_neg, map(mul, s, c)))
-        nums = map(add, map(cmath.exp, map(mul, r_exps, repeat(z))), map(cmath.exp, map(mul, mr_exps, repeat(z))))
+        # q^{j k_s} has phase pi/grid times (j k_s a rem 2 grid), nu = pi a/grid: exact, odd
+        # in a, and free of the rounding that 1/(1 - q^{jm}) amplifies at the roots of unity
+        r_phases, mr_phases = (
+            map(mul, map(math.remainder, map(mul, exps, repeat(a)), repeat(period)), repeat(half_turn))
+            for exps in (r_exps, mr_exps)
+        )
+        nums = map(add, map(cmath.rect, r_mags, r_phases), map(cmath.rect, mr_mags, mr_phases))
         tail = sum(map(truediv, nums, dens)).real
         half.append(math.log(mag) + (tail - head) + n * kappa if mag else -math.inf)
     # real coefficients make the magnitude even in nu, and nus[grid - j] == -nus[j] exactly

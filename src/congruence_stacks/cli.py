@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import os
 import random
 import sys
 
@@ -58,10 +57,10 @@ MAX_DIRECT_COUNT_SIZE = 10**4
 # RSS, grid 44 278 at n = 500 0.9 s, n = 4 937 777 at grid 720 0.8 s (same machine)
 PROFILE_FIXED_WORK = 14
 MAX_PROFILE_WORK = 1_610_000
-# largest working precision of every command: -P, CSTACKS_PRECISION and
-# `decay`'s 8 pi^2/(m z_min log 10) + 40 digits.  Costs grow steeply with it:
-# `decay` at 1183 digits (m = 3, z_min = 0.01) takes 7.5-11.7 s and 21 MB max
-# RSS, `verify all -P 1200` 2.1-4.3 s (seeds 1-3) and 21 MB, about half of it
+# largest working precision of every command: -P and `decay`'s
+# 8 pi^2/(m z_min log 10) + 40 digits.  Costs grow steeply with it: `decay`
+# at 1183 digits (m = 3, z_min = 0.01) takes 7.5-11.7 s and 21 MB max RSS,
+# `verify all -P 1200` 2.1-4.3 s (seeds 1-3) and 21 MB, about half of it
 # theta_product's q-Pochhammer loops (same machine)
 MAX_DPS = 1200
 # `verify` targets in run order, the keys of analytic.VERIFY_CHECKS; the parser
@@ -72,48 +71,13 @@ MAX_DPS = 1200
 VERIFY_TARGETS = ("decomposition", "theta", "transform", "eta", "falsetheta", "bessel", "contour", "oracle")
 
 
-def _default_precision() -> int:
-    env = os.environ.get("CSTACKS_PRECISION")
-    if env is None:
-        return DEFAULT_DPS
-    try:
-        return int(env)
-    except ValueError:
-        raise ValueError(f"CSTACKS_PRECISION must be an integer, got {env!r}")
-
-
 def _resolve_precision(args: argparse.Namespace) -> int:
-    dps = args.precision if args.precision is not None else _default_precision()
+    dps = args.precision
     if dps < MIN_PRECISION:
         raise ValueError(f"precision must be at least {MIN_PRECISION} digits, got {dps}")
     if dps > MAX_DPS:
         raise ValueError(f"precision {dps} exceeds the working-precision bound MAX_DPS = {MAX_DPS}")
     return dps
-
-
-def _check_output(path: str) -> None:
-    """Refuse an --output that cannot be a file before any work; _emit still opens it.
-
-    Opening it here instead would leave an empty file behind when the input
-    is refused later.
-    """
-    directory = os.path.dirname(path) or os.curdir
-    if not os.path.isdir(directory):
-        raise ValueError(f"cannot write --output {path}: directory {directory} does not exist")
-    if os.path.isdir(path):
-        raise ValueError(f"cannot write --output {path}: it is a directory")
-
-
-def _emit(text: str, args: argparse.Namespace) -> None:
-    """The one output sink: text and a newline, to --output when given, else to stdout."""
-    if not args.output:
-        sys.stdout.write(text + "\n")
-        return
-    try:
-        with open(args.output, "w") as fh:
-            fh.write(text + "\n")
-    except OSError as exc:
-        raise ValueError(f"cannot write --output {args.output}: {exc.strerror or exc}") from exc
 
 
 def _csv(header: tuple[str, ...], rows) -> str:
@@ -166,10 +130,6 @@ def _add_residue(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("-r", "--r", type=int, default=1, help="residue class of left parts and peak (default 1)")
 
 
-def _add_output(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--output", help="write the result to this file instead of stdout")
-
-
 def _add_common(parser: argparse.ArgumentParser, precision: bool = True) -> None:
     _add_residue(parser)
     parser.add_argument("-m", "--m", type=int, default=3, help="modulus (default 3)")
@@ -178,11 +138,9 @@ def _add_common(parser: argparse.ArgumentParser, precision: bool = True) -> None
             "-P",
             "--precision",
             type=int,
-            default=None,
-            help=f"working decimal precision (default env CSTACKS_PRECISION or {DEFAULT_DPS}, "
-            f"minimum {MIN_PRECISION}, at most {MAX_DPS})",
+            default=DEFAULT_DPS,
+            help=f"working decimal precision (default {DEFAULT_DPS}, minimum {MIN_PRECISION}, at most {MAX_DPS})",
         )
-    _add_output(parser)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -279,7 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="0.30,0.25,0.20,0.16,0.13,0.10",
         help="points z of the ray q = e^{-z}; the smallest sets the precision",
     )
-    _add_output(p_decay)
     p_decay.set_defaults(func=cmd_decay)
 
     return parser
@@ -303,14 +260,14 @@ def cmd_count(args: argparse.Namespace) -> int:
             payload["witnesses"] = [
                 {"left": list(w.left), "peak": w.peak, "right": list(w.right)} for w in witnesses
             ]
-        _emit(json.dumps(payload, indent=2), args)
+        print(json.dumps(payload, indent=2))
     else:
         lines = [f"stacks of size {n} with parts {params}: {count}"]
         if witnesses is not None:
             for w in witnesses:
                 parts = [str(x) for x in w.left] + [f"[{w.peak}]"] + [str(x) for x in w.right]
                 lines.append("  " + " ".join(parts))
-        _emit("\n".join(lines), args)
+        print("\n".join(lines))
     return 0
 
 
@@ -326,11 +283,11 @@ def cmd_table(args: argparse.Namespace) -> int:
     _check_series_order(max(ns))
     records = comparison_table(params, ns, dps=dps)
     if args.format == "csv":
-        _emit(_csv(_RECORD_FIELDS, (_record_row(rec, dps) for rec in records)), args)
+        print(_csv(_RECORD_FIELDS, (_record_row(rec, dps) for rec in records)))
     elif args.format == "json":
         import json
 
-        _emit(json.dumps([dict(zip(_RECORD_FIELDS, _record_row(rec, dps))) for rec in records]), args)
+        print(json.dumps([dict(zip(_RECORD_FIELDS, _record_row(rec, dps))) for rec in records]))
     else:
         lines = [f"{params}", f"{'n':>8}  {'exact':>28}  {'main term':>14}  {'rel error':>12}"]
         for rec in records:
@@ -341,7 +298,7 @@ def cmd_table(args: argparse.Namespace) -> int:
                 f"{rec.n:>8}  {exact:>28}  {_scientific(rec.estimate, 5):>14}  "
                 f"{_relative_error(rec.relative_error, 5, dps):>12}"
             )
-        _emit("\n".join(lines), args)
+        print("\n".join(lines))
     return 0
 
 
@@ -409,12 +366,12 @@ def cmd_asym(args: argparse.Namespace) -> int:
     if args.format == "json":
         import json
 
-        _emit(json.dumps(data, indent=2), args)
+        print(json.dumps(data, indent=2))
     else:
         width = max(len(label) for label, _ in rows)
         lines = [f"{params}, n = {n}"]
         lines += [f"  {label:<{width}}  {value}" for label, value in rows]
-        _emit("\n".join(lines), args)
+        print("\n".join(lines))
     return 0
 
 
@@ -454,7 +411,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     ]
     failures = sum(check.ok is False for check in checks)
     lines = [*map(_check_line, checks), f"{failures} failure(s)" if failures else "all checks passed"]
-    _emit("\n".join(lines), args)
+    print("\n".join(lines))
     return 1 if failures else 0
 
 
@@ -478,7 +435,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
     profile = analytic.circle_profile(ctx, grid=args.grid)
     if args.format == "csv":
         rows = ((f"{nu:.10f}", f"{val:.6f}") for nu, val in zip(profile.nus, profile.log_magnitudes))
-        _emit(_csv(("nu", "log_magnitude"), rows), args)
+        print(_csv(("nu", "log_magnitude"), rows))
         return 0
     kappa = float(ctx.kappa)
     lines = [
@@ -498,7 +455,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
             f"  peak near 2 pi {ell}/{params.m}: nu = {nu:+.4f}, "
             f"log magnitude {height:.3f} ({profile.principal_log - height:.3f} below)"
         )
-    _emit("\n".join(lines), args)
+    print("\n".join(lines))
     return 0
 
 
@@ -538,7 +495,7 @@ def cmd_decay(args: argparse.Namespace) -> int:
             f"{label:>18}  {fit.slope:>10.4f}  {fit.expected:>10.4f}  "
             f"{fit.slope / fit.expected:>7.4f}  {len(fit.points):>6}"
         )
-    _emit("\n".join(lines), args)
+    print("\n".join(lines))
     return 0
 
 
@@ -546,8 +503,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.output:
-            _check_output(args.output)
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -5,7 +5,7 @@ from itertools import islice
 
 import mpmath as mp
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from congruence_stacks import analytic
@@ -837,14 +837,15 @@ def _all_factor_reference(params, n, kappa):
     return log_magnitude
 
 
-def _head_tail_reference(params, n, kappa):
-    """circle_profile's formula at angle nu, one generator term per term of L, head factor and tail term."""
+def _head_tail_reference(params, n, kappa, grid):
+    """circle_profile's formula at angle index a, nu = pi a/grid, one generator term per term of L, head factor and tail term."""
     m = params.m
     l_terms = false_theta_gf(params, analytic._factor_count(kappa / (2 * math.pi), 17))
     heads, firsts, terms = analytic._lambert_split(params, kappa)
     f_factors = [(e, math.expm1(-e * kappa), 2 * math.exp(-e * kappa / 2)) for head in heads for e in head]
 
-    def log_magnitude(nu):
+    def log_magnitude(a):
+        nu = math.pi * a / grid
         z = complex(-kappa, nu)
         mag = abs(sum(sign * cmath.exp(e * z) for e, sign in l_terms))
         head = math.fsum(math.log(math.hypot(d, s * math.sin(e * nu / 2))) for e, d, s in f_factors)
@@ -855,7 +856,12 @@ def _head_tail_reference(params, n, kappa):
             c2 = 2 * j * math.exp(-j * m * kappa)
             s, c = math.sin(j * m * nu / 2), math.cos(j * m * nu / 2)
             den = complex(c1 + c2 * (s * s), -c2 * (s * c))
-            tail += (cmath.exp(j * firsts[0] * z) + cmath.exp(j * firsts[1] * z)) / den
+            # q^{j k_s}, its phase from the integer j k_s a reduced exactly, oddly in a
+            r_num, mr_num = (
+                cmath.rect(math.exp(-j * k * kappa), math.remainder(j * k * a, 2 * grid) * (math.pi / grid))
+                for k in firsts
+            )
+            tail += (r_num + mr_num) / den
         return math.log(mag) + (tail.real - head) + n * kappa
 
     return log_magnitude
@@ -927,20 +933,19 @@ class TestCircleProfile:
     def test_mirrored_half_equals_the_per_angle_loop(self, params, n, grid):
         # nu < 0 is mirrored from nu > 0; here each such angle is evaluated as nu >= 0 is
         prof = circle_profile(ArcContext.build(params, n, rho=0.5, dps=12), grid=grid)
-        reference = _head_tail_reference(params, n, prof.kappa)
+        reference = _head_tail_reference(params, n, prof.kappa, grid)
         for j in range(grid // 2):
-            nu = prof.nus[j]
-            assert nu < 0
-            assert prof.log_magnitudes[j] == reference(nu), (params, n, j)
+            assert prof.nus[j] < 0
+            assert prof.log_magnitudes[j] == reference(2 * j - grid), (params, n, j)
 
     @pytest.mark.parametrize("params, n, grid", PROFILE_CASES)
     def test_every_sample_equals_the_per_factor_reference(self, params, n, grid):
         # the map chains add the same doubles in the same order as a generator per term
         prof = circle_profile(ArcContext.build(params, n, rho=0.5, dps=12), grid=grid)
-        reference = _head_tail_reference(params, n, prof.kappa)
+        reference = _head_tail_reference(params, n, prof.kappa, grid)
         assert len(prof.log_magnitudes) == grid + 1
-        for j, nu in enumerate(prof.nus):
-            assert prof.log_magnitudes[j] == reference(nu), (params, n, j)
+        for j in range(grid + 1):
+            assert prof.log_magnitudes[j] == reference(2 * j - grid), (params, n, j)
 
     @pytest.mark.parametrize(
         "params, n, grid",
@@ -955,6 +960,8 @@ class TestCircleProfile:
 
     @given(st.sampled_from(COPRIME_PAIRS), st.integers(0, 1_000_000), st.integers(4, 12))
     @settings(max_examples=20, deadline=None)
+    # at the root of unity nu = 8 pi/11 the Lambert tail once missed the bound: 4.38e-12 against 4.37e-12
+    @example(pair=(9, 11), n=999_101, half=11)
     def test_head_and_tail_hold_for_every_pair(self, pair, n, half):
         params, grid = StackParams(*pair), 2 * half
         try:
@@ -963,12 +970,12 @@ class TestCircleProfile:
             assume(False)  # n = 0 has no saddle for 18 of the pairs
         prof = circle_profile(ctx, grid=grid)
         all_factors = _all_factor_reference(params, n, prof.kappa)
-        head_tail = _head_tail_reference(params, n, prof.kappa)
+        head_tail = _head_tail_reference(params, n, prof.kappa, grid)
         bound = _all_factor_bound(n) * max(1, prof.principal_log)
         for j in range(half, grid + 1):
             assert abs(prof.log_magnitudes[j] - all_factors(prof.nus[j])) <= bound, j
             # nu < 0 is the mirror image of nu > 0 bit for bit
-            assert head_tail(prof.nus[grid - j]) == prof.log_magnitudes[j], j
+            assert head_tail(grid - 2 * j) == prof.log_magnitudes[j], j
 
     def test_peaks_see_across_the_seam_at_minus_one(self, monkeypatch):
         # this grid is spaced pi/4, so the windows must reach one step past their centres

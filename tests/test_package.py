@@ -2,6 +2,7 @@ import ast
 import gc
 import inspect
 import os
+import shlex
 import subprocess
 import sys
 from collections import defaultdict
@@ -158,20 +159,6 @@ def test_cstacks_script_is_run():
     assert scripts["cstacks"] == "congruence_stacks.cli:run"
 
 
-def test_frozen_exit_still_writes_output_files(tmp_path):
-    # frozen objects are not finalized at exit; --output must still be complete
-    out = tmp_path / "out.csv"
-    proc = _run_python(
-        "-m", "congruence_stacks", "table", "--values", "10,20", "-P", "30", "--format", "csv", "--output", str(out)
-    )
-    assert proc.stdout == proc.stderr == ""
-    assert out.read_bytes() == (
-        b"n,exact,asymptotic_mantissa,asymptotic_exp10,relative_error\n"
-        b"10,10,1.114747901,1,0.1147479007\n"
-        b"20,96,1.029984342,2,0.07290035653\n"
-    )
-
-
 def test_frozen_exit_still_reports_invalid_input():
     proc = _run_python("-m", "congruence_stacks", "count", "-n", "10", "-r", "2", "-m", "4", check=False)
     assert proc.returncode == 2
@@ -195,3 +182,20 @@ def test_readme_quick_tour_states_what_it_computes():
         assert value.startswith(shown[:-3]) if shown.endswith("...") else value == shown, line
         stated.append(shown)
     assert stated == ["3167122", "7", "'3.286e+6'", "0.0375..."]
+
+
+def test_readme_commands_parse():
+    # every `cstacks` line of the README's sh blocks, comment stripped, names only options the parser has
+    from congruence_stacks.cli import build_parser
+
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    blocks = [block.split("```", 1)[0] for block in readme.split("```sh\n")[1:]]
+    lines = [shlex.split(line, comments=True) for block in blocks for line in block.splitlines()]
+    commands = [argv[1:] for argv in lines if argv[:1] == ["cstacks"]]
+    assert commands
+    parser = build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README line does not parse: cstacks {shlex.join(argv)}")

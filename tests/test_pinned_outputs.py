@@ -3,7 +3,7 @@
 `count`, `table`, `asym`, `profile` and `decay` pin their whole stdout and
 their exit code.  `verify` pins its exit code and its ordered (status, check
 name) pairs only: the measured digits may move inside their tolerances.
-The commands run in-process through `cli.main`, with CSTACKS_PRECISION unset.
+The commands run in-process through `cli.main`.
 
 A change that moves an output rewrites the file and lists each moved line in
 CHANGES.md.  To rewrite it from the current code:
@@ -14,7 +14,6 @@ CHANGES.md.  To rewrite it from the current code:
 import contextlib
 import io
 import json
-import os
 import re
 from pathlib import Path
 
@@ -93,11 +92,9 @@ def test_every_command_is_pinned(pinned):
 
 
 @pytest.mark.parametrize("command", COMMANDS)
-def test_output_matches_the_pinned_file(command, pinned, monkeypatch):
-    monkeypatch.delenv("CSTACKS_PRECISION", raising=False)
+def test_output_matches_the_pinned_file(command, pinned):
     assert observe(command) == pinned[command]
 
 
 if __name__ == "__main__":
-    os.environ.pop("CSTACKS_PRECISION", None)
     PINNED_FILE.write_text(json.dumps({command: observe(command) for command in COMMANDS}, indent=1) + "\n")
