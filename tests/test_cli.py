@@ -309,13 +309,6 @@ class TestAsym:
         assert code == 2
         assert "precision" in err
 
-    def test_precision_comes_from_the_command_line_alone(self, capsys, monkeypatch):
-        monkeypatch.delenv("CSTACKS_PRECISION", raising=False)
-        unset = run(capsys, "asym", "-n", "100")
-        monkeypatch.setenv("CSTACKS_PRECISION", "12")
-        assert run(capsys, "asym", "-n", "100") == unset
-        assert unset[0] == 0
-
     @pytest.mark.parametrize(
         "argv",
         [["-n", str(10**100)], ["-n", str(10**100), "--format", "json"], ["-n", str(10**56), "-P", "30"]],
@@ -964,24 +957,6 @@ def test_largest_precision_stays_within_the_bound(monkeypatch):
         main(["table", "--values", "10", "-P", str(cli.MAX_DPS)])
 
 
-def test_output_option_is_unrecognized_and_writes_no_file(capsys, monkeypatch, tmp_path):
-    # the result goes to stdout alone; the parser refuses --output before any command runs
-    def refuse(args):
-        raise AssertionError(f"{args.command} ran although its arguments are refused")
-
-    for command in _subcommands():
-        monkeypatch.setattr(cli, f"cmd_{command}", refuse)
-    monkeypatch.chdir(tmp_path)
-    for command, argv in CHEAP_ARGV.items():
-        with pytest.raises(SystemExit) as exc:
-            main([command, *argv, "--output", "x"])
-        assert exc.value.code == 2
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert "unrecognized arguments: --output x" in err
-    assert list(tmp_path.iterdir()) == []
-
-
 SADDLE_BOUND = "the saddle point needs n > m/12 - r(m-r)/(2m)"
 
 
@@ -1061,6 +1036,42 @@ def test_every_format_of_every_subcommand_exits_0(capsys, argv):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert out.endswith("\n")
+
+
+@pytest.mark.parametrize("command", list(CHEAP_ARGV))
+def test_output_option_is_unrecognized_and_writes_no_file(capsys, monkeypatch, tmp_path, command):
+    # the result goes to stdout alone; the parser refuses --output before the command runs
+    def refuse(args):
+        raise AssertionError(f"{args.command} ran although its arguments are refused")
+
+    monkeypatch.setattr(cli, f"cmd_{command}", refuse)
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main([command, *CHEAP_ARGV[command], "--output", "x"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "unrecognized arguments: --output x" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["table", "--values", "10,20"], ["asym", "-n", "100"], ["verify", "decomposition", "oracle", "--order", "20"]],
+    ids=["table", "asym", "verify"],
+)
+def test_precision_comes_from_the_command_line_alone(capsys, monkeypatch, argv):
+    # CSTACKS_PRECISION = 12 is below MIN_PRECISION: read, it would refuse the run
+    monkeypatch.delenv("CSTACKS_PRECISION", raising=False)
+    unset = run(capsys, *argv)
+    monkeypatch.setenv("CSTACKS_PRECISION", "12")
+    assert run(capsys, *argv) == unset
+    assert unset[0] == 0
+
+
+def test_precision_cases_cover_every_subcommand_with_a_precision():
+    with_precision = {c for c, sub in _subcommands().items() if any(a.dest == "precision" for a in sub._actions)}
+    assert with_precision == {"table", "asym", "verify"}
 
 
 class ReadRecorder:
