@@ -65,6 +65,8 @@ QUADRATURE_RTOL = 1e-10  # relative agreement of successive tanh-sinh estimates,
 PROFILE_HEAD_FLOOR = 1e-2  # circle_profile sums F's factors with |q^k| >= this one by one, the rest in closed form
 PROFILE_CUT_DIGITS = 17  # circle_profile drops L's terms and F's Lambert terms below 10^-this, a double's rounding
 CONTOUR_PROFILE_GRID = 720  # grid of the contour check's circle profile
+DECOMPOSITION_ORDER = 400  # series order of the decomposition check
+DECAY_Z_VALUES = (0.30, 0.25, 0.20, 0.16, 0.13, 0.10)  # product_decay_fit's points z of the ray q = e^{-z}
 RAY_CUT = 40  # contour_tail cuts its ray where the bound e^{-c x} on the integrand reaches e^-RAY_CUT
 
 
@@ -154,8 +156,9 @@ def _gauss_cutoff(a: int, b: float, y: float, digits: int) -> int:
     """Cutoff of a Gaussian sum: 2 past the root n of pi y (a n^2 + b n) = digits log 10, in doubles.
 
     A term of size e^{-pi y (a n^2 + b n)}, a > 0, is below 10^-digits past
-    the root.  theta takes (1, -2 |Im w| / y) and f_{a,b} its own (a, b); only
-    a root above about 10^150 leaves double range.
+    the root.  theta takes (1, -2 |Im w| / y) and f_{a,b} its own (a, b), or
+    (a, c) and (a, -c) about n = s where b < -a; only a root above about
+    10^150 leaves double range.
     """
     try:
         disc = float(b) * b + 4 * a * digits * math.log(10) / (math.pi * y)
@@ -373,12 +376,12 @@ def decay_precision(params: StackParams, z_values: Sequence) -> int:
     if params.m > sys.float_info.max:
         raise ValueError(f"m = {params.m} is past double range, where the fit holds its rate 4 pi^2/m")
     digits = 8 * math.pi ** 2 / (params.m * min(zs)) / math.log(10)
-    if digits == math.inf:  # a subnormal z_min: formed in mpf, for the caller's bound on it
+    if digits == math.inf:  # a subnormal z_min: formed in mpf, so the count stays finite
         digits = 8 * mp.pi ** 2 / (params.m * mp.mpf(min(zs))) / mp.log(10)
     return int(digits) + 40
 
 
-def product_decay_fit(params: StackParams, z_values: Sequence = (0.30, 0.25, 0.20, 0.16, 0.13, 0.10)) -> DecayFit:
+def product_decay_fit(params: StackParams, z_values: Sequence = DECAY_Z_VALUES) -> DecayFit:
     """Fit the decay rate of the closed-form residual along the imaginary ray.
 
     The residual behaves like a power of e^{-4 pi^2/(m z)}, so log residual is
@@ -416,14 +419,31 @@ def product_decay_fit(params: StackParams, z_values: Sequence = (0.30, 0.25, 0.2
 
 
 def false_theta(a: int, b: int, tau, dps: int = DEFAULT_DPS) -> mp.mpc:
-    """f_{a,b}(tau) = sum_{n>=1} (-1)^n q^{(a n^2 + b n)/2}, a > 0, at dps + GUARD + index_digits(a, b) digits."""
+    """f_{a,b}(tau) = sum_{n>=1} (-1)^n q^{(a n^2 + b n)/2}, a > 0, at dps + GUARD + index_digits(a, b) digits.
+
+    For b < -a the terms first grow, to about |q|^{-b^2/(8a)}, past what a
+    fixed-point sum scaled to 1 can hold (at a = 10^19 and b = -3 10^19
+    its integers would have 10^19 bits).  There the sum is taken about
+    n = s = ceil(-(a + b)/(2a)): f = (-1)^s q^{(a s^2 + b s)/2} times
+    sum_{k >= 1-s} (-1)^k q^{(a k^2 + c k)/2} with c = b + 2as in [-a, a),
+    whose terms are at most 1, the one at k = 0 equal to 1.
+    """
     if a <= 0:
         raise ValueError("a must be positive")
+    s = max(0, -((a + b) // (2 * a)))
     with mp.workdps(dps + GUARD + index_digits(a, b)):
         tau = _require_upper_half(tau)
-        n_max = _gauss_cutoff(a, b, _im_double(tau), dps + GUARD)
+        y, digits = _im_double(tau), dps + GUARD
         pi_i_tau = mp.pi * 1j * tau
-        return _gauss_sum(mp.exp(pi_i_tau * a), mp.exp(pi_i_tau * b), n_max, -1) - 1
+        x = mp.exp(pi_i_tau * a)
+        if not s:
+            return _gauss_sum(x, mp.exp(pi_i_tau * b), _gauss_cutoff(a, b, y, digits), -1) - 1
+        c = b + 2 * a * s
+        z = mp.exp(pi_i_tau * c)
+        # k >= 0, then k = 0, -1, .., 1 - s as j = -k, each cut where its terms fall below 10^-digits
+        total = _gauss_sum(x, z, _gauss_cutoff(a, c, y, digits), -1)
+        total += _gauss_sum(x, 1 / z, min(s - 1, _gauss_cutoff(a, -c, y, digits)), -1) - 1
+        return (-1) ** s * mp.exp(pi_i_tau * s * (a * s + b)) * total
 
 
 def cubic_model(a: int, b: int, z) -> mp.mpc:
@@ -799,13 +819,13 @@ def _sample_w(rng: random.Random) -> mp.mpc:
     return mp.mpc(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5))
 
 
-def _check_decomposition(params, dps, rng, order, ctx) -> list[Check]:
-    report = verify_decomposition(params, order)
+def _check_decomposition(params, dps, rng, ctx) -> list[Check]:
+    report = verify_decomposition(params, DECOMPOSITION_ORDER)
     detail = "coefficients agree exactly" if report.ok else f"{len(report.mismatches)} mismatched coefficients"
-    return [Check(f"decomposition {params} to order {order}", report.ok, None, None, detail)]
+    return [Check(f"decomposition {params} to order {DECOMPOSITION_ORDER}", report.ok, None, None, detail)]
 
 
-def _check_theta(params, dps, rng, order, ctx) -> list[Check]:
+def _check_theta(params, dps, rng, ctx) -> list[Check]:
     worst_pair = worst_odd = mp.mpf(0)
     for _ in range(4):
         tau, w = _sample_tau(rng), _sample_w(rng)
@@ -819,7 +839,7 @@ def _check_theta(params, dps, rng, order, ctx) -> list[Check]:
     ]
 
 
-def _check_transform(params, dps, rng, order, ctx) -> list[Check]:
+def _check_transform(params, dps, rng, ctx) -> list[Check]:
     worst = max(theta_transform_residual(_sample_w(rng), _sample_tau(rng), dps) for _ in range(4))
     return [_measured("theta modular transform (4 samples)", worst, mp.mpf(10) ** (-dps))]
 
@@ -835,7 +855,7 @@ def _gamma_quarter() -> mp.mpf:
     return mp.sqrt(two_pi * mp.sqrt(two_pi) / mp.agm(1, mp.sqrt(2)))
 
 
-def _check_eta(params, dps, rng, order, ctx) -> list[Check]:
+def _check_eta(params, dps, rng, ctx) -> list[Check]:
     worst = max(eta_inversion_residual(_sample_tau(rng), dps) for _ in range(4))
     # eta(i) = Gamma(1/4) / (2 pi^{3/4}), at the fixed point of tau -> -1/tau
     with mp.workdps(dps + GUARD):
@@ -847,7 +867,7 @@ def _check_eta(params, dps, rng, order, ctx) -> list[Check]:
     ]
 
 
-def _check_falsetheta(params, dps, rng, order, ctx) -> list[Check]:
+def _check_falsetheta(params, dps, rng, ctx) -> list[Check]:
     worst = max(false_theta_series_residual(params, mp.mpc("0.01", y), dps) for y in ("0.10", "0.14", "0.18"))
     a, b = params.m, -(params.m + 2 * params.shift)
     worst_ratio = mp.mpf(0)
@@ -874,7 +894,7 @@ def _bessel_references(x) -> list[mp.mpf]:
     return refs
 
 
-def _check_bessel(params, dps, rng, order, ctx) -> list[Check]:
+def _check_bessel(params, dps, rng, ctx) -> list[Check]:
     """The series route against mpmath's I_0, I_1 and their recurrence at dps + GUARD digits, and the Hankel route."""
     with mp.workdps(dps + GUARD):
         xs = [mp.mpf(x) for x in ("0.5", "3", "12", "30")]
@@ -889,7 +909,7 @@ def _check_bessel(params, dps, rng, order, ctx) -> list[Check]:
     ]
 
 
-def _check_contour(params, dps, rng, order, ctx) -> list[Check]:
+def _check_contour(params, dps, rng, ctx) -> list[Check]:
     """The arc plus its tail against the one-term Bessel form, and where the integrand peaks.
 
     The peak's place says nothing from kappa >= pi on (N <= pi/(3m)): the
@@ -912,7 +932,7 @@ def _check_contour(params, dps, rng, order, ctx) -> list[Check]:
     ]
 
 
-def _check_oracle(params, dps, rng, order, ctx) -> list[Check]:
+def _check_oracle(params, dps, rng, ctx) -> list[Check]:
     ok = True
     for pp in (StackParams(r, m) for r, m in ((1, 3), (1, 4), (2, 5), (3, 4), (3, 5))):
         series = stack_gf(pp, 40)
@@ -920,9 +940,9 @@ def _check_oracle(params, dps, rng, order, ctx) -> list[Check]:
     return [Check("generating function vs direct enumeration to n = 40 (5 parameter pairs)", ok, None, None, "")]
 
 
-# The verify targets in run order, each a function (params, dps, rng, order,
-# ctx) -> [Check]: rng draws the sample points, order is the decomposition's
-# series order and ctx the contour's q = 1 arc (None for the other targets).
+# The verify targets in run order, each a function (params, dps, rng, ctx) ->
+# [Check]: rng draws the sample points and ctx is the contour's q = 1 arc (None
+# for the other targets).
 VERIFY_CHECKS: dict[str, Callable[..., list[Check]]] = {
     "decomposition": _check_decomposition,
     "theta": _check_theta,

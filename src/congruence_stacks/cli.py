@@ -44,9 +44,6 @@ DEFAULT_SEED = 20260815
 # largest size `count` and `table` build the exact series for; there
 # `count -n` takes 3.5-3.9 s and 33 MB max RSS (Python 3.11, one Xeon core)
 MAX_SERIES_ORDER = 10**5
-# largest `verify --order` for the O(order^2 / m) peak-sum oracle; there
-# `verify decomposition` takes 3.8 s and 22 MB max RSS (same machine)
-MAX_RECURRENCE_ORDER = 10**4
 # largest `asym --exact` size for the O(n^2) direct count count_stacks; there
 # `asym --exact` takes 4.6-4.9 s and 21 MB max RSS (same machine)
 MAX_DIRECT_COUNT_SIZE = 10**4
@@ -57,11 +54,9 @@ MAX_DIRECT_COUNT_SIZE = 10**4
 # RSS, grid 44 278 at n = 500 0.9 s, n = 4 937 777 at grid 720 0.8 s (same machine)
 PROFILE_FIXED_WORK = 14
 MAX_PROFILE_WORK = 1_610_000
-# largest working precision of every command: -P and `decay`'s
-# 8 pi^2/(m z_min log 10) + 40 digits.  Costs grow steeply with it: `decay`
-# at 1183 digits (m = 3, z_min = 0.01) takes 7.5-11.7 s and 21 MB max RSS,
-# `verify all -P 1200` 2.1-4.3 s (seeds 1-3) and 21 MB, about half of it
-# theta_product's q-Pochhammer loops (same machine)
+# largest -P.  Costs grow steeply with it: `verify all -P 1200` takes 2.1-4.3 s
+# (seeds 1-3) and 21 MB max RSS, about half of it theta_product's q-Pochhammer
+# loops (same machine)
 MAX_DPS = 1200
 # `verify` targets in run order, the keys of analytic.VERIFY_CHECKS; the parser
 # lists them without importing analytic.  The contour target refuses an -n whose
@@ -204,12 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="TARGET",
         help=f"suites to run: {', '.join(sorted(VERIFY_TARGETS))}, or all (default all)",
     )
-    p_verify.add_argument(
-        "--order",
-        type=int,
-        default=400,
-        help=f"series order for the decomposition check (default 400, from 0 to {MAX_RECURRENCE_ORDER})",
-    )
     p_verify.add_argument("-n", "--size", type=int, default=200, help="size used by the contour check")
     p_verify.add_argument("--rho", type=float, default=0.9, help="major arc fraction for the contour check")
     p_verify.add_argument("--seed", type=int, default=DEFAULT_SEED, help="seed for sampled test points")
@@ -232,11 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_decay = sub.add_parser("decay", help="decay rate of the closed-form residual of F per modulus")
     _add_residue(p_decay)
     p_decay.add_argument("--moduli", default="3,4,5,6,7", help="comma separated moduli (default 3,4,5,6,7)")
-    p_decay.add_argument(
-        "--z-values",
-        default="0.30,0.25,0.20,0.16,0.13,0.10",
-        help="points z of the ray q = e^{-z}; the smallest sets the precision",
-    )
     p_decay.set_defaults(func=cmd_decay)
 
     return parser
@@ -395,20 +379,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if unknown:
         raise ValueError(f"unknown verify target(s): {', '.join(sorted(unknown))}")
     targets = [target for target in VERIFY_TARGETS if target in requested or "all" in requested]
-    # checked for every target, before any check runs
-    if not 0 <= args.order <= MAX_RECURRENCE_ORDER:
-        raise ValueError(
-            f"order {args.order} is outside 0 <= order <= MAX_RECURRENCE_ORDER = {MAX_RECURRENCE_ORDER}"
-        )
     ctx = None
     # the contour check's size bound, before any check runs
     if "contour" in targets:
         _check_profile_work(analytic.CONTOUR_PROFILE_GRID, args.size)
         ctx = ArcContext.build(params, args.size, rho=args.rho, dps=dps)
     rng = random.Random(args.seed)
-    checks = [
-        check for target in targets for check in analytic.VERIFY_CHECKS[target](params, dps, rng, args.order, ctx)
-    ]
+    checks = [check for target in targets for check in analytic.VERIFY_CHECKS[target](params, dps, rng, ctx)]
     failures = sum(check.ok is False for check in checks)
     lines = [*map(_check_line, checks), f"{failures} failure(s)" if failures else "all checks passed"]
     print("\n".join(lines))
@@ -464,9 +441,8 @@ def cmd_decay(args: argparse.Namespace) -> int:
 
     try:
         moduli = [int(v) for v in args.moduli.split(",") if v.strip()]
-        zs = tuple(float(v) for v in args.z_values.split(",") if v.strip())
     except ValueError:
-        raise ValueError("--moduli and --z-values must be comma separated numbers")
+        raise ValueError(f"--moduli must be comma separated integers, got {args.moduli!r}")
     if not moduli:
         raise ValueError(f"--moduli lists no modulus, got {args.moduli!r}")
     families: list[tuple[int, StackParams | ValueError]] = []
@@ -476,10 +452,8 @@ def cmd_decay(args: argparse.Namespace) -> int:
         except ValueError as exc:
             families.append((m, exc))
             continue
-        # the z list and the precision of every fit are checked before the first one runs
-        dps = analytic.decay_precision(params, zs)
-        if dps > MAX_DPS:
-            raise ValueError(f"z_min = {min(zs)} needs {dps} digits at m = {m}, above MAX_DPS = {MAX_DPS}")
+        # every modulus is checked before the first fit runs: one past double range raises
+        analytic.decay_precision(params, analytic.DECAY_Z_VALUES)
         families.append((m, params))
     if all(isinstance(params, ValueError) for _, params in families):
         reasons = "; ".join(f"m = {m}: {exc}" for m, exc in families)
@@ -490,7 +464,7 @@ def cmd_decay(args: argparse.Namespace) -> int:
         if isinstance(params, ValueError):
             lines.append(f"{label:>18}  skipped: {params}")
             continue
-        fit = analytic.product_decay_fit(params, z_values=zs)
+        fit = analytic.product_decay_fit(params)
         lines.append(
             f"{label:>18}  {fit.slope:>10.4f}  {fit.expected:>10.4f}  "
             f"{fit.slope / fit.expected:>7.4f}  {len(fit.points):>6}"

@@ -30,7 +30,7 @@ coefficient by coefficient.
 from __future__ import annotations
 
 from collections import namedtuple
-from operator import itemgetter
+from operator import add, itemgetter
 
 from .params import StackParams
 
@@ -205,9 +205,7 @@ def stack_recurrence(params: StackParams, order: int) -> TruncatedSeries:
         right = peak - params.shift
         if right > 0:
             _inv_one_minus_inplace(prod, right, hi)
-        for i in range(hi + 1):
-            if prod[i]:
-                acc[i + peak] += prod[i]
+        acc[peak:] = map(add, acc[peak:], prod[: hi + 1])
     return TruncatedSeries(tuple(acc))
 
 

@@ -271,7 +271,7 @@ class TestFalseTheta:
             false_theta(0, -7, TAU, 50)
 
     @pytest.mark.parametrize("dps", [50, 100])
-    @pytest.mark.parametrize("a,b", [(1, 0), (3, -7), (5, -13)])
+    @pytest.mark.parametrize("a,b", [(1, 0), (3, -7), (5, -13), (2, -21)])
     def test_matches_a_termwise_exponential_sum_near_the_real_axis(self, a, b, dps):
         for tau in NEAR_AXIS_TAUS:
             with mp.workdps(dps + 30):
@@ -301,11 +301,13 @@ def test_gaussian_sums_take_no_exponential_per_term(monkeypatch):
 
     monkeypatch.setattr(mp, "exp", counting_exp)
     tau = mp.mpc("0.37", "0.01")
-    # theta_sum takes 2 a pass (one pass here), false_theta 2, and eta 2 for
-    # each of its two false thetas and 1 for e^{pi i tau/12}
+    # theta_sum takes 2 a pass (one pass here), false_theta 2, and 3 where
+    # b < -a, the third for the factor in front of its sum about n = s, and eta
+    # 2 for each of its two false thetas (b = -1 and 1) and 1 for e^{pi i tau/12}
     kernels = [
         (lambda: theta_sum(W, tau, 100), 2),
-        (lambda: false_theta(3, -7, tau, 100), 2),
+        (lambda: false_theta(3, -7, tau, 100), 3),
+        (lambda: false_theta(3, -1, tau, 100), 2),
         (lambda: dedekind_eta(tau, 100), 5),
     ]
     for kernel, expected in kernels:

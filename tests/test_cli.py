@@ -1,5 +1,7 @@
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import math
 import re
@@ -7,7 +9,7 @@ import time
 
 import mpmath as mp
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from congruence_stacks import analytic, asymptotics, cli
@@ -496,7 +498,7 @@ class TestVerify:
         assert out.count("PASS") == 1 and "FAIL" not in out
 
     def test_decomposition_standard(self, capsys):
-        code, out, _ = run(capsys, "verify", "decomposition", "--order", "150")
+        code, out, _ = run(capsys, "verify", "decomposition")
         assert code == 0
         assert "agree exactly" in out
 
@@ -505,9 +507,7 @@ class TestVerify:
         # program was at fault: L and R used the standard exponents for the
         # gap pair (3, 4).  With t = 2r mod m, S = F*L + R holds exactly for
         # every coprime pair with m <= 12 through q^2000.
-        code, out, _ = run(
-            capsys, "verify", "decomposition", "--r", "3", "--m", "4", "--order", "80"
-        )
+        code, out, _ = run(capsys, "verify", "decomposition", "--r", "3", "--m", "4")
         assert code == 0
         assert "PASS" in out and "agree exactly" in out
 
@@ -526,35 +526,6 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "nonsense")
         assert code == 2
         assert "unknown verify target" in err
-
-    def test_order_above_the_recurrence_bound_exit_2_before_any_work(self, capsys, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("a check ran although the order is refused")
-
-        # decomposition is the first check of `verify all`, theta the first kernel
-        monkeypatch.setattr(analytic, "verify_decomposition", refuse)
-        monkeypatch.setattr(analytic, "theta_sum", refuse)
-        code, out, err = run(capsys, "verify", "--order", str(cli.MAX_RECURRENCE_ORDER + 1))
-        assert code == 2
-        assert out == ""
-        assert f"MAX_RECURRENCE_ORDER = {cli.MAX_RECURRENCE_ORDER}" in err
-
-    @pytest.mark.parametrize("order", [-1, cli.MAX_RECURRENCE_ORDER + 1, 20000])
-    def test_order_outside_its_bounds_exit_2_for_every_target(self, capsys, monkeypatch, order):
-        def refuse(*args, **kwargs):
-            raise AssertionError("a check ran although the order is refused")
-
-        monkeypatch.setattr(analytic, "theta_sum", refuse)
-        code, out, err = run(capsys, "verify", "theta", "--order", str(order))
-        assert code == 2
-        assert out == ""
-        assert f"0 <= order <= MAX_RECURRENCE_ORDER = {cli.MAX_RECURRENCE_ORDER}" in err
-
-    @pytest.mark.parametrize("order", [0, cli.MAX_RECURRENCE_ORDER])
-    def test_order_at_its_bounds_is_accepted(self, capsys, order):
-        code, out, _ = run(capsys, "verify", "theta", "--order", str(order))
-        assert code == 0
-        assert out.count("PASS") == 2 and "FAIL" not in out
 
     @pytest.mark.parametrize(
         "argv, bound",
@@ -882,7 +853,7 @@ class TestDecay:
         assert "r and m must be coprime" in err
 
     def test_invalid_modulus_skipped(self, capsys):
-        code, out, _ = run(capsys, "decay", "-r", "2", "--moduli", "3,4", "--z-values", "0.3,0.2")
+        code, out, _ = run(capsys, "decay", "-r", "2", "--moduli", "3,4")
         assert code == 0
         assert "(r=2, m=4)  skipped: r and m must be coprime" in out
 
@@ -898,32 +869,20 @@ class TestDecay:
         assert out == ""
         assert "--moduli lists no modulus" in err
 
-    @pytest.mark.parametrize("z_values", ["0.3,0.3", "nan,0.2"])
-    def test_bad_z_values_exit_2(self, capsys, z_values):
-        code, out, err = run(capsys, "decay", "--z-values", z_values)
-        assert code == 2
-        assert out == ""
-        assert "two distinct, finite, positive z values" in err
-
-    def test_precision_above_the_decay_bound_exit_2_before_any_fit(self, capsys, monkeypatch):
+    def test_modulus_past_double_range_exit_2_before_any_fit(self, capsys, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("a fit ran although the precision is refused")
+            raise AssertionError("a fit ran although a modulus is refused")
 
         monkeypatch.setattr(analytic, "product_decay_fit", refuse)
-        # z = 0.009 needs 584 digits at m = 7, listed first, and 1310 at m = 3
-        code, out, err = run(capsys, "decay", "--moduli", "7,3", "--z-values", "0.3,0.009")
+        code, out, err = run(capsys, "decay", "--moduli", f"3,{10**400 + 1}")
         assert code == 2
         assert out == ""
-        assert f"MAX_DPS = {cli.MAX_DPS}" in err
+        assert "is past double range, where the fit holds its rate" in err
 
-    def test_largest_documented_precision_stays_within_the_bound(self, monkeypatch):
-        # m = 3 at z = 0.01 needs 1183 digits; stop at the first fit
-        def started(*args, **kwargs):
-            raise RuntimeError("fit started")
-
-        monkeypatch.setattr(analytic, "product_decay_fit", started)
-        with pytest.raises(RuntimeError, match="fit started"):
-            main(["decay", "--moduli", "3", "--z-values", "0.3,0.01"])
+    def test_fits_at_most_154_digits(self):
+        # the precision falls with m, so m = 3 sets the largest
+        assert analytic.decay_precision(StackParams(1, 3), analytic.DECAY_Z_VALUES) == 154
+        assert analytic.decay_precision(StackParams(1, 4), analytic.DECAY_Z_VALUES) < 154
 
 
 @pytest.mark.parametrize(
@@ -979,13 +938,11 @@ SADDLE_BOUND = "the saddle point needs n > m/12 - r(m-r)/(2m)"
         ("profile -n {n}", 2, "MAX_PROFILE_WORK"),
         ("profile -m {m} -n 5", 2, SADDLE_BOUND),
         ("decay --moduli {m}", 2, "is past double range, where the fit holds its rate"),
-        ("decay --z-values {z},1", 2, "MAX_DPS"),
-        ("decay --moduli 3,{m} --z-values {z},1", 2, "MAX_DPS"),
     ],
 )
 def test_integer_extremes_exit_0_or_2_in_seconds(capsys, line, code, message):
-    # n = 10^400 and m = 10^400 + 1 are past double range, z = 1e-310 is a subnormal double
-    argv = line.format(n=10**400, m=10**400 + 1, z="1e-310").split()
+    # n = 10^400 and m = 10^400 + 1 are past double range
+    argv = line.format(n=10**400, m=10**400 + 1).split()
     start = time.perf_counter()
     got, out, err = run(capsys, *argv)
     assert time.perf_counter() - start < 10
@@ -1007,14 +964,39 @@ def test_falsetheta_at_a_large_index(capsys, m, code):
         assert "a truncation cutoff is outside double range" in err
 
 
+@st.composite
+def coprime_pairs(draw):
+    m = draw(st.integers(3, 10**30))
+    return draw(st.integers(1, m - 1).filter(lambda r: math.gcd(r, m) == 1)), m
+
+
+# a shift t = 2r of about 1.8e19, where false theta's terms first grow to about |q|^-t
+@example((8999366892653588109, 32996121944328664729), 1674216077, 30)
+@given(coprime_pairs(), st.integers(0, 2**32 - 1), st.integers(30, 100))
+@settings(max_examples=40, deadline=None)
+def test_verify_passes_or_names_a_bound_over_the_domain(pair, seed, precision):
+    r, m = pair
+    argv = ["verify", *(t for t in cli.VERIFY_TARGETS if t != "contour"),
+            "-r", str(r), "-m", str(m), "--seed", str(seed), "-P", str(precision)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    lines = out.getvalue().splitlines()
+    if code == 2:
+        assert lines == [] and re.search(r"bound|double range", err.getvalue()), err.getvalue()
+    else:
+        assert code == 0 and all(line.startswith("PASS") for line in lines[:-1]), out.getvalue()
+        assert lines[-1] == "all checks passed"
+
+
 # one cheap command line per subcommand, for every --format it accepts
 CHEAP_ARGV = {
     "count": ["-r", "1", "-m", "4", "-n", "12", "--witnesses"],
     "table": ["--values", "10,20", "-P", "30"],
     "asym": ["-n", "100", "--full", "--exact", "-P", "30"],
-    "verify": ["decomposition", "oracle", "--order", "20", "-P", "30"],
+    "verify": ["decomposition", "oracle", "-P", "30"],
     "profile": ["-n", "50", "--grid", "72"],
-    "decay": ["--moduli", "3", "--z-values", "0.3,0.2"],
+    "decay": ["--moduli", "3"],
 }
 
 
@@ -1056,8 +1038,30 @@ def test_output_option_is_unrecognized_and_writes_no_file(capsys, monkeypatch, t
 
 
 @pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["verify", "decomposition", "--order", "400"], "--order 400"),
+        (["decay", "--z-values", "0.3,0.2"], "--z-values 0.3,0.2"),
+    ],
+    ids=["verify-order", "decay-z-values"],
+)
+def test_removed_inputs_are_unrecognized(capsys, monkeypatch, argv, option):
+    # verify checks the decomposition to order 400 and decay fits analytic.DECAY_Z_VALUES, always
+    def refuse(args):
+        raise AssertionError(f"{args.command} ran although its arguments are refused")
+
+    monkeypatch.setattr(cli, f"cmd_{argv[0]}", refuse)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"unrecognized arguments: {option}" in err
+
+
+@pytest.mark.parametrize(
     "argv",
-    [["table", "--values", "10,20"], ["asym", "-n", "100"], ["verify", "decomposition", "oracle", "--order", "20"]],
+    [["table", "--values", "10,20"], ["asym", "-n", "100"], ["verify", "decomposition", "oracle"]],
     ids=["table", "asym", "verify"],
 )
 def test_precision_comes_from_the_command_line_alone(capsys, monkeypatch, argv):
@@ -1092,10 +1096,10 @@ def test_every_option_is_read():
         "count": ["-r", "1", "-m", "4", "-n", "12", "--witnesses", "--format", "json"],
         "table": ["-r", "1", "-m", "3", "--values", "10,20", "--format", "csv", "-P", "30"],
         "asym": ["-r", "1", "-m", "3", "-n", "100", "--full", "--terms", "2", "--exact", "--format", "json", "-P", "30"],
-        "verify": ["decomposition", "contour", "-r", "1", "-m", "3", "--order", "20", "-n", "200",
-                   "--rho", "0.9", "--seed", "1", "-P", "30"],
+        "verify": ["decomposition", "contour", "-r", "1", "-m", "3", "-n", "200", "--rho", "0.9", "--seed", "1",
+                   "-P", "30"],
         "profile": ["-r", "1", "-m", "3", "-n", "50", "--rho", "0.5", "--grid", "72", "--format", "text"],
-        "decay": ["-r", "1", "--moduli", "3", "--z-values", "0.3,0.2"],
+        "decay": ["-r", "1", "--moduli", "3"],
     }
     parser = build_parser()
     subcommands = _subcommands()
