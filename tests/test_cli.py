@@ -938,6 +938,8 @@ SADDLE_BOUND = "the saddle point needs n > m/12 - r(m-r)/(2m)"
         ("profile -n {n}", 2, "MAX_PROFILE_WORK"),
         ("profile -m {m} -n 5", 2, SADDLE_BOUND),
         ("decay --moduli {m}", 2, "is past double range, where the fit holds its rate"),
+        ("decay -r {n} --moduli 3", 2, "residue must satisfy 0 < r < m"),
+        ("decay -r {n} --moduli {m}", 2, "is past double range, where the fit holds its rate"),
     ],
 )
 def test_integer_extremes_exit_0_or_2_in_seconds(capsys, line, code, message):
@@ -1042,8 +1044,15 @@ def test_output_option_is_unrecognized_and_writes_no_file(capsys, monkeypatch, t
     [
         (["verify", "decomposition", "--order", "400"], "--order 400"),
         (["decay", "--z-values", "0.3,0.2"], "--z-values 0.3,0.2"),
+        # with no target named, 400 is read as one
+        (["verify", "--order", "400"], "--order\n"),
+        (["verify", "theta", "--order=0"], "--order=0"),
+        # argparse takes a unique prefix for an option: neither prefix may reach another one
+        (["verify", "theta", "--ord", "10000"], "--ord 10000"),
+        (["decay", "--moduli", "3", "--z", "0.3,0.01"], "--z 0.3,0.01"),
     ],
-    ids=["verify-order", "decay-z-values"],
+    ids=["verify-order", "decay-z-values", "verify-all-order", "verify-order-equals",
+         "verify-order-prefix", "decay-z-values-prefix"],
 )
 def test_removed_inputs_are_unrecognized(capsys, monkeypatch, argv, option):
     # verify checks the decomposition to order 400 and decay fits analytic.DECAY_Z_VALUES, always
