@@ -42,7 +42,7 @@ from .qseries import stack_gf
 MIN_PRECISION = 30
 DEFAULT_SEED = 20260815
 # largest size `count` and `table` build the exact series for; there
-# `count -n` takes 3.5-3.9 s and 33 MB max RSS (Python 3.11, one Xeon core)
+# `count -n` takes 2.3-3.2 s and 32 MB max RSS (Python 3.11, one Xeon core)
 MAX_SERIES_ORDER = 10**5
 # largest `asym --exact` size for the O(n^2) direct count count_stacks; there
 # `asym --exact` takes 4.6-4.9 s and 21 MB max RSS (same machine)

@@ -1,13 +1,16 @@
+import functools
 import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from congruence_stacks import qseries
 from congruence_stacks.params import StackParams
 from congruence_stacks.qseries import (
     TruncatedSeries,
     _inv_one_minus_inplace,
+    _quotient_bits,
     _theta_terms,
     congruence_partition_gf,
     correction_gf,
@@ -25,6 +28,66 @@ STANDARD_PAIRS = [(1, 3), (1, 4), (1, 5), (2, 5), (3, 7)]
 # every family with 3 <= m <= 12, standard and gap alike
 ALL_PAIRS = [(r, m) for m in range(3, 13) for r in range(1, m) if math.gcd(r, m) == 1]
 GAP_PAIRS = [(r, m) for r, m in ALL_PAIRS if 2 * r > m]
+# 0-17 end on every edge of the division's first blocks of LANES = 8
+# coefficients; at 2000 the default takes the lanes for m <= 6, one coefficient
+# per addition above
+DIVISION_ORDERS = [*range(18), 400, 2000]
+HUGE_MODULI = [10**30 + 1, 10**400 + 1]
+
+
+@pytest.fixture(params=["by_coefficient", "in_lanes", "tight", "restart"])
+def division(request, monkeypatch):
+    """Forces one route of qseries' sparse division: one coefficient per sum;
+    lanes at every order; lanes whose width bound is the widest coefficient
+    itself, so only the lanes' own headroom keeps their sums apart; or lanes
+    from a bound of 1 bit, which the first coefficient past 1 refutes, so the
+    division restarts wider.  "tight" reads its bound from the oracles at order 2000."""
+    if request.param == "by_coefficient":
+        monkeypatch.setattr(qseries, "LANE_BITS_LIMIT", 0)
+    else:
+        monkeypatch.setattr(qseries, "LANE_MIN_TERMS", 0)
+        monkeypatch.setattr(qseries, "LANE_BITS_LIMIT", 10**9)
+    if request.param == "tight":
+        monkeypatch.setattr(qseries, "_quotient_bits", lambda params, order: widest_coefficient(*params, order))
+    if request.param == "restart":
+        monkeypatch.setattr(qseries, "_quotient_bits", lambda params, order: 1)
+    return request.param
+
+
+@functools.cache
+def recurrence_coeffs(r: int, m: int, order: int) -> tuple[int, ...]:
+    """stack_recurrence's coefficients, shared by every division route."""
+    return stack_recurrence(StackParams(r, m), order).coeffs
+
+
+@functools.cache
+def partition_product(r: int, m: int, order: int) -> tuple[int, ...]:
+    """The product of 1/(1 - q^e) over e = r or -r mod m, one factor at a time."""
+    c = [1] + [0] * order
+    for e in range(1, order + 1):
+        if e % m in (r, m - r):
+            _inv_one_minus_inplace(c, e, order)
+    return tuple(c)
+
+
+def widest_coefficient(r: int, m: int, order: int) -> int:
+    """The largest bit length among S's and F's coefficients through q^order, order <= 2000."""
+    series = (recurrence_coeffs(r, m, 2000), partition_product(r, m, 2000))
+    return max(abs(c).bit_length() for s in series for c in s[: order + 1])
+
+
+def lane_calls(monkeypatch) -> list:
+    """Records [bits, whether it returned coefficients] for every _divide_in_lanes call, in call order."""
+    calls = []
+    divide = qseries._divide_in_lanes
+
+    def spy(num, terms, bits):
+        calls.append(call := [bits, None])
+        call[1] = (c := divide(num, terms, bits)) is not None
+        return c
+
+    monkeypatch.setattr(qseries, "_divide_in_lanes", spy)
+    return calls
 
 
 def coprime_pairs(variant: str):
@@ -122,13 +185,18 @@ class TestStackSeries:
         params = StackParams(r, m)
         assert stack_gf(params, order) == stack_recurrence(params, order)
 
-    @pytest.mark.parametrize("order", [0, 1, 2, 300])
-    def test_matches_the_recurrence_at_every_small_modulus(self, order):
-        # at order 300 the first minus and first plus exponent of every
+    @pytest.mark.parametrize("order", DIVISION_ORDERS)
+    def test_matches_the_recurrence_at_every_small_modulus(self, order, division):
+        # at order 400 the first minus and first plus exponent of every
         # family's theta series enter the division's gathers
         for r, m in ALL_PAIRS:
+            assert stack_gf(StackParams(r, m), order).coeffs == recurrence_coeffs(r, m, 2000)[: order + 1], (r, m)
+
+    @pytest.mark.parametrize("m", HUGE_MODULI)
+    def test_matches_the_recurrence_at_huge_moduli(self, m, division):
+        for r in (1, 2, m // 2, m - 1):
             params = StackParams(r, m)
-            assert stack_gf(params, order) == stack_recurrence(params, order), (r, m)
+            assert stack_gf(params, 2000) == stack_recurrence(params, 2000), (r, m)
 
     def test_negative_order_rejected(self):
         for build in (stack_gf, stack_recurrence, congruence_partition_gf):
@@ -143,13 +211,10 @@ class TestStackSeries:
 
 class TestPartitionFactor:
     @pytest.mark.parametrize("r,m", ALL_PAIRS)
-    def test_division_matches_the_product(self, r, m):
-        # the product of 1/(1 - q^e) over e = r or -r mod m, one factor at a time
-        c = [1] + [0] * 500
-        for e in range(1, 501):
-            if e % m in (r, m - r):
-                _inv_one_minus_inplace(c, e, 500)
-        assert congruence_partition_gf(StackParams(r, m), 500).coeffs == tuple(c)
+    def test_division_matches_the_product(self, r, m, division):
+        product = partition_product(r, m, 2000)
+        for order in DIVISION_ORDERS:
+            assert congruence_partition_gf(StackParams(r, m), order).coeffs == product[: order + 1], order
 
     def test_counts_parts_avoiding_zero_class(self):
         F = congruence_partition_gf(P13, 20)
@@ -163,6 +228,57 @@ class TestPartitionFactor:
         allowed = [k for k in range(1, 31) if k % 5 in (2, 3)]
         for n in range(31):
             assert F[n] == brute_partition_count(n, allowed)
+
+
+class TestDivisionWidth:
+    """_quotient_bits bounds every coefficient the division makes, so the lanes never restart."""
+
+    @pytest.mark.parametrize("r,m", ALL_PAIRS)
+    def test_bounds_every_coefficient(self, r, m):
+        for order in DIVISION_ORDERS:
+            assert _quotient_bits(StackParams(r, m), order) >= widest_coefficient(r, m, order), order
+
+    @pytest.mark.parametrize("r", [1, 2])
+    def test_bounds_every_coefficient_at_order_10000(self, r, monkeypatch):
+        # (1, 3): bound 317 bits against 289; the lanes take it in one pass
+        params = StackParams(r, 3)
+        calls = lane_calls(monkeypatch)
+        for build in (stack_gf, congruence_partition_gf):
+            widest = max(c.bit_length() for c in build(params, 10**4).coeffs)
+            assert widest <= _quotient_bits(params, 10**4) <= widest + 40
+        assert calls == [[_quotient_bits(params, 10**4), True]] * 2
+
+    def test_a_lane_holds_a_sum_of_every_term(self, monkeypatch):
+        # T = 1 - q^8 - ... - q^22 and this num make every c[n] the same M, so
+        # each lane sums 15 terms to 15M with M at the bound: the width's
+        # len(terms).bit_length() + 1 bits above bits are all used, with no restart
+        monkeypatch.setattr(qseries, "LANE_MIN_TERMS", 0)
+        calls = lane_calls(monkeypatch)
+        M = 2**100 - 1
+        terms = [(e, -1) for e in range(8, 23)]
+        num = [M * (1 + sum(sign for e, sign in terms if e <= n)) for n in range(200)]
+        assert qseries._divide_in_lanes(num, terms, M.bit_length()) == [M] * 200
+        assert calls == [[M.bit_length(), True]]
+        assert qseries._divide_by_coefficient(num, terms) == [M] * 200
+
+    @pytest.mark.parametrize("m", HUGE_MODULI)
+    def test_is_finite_at_huge_moduli(self, m):
+        for r in (1, m - 1):
+            for order in (0, 17, 2000):
+                bits = _quotient_bits(StackParams(r, m), order)
+                assert isinstance(bits, int) and 1 <= bits <= order.bit_length() + 1
+
+    def test_a_short_width_restarts_the_lanes(self, monkeypatch, division):
+        calls = lane_calls(monkeypatch)
+        assert stack_gf(P13, 400) == stack_recurrence(P13, 400)
+        if division == "restart":
+            # each miss restarts at twice the widest coefficient's bit length
+            assert calls[0] == [1, True] and len(calls) > 2
+            assert [bits for bits, _ in calls] == sorted(bits for bits, _ in calls)
+        elif division != "by_coefficient":
+            assert calls == [[qseries._quotient_bits(P13, 400), True]]
+        else:
+            assert calls == [[_quotient_bits(P13, 400), False]]
 
 
 class TestFalseThetaSeries:
