@@ -367,8 +367,8 @@ def decay_precision(params: StackParams, z_values: Sequence) -> int:
     """Working precision of product_decay_fit, 8 pi^2/(m z_min log 10) + 40 digits.
 
     Its margin of two powers of e^{-4 pi^2/(m z)} lets m = 4, where the
-    leading power vanishes, clear the noise floor.  An m past double range,
-    where the fit cannot hold its rate 4 pi^2/m, raises.
+    leading power vanishes, clear the noise floor.  It raises where m, or
+    the digit count (at a subnormal z_min), is past double range.
     """
     zs = [float(z) for z in z_values]
     if len(set(zs)) < 2 or not all(math.isfinite(z) and z > 0 for z in zs):
@@ -376,8 +376,8 @@ def decay_precision(params: StackParams, z_values: Sequence) -> int:
     if params.m > sys.float_info.max:
         raise ValueError(f"m = {params.m} is past double range, where the fit holds its rate 4 pi^2/m")
     digits = 8 * math.pi ** 2 / (params.m * min(zs)) / math.log(10)
-    if digits == math.inf:  # a subnormal z_min: formed in mpf, so the count stays finite
-        digits = 8 * mp.pi ** 2 / (params.m * mp.mpf(min(zs))) / mp.log(10)
+    if digits == math.inf:
+        raise ValueError(f"z = {min(zs)} needs a working precision past double range, 8 pi^2/(m z log 10) digits")
     return int(digits) + 40
 
 

@@ -338,10 +338,12 @@ class ComparisonRecord(namedtuple("ComparisonRecord", "n exact estimate relative
     __slots__ = ()
 
 
-def _require_stacks(params: StackParams, n: int, exact: int) -> None:
-    """Refuse a size with no stacks, where a relative error has no meaning."""
+def relative_error(params: StackParams, n: int, estimate: mp.mpf, exact: int, dps: int = DEFAULT_DPS) -> mp.mpf:
+    """estimate / exact - 1 at dps digits; a size with no stacks, where it has no meaning, raises."""
     if exact == 0:
         raise ValueError(f"no stacks of size {n} exist for {params}; the relative error is undefined, drop this size")
+    with mp.workdps(dps):
+        return estimate / exact - 1
 
 
 def comparison_table(params: StackParams, ns: Sequence[int], dps: int = DEFAULT_DPS) -> list[ComparisonRecord]:
@@ -353,10 +355,7 @@ def comparison_table(params: StackParams, ns: Sequence[int], dps: int = DEFAULT_
     series = stack_gf(params, max(ns))
     records = []
     for n in ns:
-        exact = series[n]
-        _require_stacks(params, n, exact)
         estimate = main_term(params, n, dps=dps)
-        with mp.workdps(dps):
-            rel = estimate / exact - 1
-        records.append(ComparisonRecord(n=n, exact=exact, estimate=estimate, relative_error=rel))
+        rel = relative_error(params, n, estimate, series[n], dps)
+        records.append(ComparisonRecord(n=n, exact=series[n], estimate=estimate, relative_error=rel))
     return records

@@ -27,11 +27,11 @@ from .asymptotics import (
     REFINED_MIN_2N,
     ArcContext,
     ComparisonRecord,
-    _require_stacks,
     asymptotic_sum,
     comparison_table,
     main_term,
     refined_main_term,
+    relative_error,
     singular_expansion_coeffs,
 )
 from .bigfloat import DEFAULT_DPS
@@ -45,7 +45,7 @@ DEFAULT_SEED = 20260815
 # `count -n` takes 2.3-3.2 s and 32 MB max RSS (Python 3.11, one Xeon core)
 MAX_SERIES_ORDER = 10**5
 # largest `asym --exact` size for the O(n^2) direct count count_stacks; there
-# `asym --exact` takes 4.6-4.9 s and 21 MB max RSS (same machine)
+# `asym --exact` takes 3.4-4.0 s and 21 MB max RSS (same machine)
 MAX_DIRECT_COUNT_SIZE = 10**4
 # largest `profile` work grid * (PROFILE_FIXED_WORK + sqrt(n)).  An angle costs
 # about 15 us, the tail and a few terms of L, plus 1.1 us sqrt(n), the factors
@@ -95,7 +95,7 @@ def _scientific(x: mp.mpf, digits: int) -> str:
     return mp.nstr(x, digits, strip_zeros=False, min_fixed=1, max_fixed=1, show_zero_exponent=True)
 
 
-def _relative_error(rel: mp.mpf, digits: int, dps: int) -> str:
+def _format_error(rel: mp.mpf, digits: int, dps: int) -> str:
     """estimate / exact - 1 to `digits` digits, or `< 1e-(dps-2)` below that floor.
 
     Estimates keep dps digits at any n (asymptotics.growth_dps), so the floor
@@ -112,7 +112,7 @@ def _record_row(rec: ComparisonRecord, dps: int) -> tuple:
         str(rec.exact),
         mant,
         int(e),
-        _relative_error(rec.relative_error, _RECORD_DIGITS, dps),
+        _format_error(rec.relative_error, _RECORD_DIGITS, dps),
     )
 
 
@@ -280,7 +280,7 @@ def cmd_table(args: argparse.Namespace) -> int:
                 exact = exact[:10] + "..." + exact[-10:]
             lines.append(
                 f"{rec.n:>8}  {exact:>28}  {_scientific(rec.estimate, 5):>14}  "
-                f"{_relative_error(rec.relative_error, 5, dps):>12}"
+                f"{_format_error(rec.relative_error, 5, dps):>12}"
             )
         print("\n".join(lines))
     return 0
@@ -333,20 +333,17 @@ def cmd_asym(args: argparse.Namespace) -> int:
         data["expansion_coefficients"] = [str(a) for a in alphas]
     if args.exact:
         exact = count_stacks(n, params)
-        _require_stacks(params, n, exact)
+        rel = relative_error(params, n, x, exact, dps)
         rows.append(("exact count", str(exact)))
         data["exact"] = str(exact)
         data["relative_error_floor"] = f"1e-{dps - 2}"
-        with mp.workdps(dps):
-            rel = x / exact - 1
-        rows.append(("rel error of main term", _relative_error(rel, 6, dps)))
-        data["main_term_relative_error"] = _relative_error(rel, 12, dps)
+        rows.append(("rel error of main term", _format_error(rel, 6, dps)))
+        data["main_term_relative_error"] = _format_error(rel, 12, dps)
         if args.full:
             full = asymptotic_sum(params, n, terms=args.terms, dps=dps)
-            with mp.workdps(dps):
-                rel_full = full / exact - 1
-            rows.append(("rel error of expansion", _relative_error(rel_full, 6, dps)))
-            data["expansion_relative_error"] = _relative_error(rel_full, 12, dps)
+            rel_full = relative_error(params, n, full, exact, dps)
+            rows.append(("rel error of expansion", _format_error(rel_full, 6, dps)))
+            data["expansion_relative_error"] = _format_error(rel_full, 12, dps)
     if args.format == "json":
         import json
 

@@ -163,10 +163,10 @@ def _divide_by_theta(num: list[int], theta: list[tuple[int, int]], bits: int) ->
     additions.  bits bounds the bit length of every |c[n]| (_quotient_bits).
     Where T has LANE_MIN_TERMS terms and the packed blocks fit
     LANE_BITS_LIMIT, _divide_in_lanes makes a block of LANES coefficients
-    with one addition per term, and checks the bound as it goes; elsewhere
-    _divide_by_coefficient makes one coefficient per addition.  Both are
-    exact, so the result does not depend on the route.  num is emptied
-    before the result is built.
+    with one addition per term, and checks the bound as it goes; elsewhere,
+    and where a coefficient refutes the bound, _divide_by_coefficient makes
+    one coefficient per addition.  Both are exact, so the result does not
+    depend on the route.  num is emptied before the result is built.
     """
     terms = theta[1:]
     c = _divide_in_lanes(num, terms, bits)
@@ -217,8 +217,8 @@ def _divide_in_lanes(num: list[int], terms: list[tuple[int, int]], bits: int) ->
     2^bits, so width = bits + len(terms).bit_length() + 1 holds it with its
     sign; a bias of 2^(width-1) per lane keeps every lane nonnegative, so the
     lanes read off the low end without borrows.  Each block is checked
-    against 2^bits before the next reads it; a coefficient that reaches it
-    is still exact, and the division restarts at twice its bit length.
+    against 2^bits before the next reads it, so no lane overflows unseen: a
+    coefficient that reaches it refutes the bound, and None is returned.
     packed adds about order * LANES * width bits to c.
     """
     width = bits + len(terms).bit_length() + 1
@@ -255,7 +255,7 @@ def _divide_in_lanes(num: list[int], terms: list[tuple[int, int]], bits: int) ->
             packed.append(p)
         block = c[-lanes:]
         if n0 + lanes < len(num) and not -limit < min(block) <= max(block) < limit:
-            return _divide_in_lanes(num, terms, 2 * max(abs(v).bit_length() for v in block))
+            return None
     del c[:lanes]
     return c
 

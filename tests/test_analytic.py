@@ -17,6 +17,7 @@ from congruence_stacks.analytic import (
     contour_tail,
     cubic_model,
     cubic_remainder_check,
+    decay_precision,
     dedekind_eta,
     eta_inversion_residual,
     false_theta,
@@ -241,6 +242,13 @@ class TestCongruenceProduct:
         for z_values in [(0.3,), (0.3, -0.1), (0.3, 0.3), (math.nan, 0.2), (0.3, math.inf)]:
             with pytest.raises(ValueError, match="two distinct, finite, positive z values"):
                 product_decay_fit(P13, z_values=z_values)
+
+    @pytest.mark.parametrize("fit", [decay_precision, product_decay_fit])
+    def test_subnormal_z_is_refused(self, fit):
+        # 8 pi^2/(3 z log 10) overflows a double at z = 5e-324; a 325-digit
+        # precision formed past it would only overflow at the noise floor
+        with pytest.raises(ValueError, match="z = 5e-324 needs a working precision past double range"):
+            fit(P13, (5e-324, 0.3))
 
 
 class TestFalseTheta:

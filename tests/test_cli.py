@@ -967,8 +967,8 @@ def test_falsetheta_at_a_large_index(capsys, m, code):
 
 
 @st.composite
-def coprime_pairs(draw):
-    m = draw(st.integers(3, 10**30))
+def coprime_pairs(draw, largest=10**30):
+    m = draw(st.integers(3, largest))
     return draw(st.integers(1, m - 1).filter(lambda r: math.gcd(r, m) == 1)), m
 
 
@@ -989,6 +989,22 @@ def test_verify_passes_or_names_a_bound_over_the_domain(pair, seed, precision):
     else:
         assert code == 0 and all(line.startswith("PASS") for line in lines[:-1]), out.getvalue()
         assert lines[-1] == "all checks passed"
+
+
+@given(coprime_pairs(600), st.integers(0, 1000), st.floats(0.1, 0.99))
+@settings(max_examples=30, deadline=None)
+def test_contour_quadrature_passes_over_the_domain(pair, n, rho):
+    r, m = pair
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["verify", "contour", "-r", str(r), "-m", str(m), "-n", str(n), "--rho", str(rho)])
+    lines = out.getvalue().splitlines()
+    if code == 2:
+        assert lines == [] and SADDLE_BOUND in err.getvalue(), err.getvalue()
+    else:
+        # the peak line may PASS, FAIL or SKIP: only the quadrature is checked here
+        assert lines[0].startswith("PASS  restricted contour vs bessel closed form"), out.getvalue()
+        assert code == (1 if lines[1].startswith("FAIL") else 0), out.getvalue()
 
 
 # one cheap command line per subcommand, for every --format it accepts

@@ -35,13 +35,13 @@ DIVISION_ORDERS = [*range(18), 400, 2000]
 HUGE_MODULI = [10**30 + 1, 10**400 + 1]
 
 
-@pytest.fixture(params=["by_coefficient", "in_lanes", "tight", "restart"])
+@pytest.fixture(params=["by_coefficient", "in_lanes", "tight", "refuted"])
 def division(request, monkeypatch):
     """Forces one route of qseries' sparse division: one coefficient per sum;
     lanes at every order; lanes whose width bound is the widest coefficient
     itself, so only the lanes' own headroom keeps their sums apart; or lanes
     from a bound of 1 bit, which the first coefficient past 1 refutes, so the
-    division restarts wider.  "tight" reads its bound from the oracles at order 2000."""
+    division takes one coefficient per sum.  "tight" reads its bound from the oracles at order 2000."""
     if request.param == "by_coefficient":
         monkeypatch.setattr(qseries, "LANE_BITS_LIMIT", 0)
     else:
@@ -49,7 +49,7 @@ def division(request, monkeypatch):
         monkeypatch.setattr(qseries, "LANE_BITS_LIMIT", 10**9)
     if request.param == "tight":
         monkeypatch.setattr(qseries, "_quotient_bits", lambda params, order: widest_coefficient(*params, order))
-    if request.param == "restart":
+    if request.param == "refuted":
         monkeypatch.setattr(qseries, "_quotient_bits", lambda params, order: 1)
     return request.param
 
@@ -231,7 +231,7 @@ class TestPartitionFactor:
 
 
 class TestDivisionWidth:
-    """_quotient_bits bounds every coefficient the division makes, so the lanes never restart."""
+    """_quotient_bits bounds every coefficient the division makes, so the lanes are never refuted."""
 
     @pytest.mark.parametrize("r,m", ALL_PAIRS)
     def test_bounds_every_coefficient(self, r, m):
@@ -251,7 +251,7 @@ class TestDivisionWidth:
     def test_a_lane_holds_a_sum_of_every_term(self, monkeypatch):
         # T = 1 - q^8 - ... - q^22 and this num make every c[n] the same M, so
         # each lane sums 15 terms to 15M with M at the bound: the width's
-        # len(terms).bit_length() + 1 bits above bits are all used, with no restart
+        # len(terms).bit_length() + 1 bits above bits are all used, and the bound holds
         monkeypatch.setattr(qseries, "LANE_MIN_TERMS", 0)
         calls = lane_calls(monkeypatch)
         M = 2**100 - 1
@@ -268,17 +268,44 @@ class TestDivisionWidth:
                 bits = _quotient_bits(StackParams(r, m), order)
                 assert isinstance(bits, int) and 1 <= bits <= order.bit_length() + 1
 
-    def test_a_short_width_restarts_the_lanes(self, monkeypatch, division):
+    def test_a_refuted_width_takes_one_coefficient_per_sum(self, monkeypatch, division):
         calls = lane_calls(monkeypatch)
+        by_coefficient = []
+        divide = qseries._divide_by_coefficient
+        monkeypatch.setattr(
+            qseries, "_divide_by_coefficient", lambda num, terms: by_coefficient.append(len(num)) or divide(num, terms)
+        )
         assert stack_gf(P13, 400) == stack_recurrence(P13, 400)
-        if division == "restart":
-            # each miss restarts at twice the widest coefficient's bit length
-            assert calls[0] == [1, True] and len(calls) > 2
-            assert [bits for bits, _ in calls] == sorted(bits for bits, _ in calls)
+        if division == "refuted":
+            # the first coefficient past 1 ends the one lanes call
+            assert calls == [[1, False]] and by_coefficient == [401]
         elif division != "by_coefficient":
-            assert calls == [[qseries._quotient_bits(P13, 400), True]]
+            assert calls == [[qseries._quotient_bits(P13, 400), True]] and by_coefficient == []
         else:
-            assert calls == [[_quotient_bits(P13, 400), False]]
+            assert calls == [[_quotient_bits(P13, 400), False]] and by_coefficient == [401]
+
+    @pytest.mark.parametrize("order, in_lanes", [(875, False), (876, True)])
+    def test_lanes_from_lane_min_terms(self, monkeypatch, order, in_lanes):
+        # (1, 3)'s T has 47 terms after T[0] through q^875 and 48 through q^876
+        assert len(_theta_terms(3, 1, order)) - 1 == qseries.LANE_MIN_TERMS - 1 + in_lanes
+        calls = lane_calls(monkeypatch)
+        assert stack_gf(P13, order) == stack_recurrence(P13, order)
+        assert calls == [[_quotient_bits(P13, order), in_lanes]]
+
+    def test_lanes_up_to_lane_bits_limit(self, monkeypatch):
+        # (1, 3) at order 20 513 packs 74 999 184 bits of blocks, at 20 514 past LANE_BITS_LIMIT
+        calls = lane_calls(monkeypatch)
+        in_lanes, by_coefficient = stack_gf(P13, 20513), stack_gf(P13, 20514)
+        assert calls == [[_quotient_bits(P13, 20513), True], [_quotient_bits(P13, 20514), False]]
+        assert by_coefficient.coeffs[:-1] == in_lanes.coeffs
+
+    @pytest.mark.parametrize("r, m, order", [(3, 5, 5000), (2, 5, 3000)])
+    def test_the_benchmark_divisions_take_lanes_in_one_call(self, monkeypatch, r, m, order):
+        # with (1, 3) at order 10^4 (test_bounds_every_coefficient_at_order_10000)
+        # these are the benchmark's exact-workload series in lanes: none is refuted
+        calls = lane_calls(monkeypatch)
+        stack_gf(StackParams(r, m), order)
+        assert calls == [[_quotient_bits(StackParams(r, m), order), True]]
 
 
 class TestFalseThetaSeries:
